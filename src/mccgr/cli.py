@@ -16,7 +16,15 @@ from .errors import DataError, NumericalError
 from .evaluation import evaluate
 from .factorization import SolverConfig, solve
 from .graph import MODES, build_knn_affinity
-from .harness import ExperimentSpec, alpha_sweep, emit_report, make_synthetic, run_experiment, write_alpha_sweep
+from .harness import (
+    ExperimentSpec,
+    alpha_sweep,
+    emit_report,
+    make_synthetic,
+    run_experiment,
+    write_alpha_sweep,
+    write_trace,
+)
 from .matrix import load_csv, load_labels, read_matrix, save_csv, save_labels
 
 
@@ -104,10 +112,7 @@ def _cmd_factorize(args) -> int:
     save_csv(result.h, args.out_h)
     save_csv(result.w, args.out_w)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("iteration,objective\n")
-            for i, value in enumerate(result.trace):
-                fh.write(f"{i},{float(value)!r}\n")
+        write_trace(result.trace, args.trace)
     status = "converged" if result.converged else "hit max-iter"
     print(
         f"{cfg.variant}: {status} after {result.iterations_run} iterations, "

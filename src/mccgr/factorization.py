@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graph import AffinityGraph, graph_penalty, laplacian
+from .graph import AffinityGraph, _penalty, graph_penalty, laplacian
 
 __all__ = [
     "FLOOR",
@@ -96,8 +96,11 @@ class Factorization:
     """Solver output.
 
     `trace` holds the tracked objective per iteration, entry 0 evaluated
-    at the initializers. `iterates` is populated only when the solver is
-    asked to record per-iteration copies of H and W.
+    at the initializers. `rho` and `sigma` are the weights and kernel
+    width the last iteration's M-step used; the solver derives them, like
+    the trace, from one residual pass per iteration. `iterates` is
+    populated only when the solver is asked to record per-iteration
+    copies of H and W.
     """
 
     h: np.ndarray
@@ -139,12 +142,18 @@ def objective_kl(x, h, w) -> float:
     x, h, w = _check_triplet(x, h, w)
     if np.any(x < 0):
         raise DataError("KL divergence needs non-negative data")
-    v = h @ w
     pos = x > 0
-    if np.any(v[pos] <= 0):
-        raise NumericalError("KL divergence is infinite: zero reconstruction under positive data")
     xp = x[pos]
-    return float(np.sum(xp * np.log(xp / v[pos])) - np.sum(xp) + np.sum(v))
+    return _kl_divergence(xp, pos, np.sum(xp), h @ w)
+
+
+def _kl_divergence(xp, pos, sum_xp, v) -> float:
+    # xp = x[pos] and sum_xp = sum(xp) depend on the data alone, so the
+    # solver forms them once per solve.
+    vp = v[pos]
+    if np.any(vp <= 0):
+        raise NumericalError("KL divergence is infinite: zero reconstruction under positive data")
+    return float(np.sum(xp * np.log(xp / vp)) - sum_xp + np.sum(v))
 
 
 def sigma_update(x, h, w, theta: float, floor: float = 1e-12) -> float:
@@ -159,8 +168,11 @@ def sigma_update(x, h, w, theta: float, floor: float = 1e-12) -> float:
         raise DataError(f"theta must be > 0, got {theta}")
     x, h, w = _check_triplet(x, h, w)
     r = x - h @ w
-    total = float(np.sum(r * r))
-    return max(float(np.sqrt(theta * total / (2.0 * x.shape[0]))), floor)
+    return _sigma(float(np.sum(r * r)), x.shape[0], theta, floor)
+
+
+def _sigma(total, d, theta, floor) -> float:
+    return max(float(np.sqrt(theta * total / (2.0 * d))), floor)
 
 
 def rho_step(x, h, w, sigma: float) -> np.ndarray:
@@ -174,9 +186,11 @@ def rho_step(x, h, w, sigma: float) -> np.ndarray:
         raise DataError(f"sigma must be > 0, got {sigma}")
     x, h, w = _check_triplet(x, h, w)
     r = x - h @ w
-    r2 = np.sum(r * r, axis=1)
-    kernel = np.maximum(np.exp(-r2 / (2.0 * sigma * sigma)), _KERNEL_TINY)
-    return -kernel
+    return _rho(np.sum(r * r, axis=1), sigma)
+
+
+def _rho(r2, sigma) -> np.ndarray:
+    return -np.maximum(np.exp(-r2 / (2.0 * sigma * sigma)), _KERNEL_TINY)
 
 
 def mcc_objective(x, h, w, sigma: float) -> float:
@@ -202,8 +216,7 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     """
     x, h, w = _check_triplet(x, h, w)
     rho = _check_rho(rho, x.shape[0])
-    r = x - h @ w
-    value = float(np.sum((-rho)[:, None] * r * r))
+    value = _weighted_fit(x - h @ w, -rho)
     if alpha < 0:
         raise DataError(f"alpha must be >= 0, got {alpha}")
     if alpha > 0:
@@ -211,6 +224,10 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
             raise DataError("alpha > 0 requires an affinity graph")
         value += alpha * graph_penalty(w, graph)
     return value
+
+
+def _weighted_fit(r, neg) -> float:
+    return float(np.sum(neg[:, None] * r * r))
 
 
 def _check_rho(rho, d):
@@ -232,7 +249,12 @@ def update_h(x, h, w, rho, epsilon: float = 1e-12) -> np.ndarray:
     """
     x, h, w = _check_triplet(x, h, w)
     neg = -_check_rho(rho, x.shape[0])
-    numer = (neg[:, None] * x) @ w.T
+    return _update_h(neg[:, None] * x, h, w, neg, epsilon)
+
+
+def _update_h(nx, h, w, neg, epsilon) -> np.ndarray:
+    # nx is diag(neg) x, shared with the W step of the same iteration.
+    numer = nx @ w.T
     denom = (neg[:, None] * h) @ (w @ w.T) + epsilon
     return np.maximum(h * numer / denom, FLOOR)
 
@@ -257,9 +279,6 @@ def update_w(
     neg = -_check_rho(rho, x.shape[0])
     if alpha < 0:
         raise DataError(f"alpha must be >= 0, got {alpha}")
-    weighted = neg[:, None] * h
-    numer = h.T @ (neg[:, None] * x)
-    denom = (h.T @ weighted) @ w
     if alpha > 0:
         if graph is None:
             raise DataError("alpha > 0 requires an affinity graph")
@@ -267,6 +286,16 @@ def update_w(
             raise DataError(
                 f"graph size {graph.n} does not match sample count {x.shape[1]}"
             )
+    return _update_w(neg[:, None] * x, h, w, neg, alpha, graph, epsilon)
+
+
+def _update_w(nx, h, w, neg, alpha, graph, epsilon) -> np.ndarray:
+    numer = h.T @ nx
+    # neg[:, None] * h is a new buffer even for unit weights. h.T @ h on one
+    # buffer would go to BLAS syrk, which rounds differently from gemm for
+    # larger D.
+    denom = (h.T @ (neg[:, None] * h)) @ w
+    if alpha > 0:
         numer = numer + alpha * (w @ graph.affinity)
         denom = denom + alpha * (w * graph.degree[None, :])
     return np.maximum(w * numer / (denom + epsilon), FLOOR)
@@ -307,8 +336,8 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     return gh * h, gw * w
 
 
-def _kl_step(x, h, w, epsilon):
-    v = h @ w
+def _kl_step(x, h, w, v, epsilon):
+    # v is h @ w on entry: the solver passes the one its objective formed.
     ratio = x / np.maximum(v, epsilon)
     h = h * (ratio @ w.T) / (np.sum(w, axis=1)[None, :] + epsilon)
     h = np.maximum(h, FLOOR)
@@ -336,6 +365,16 @@ def solve(
     squared-error family and objective_kl for kl; iteration stops when its
     per-iteration change, relative to the objective at the initializers,
     falls below cfg.tol, or when cfg.max_iter is reached.
+
+    Each iteration forms the residual x - h @ w once, after the M-step. That
+    one pass gives the tracked objective and the residual total and row sums
+    from which the next iteration's sigma and rho follow; kl reuses the
+    reconstruction h @ w of its objective in its next step. Inputs are
+    validated here once, and the graph Laplacian is built once per call. The
+    loop runs the same private kernels that sigma_update, rho_step,
+    update_h, update_w, dual_objective and objective_kl wrap with argument
+    checks, so its results equal a loop over those public functions bit for
+    bit.
 
     Parameters
     ----------
@@ -372,20 +411,45 @@ def solve(
             raise DataError(f"variant {cfg.variant!r} with alpha > 0 requires a graph")
         if graph.n != n:
             raise DataError(f"graph size {graph.n} does not match sample count {n}")
+    lap = laplacian(graph) if alpha > 0 else None
 
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
-    rho = -np.ones(d)
-    sigma = sigma_update(x, h, w, cfg.theta, floor=cfg.epsilon)
-    if live_rho:
-        rho = rho_step(x, h, w, sigma)
 
-    def tracked(h_, w_, rho_):
-        if kl:
-            return objective_kl(x, h_, w_)
-        return dual_objective(x, h_, w_, rho_, alpha, graph)
+    def residual(h_, w_):
+        # Returns r = x - h_ @ w_, sum(r^2) and, when rho is live, its row sums.
+        r = x - h_ @ w_
+        rr = r * r
+        return r, float(np.sum(rr)), (rr.sum(axis=1) if live_rho else None)
 
-    trace = [tracked(h, w, rho)]
+    def m_step(h_, w_, neg_):
+        # diag(neg) x is formed once for both half-steps; with unit weights it is x.
+        nx = neg_[:, None] * x if live_rho else x
+        h_ = _update_h(nx, h_, w_, neg_, cfg.epsilon)
+        return h_, _update_w(nx, h_, w_, neg_, alpha, graph, cfg.epsilon)
+
+    def fit(r, total, neg, w_):
+        # With unit weights sum(1.0 * r * r) is the residual total, bit for bit.
+        value = _weighted_fit(r, neg) if live_rho else total
+        if alpha > 0:
+            value += alpha * _penalty(w_, lap)
+        return value
+
+    r, total, r2 = residual(h, w)
+    sigma = _sigma(total, d, cfg.theta, cfg.epsilon)
+    rho = _rho(r2, sigma) if live_rho else -np.ones(d)
+    neg = -rho
+    if kl:
+        pos = x > 0
+        xp = x[pos]
+        sum_xp = np.sum(xp)
+        v = h @ w
+        trace = [_kl_divergence(xp, pos, sum_xp, v)]
+    else:
+        trace = [fit(r, total, neg, w)]
+    # The residual is dead once the objective is formed; dropping it keeps
+    # one fewer D x N array alive through the M-step.
+    del r
     # Per-iteration change is judged against the starting objective, not the
     # current one: objectives with a zero infimum shrink geometrically
     # forever, so a change relative to the previous value would never settle
@@ -396,14 +460,21 @@ def solve(
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         if kl:
-            h, w = _kl_step(x, h, w, cfg.epsilon)
+            h, w = _kl_step(x, h, w, v, cfg.epsilon)
+            v = h @ w
+            value = _kl_divergence(xp, pos, sum_xp, v)
         else:
-            sigma = sigma_update(x, h, w, cfg.theta, floor=cfg.epsilon)
+            # On the first iteration this repeats the E-step at the
+            # initializers, which keeps sigma and rho at the values the last
+            # M-step used when the loop ends.
+            sigma = _sigma(total, d, cfg.theta, cfg.epsilon)
             if live_rho:
-                rho = rho_step(x, h, w, sigma)
-            h = update_h(x, h, w, rho, cfg.epsilon)
-            w = update_w(x, h, w, rho, alpha, graph, cfg.epsilon)
-        value = tracked(h, w, rho)
+                rho = _rho(r2, sigma)
+                neg = -rho
+            h, w = m_step(h, w, neg)
+            r, total, r2 = residual(h, w)
+            value = fit(r, total, neg, w)
+            del r
         if not np.isfinite(value):
             raise NumericalError(
                 f"objective became non-finite at iteration {iterations}"

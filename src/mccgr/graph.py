@@ -98,5 +98,10 @@ def graph_penalty(w, graph: AffinityGraph) -> float:
         raise DataError(
             f"coefficient matrix shape {w.shape} does not match graph size {graph.n}"
         )
-    value = float(np.sum((w @ laplacian(graph)) * w))
-    return max(value, 0.0)
+    return _penalty(w, laplacian(graph))
+
+
+def _penalty(w, lap) -> float:
+    # Takes the Laplacian built by the caller, so a solver can build it once
+    # per solve rather than once per objective evaluation.
+    return max(float(np.sum((w @ lap) * w)), 0.0)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .evaluation import evaluate
 from .factorization import SolverConfig, solve
 from .graph import MODES, build_knn_affinity
@@ -38,6 +38,7 @@ __all__ = [
     "run_experiment",
     "sample_categories",
     "write_alpha_sweep",
+    "write_trace",
 ]
 
 # SolverConfig fields an experiment variant entry may override; k, seed and
@@ -198,9 +199,10 @@ def sample_categories(labels, k: int, seed: int) -> np.ndarray:
 def run_experiment(spec: ExperimentSpec):
     """Execute the full (k, repeat, variant) grid.
 
-    Returns (AggregateReport, list[RunRecord]). A variant failure inside a
-    cell is warned about and excluded from aggregation; it never aborts
-    the other variants.
+    Returns (AggregateReport, list[RunRecord]). A variant that fails inside
+    a cell with DataError or NumericalError is warned about and excluded
+    from aggregation; it never aborts the other variants. Any other
+    exception is a programming error and propagates.
     """
     dataset = load_csv(spec.features_path, spec.labels_path)
     labels = dataset.labels
@@ -227,7 +229,7 @@ def run_experiment(spec: ExperimentSpec):
                     report = evaluate(
                         result.w, y, k, seed=seed_r, restarts=spec.kmeans_restarts
                     )
-                except Exception as exc:  # noqa: BLE001 - isolate variant failures
+                except (DataError, NumericalError) as exc:
                     warnings.warn(
                         f"variant {name!r} failed at k={k} repeat {r}: {exc}",
                         stacklevel=2,
@@ -308,6 +310,14 @@ def write_alpha_sweep(table, path) -> None:
             fh.write(f"{alpha!r},{acc!r}\n")
 
 
+def write_trace(trace, path) -> None:
+    """Write an objective trace as `iteration,objective` CSV, repr precision."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("iteration,objective\n")
+        for i, value in enumerate(trace):
+            fh.write(f"{i},{float(value)!r}\n")
+
+
 def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
     """Write accuracy/NMI tables, per-run records, traces, and summary.json.
 
@@ -353,10 +363,7 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
 
     for rec in records:
         name = f"{rec.variant}_k{rec.k}_r{rec.repeat}.csv"
-        with open(os.path.join(traces_dir, name), "w", encoding="utf-8") as fh:
-            fh.write("iteration,objective\n")
-            for i, value in enumerate(rec.trace):
-                fh.write(f"{i},{float(value)!r}\n")
+        write_trace(rec.trace, os.path.join(traces_dir, name))
 
     summary = {
         "aggregates": [

@@ -468,3 +468,78 @@ def test_planted_recovery_all_variants():
             rel = np.linalg.norm(x - res.h @ res.w) / np.linalg.norm(x)
             assert res.converged, f"{variant} seed {seed} never converged"
             assert rel <= 1e-3, f"{variant} seed {seed} rel resid {rel}"
+
+
+def reference_solve(x, graph, cfg, h0, w0):
+    # The solver loop written over the public step functions: every residual
+    # recomputed by each one, the Laplacian rebuilt per objective.
+    d = x.shape[0]
+    h, w = h0.copy(), w0.copy()
+    alpha = cfg.alpha if cfg.variant in ("grnmf", "mccgr") else 0.0
+    live_rho = cfg.variant in ("mcc", "mccgr")
+    kl = cfg.variant == "kl"
+    eps = cfg.epsilon
+    rho = -np.ones(d)
+    sigma = sigma_update(x, h, w, cfg.theta, floor=eps)
+    if live_rho:
+        rho = rho_step(x, h, w, sigma)
+
+    def tracked(h_, w_, rho_):
+        if kl:
+            return objective_kl(x, h_, w_)
+        return dual_objective(x, h_, w_, rho_, alpha, graph)
+
+    trace = [tracked(h, w, rho)]
+    scale = abs(trace[0])
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
+        if kl:
+            ratio = x / np.maximum(h @ w, eps)
+            h = np.maximum(h * (ratio @ w.T) / (np.sum(w, axis=1)[None, :] + eps), 1e-16)
+            ratio = x / np.maximum(h @ w, eps)
+            w = np.maximum(w * (h.T @ ratio) / (np.sum(h, axis=0)[:, None] + eps), 1e-16)
+        else:
+            sigma = sigma_update(x, h, w, cfg.theta, floor=eps)
+            if live_rho:
+                rho = rho_step(x, h, w, sigma)
+            h = update_h(x, h, w, rho, eps)
+            w = update_w(x, h, w, rho, alpha, graph, eps)
+        value = tracked(h, w, rho)
+        diff = abs(value - trace[-1])
+        trace.append(value)
+        rel = 0.0 if diff == 0.0 else (np.inf if scale == 0.0 else diff / scale)
+        if rel < cfg.tol:
+            converged = True
+            break
+    return h, w, rho, sigma, np.array(trace), iterations, converged
+
+
+@pytest.mark.parametrize("variant", ["l2", "kl", "grnmf", "mcc", "mccgr"])
+@pytest.mark.parametrize("with_graph", [True, False])
+@pytest.mark.parametrize(
+    "shape, max_iter, tol",
+    [((50, 60, 3), 40, 0.0), ((50, 60, 3), 300, 1e-2), ((500, 40, 4), 10, 0.0)],
+)
+def test_solve_matches_public_step_loop_bitwise(variant, with_graph, shape, max_iter, tol):
+    # D=500 reaches the sizes where BLAS syrk (h.T @ h on one buffer) rounds
+    # differently from gemm, which the solver must not switch to.
+    d, n, k = shape
+    rng = np.random.default_rng(d + n)
+    x = rng.random((d, n)) + 0.05
+    x[rng.choice(d, size=d // 10, replace=False)] += 20.0 * rng.random((d // 10, n))
+    h0 = rng.random((d, k)) + 0.1
+    w0 = rng.random((k, n)) + 0.1
+    graph = build_knn_affinity(x, 5, "symmetrized") if with_graph else None
+    alpha = 10.0 if with_graph else 0.0
+    cfg = SolverConfig(variant=variant, k=k, alpha=alpha, theta=0.7, max_iter=max_iter, tol=tol)
+    h, w, rho, sigma, trace, iterations, converged = reference_solve(x, graph, cfg, h0, w0)
+    res = solve(x, graph, cfg, h0, w0)
+    if tol > 0:
+        assert converged and iterations < max_iter
+    assert res.h.tobytes() == h.tobytes()
+    assert res.w.tobytes() == w.tobytes()
+    assert res.rho.tobytes() == rho.tobytes()
+    assert np.float64(res.sigma).tobytes() == np.float64(sigma).tobytes()
+    assert res.trace.tobytes() == trace.tobytes()
+    assert res.iterations_run == iterations
+    assert res.converged == converged

@@ -194,6 +194,17 @@ def test_run_experiment_isolates_variant_failures(tmp_path, monkeypatch):
     assert all(row.variant == "l2" for row in aggregate.rows)
 
 
+def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, k_range=(2,), repeats=1)
+
+    def broken(x, graph, cfg, h0, w0, **kwargs):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(mccgr.harness, "solve", broken)
+    with pytest.raises(TypeError, match="synthetic bug"):
+        run_experiment(spec)
+
+
 def test_alpha_sweep_table(tmp_path):
     spec = small_spec(
         tmp_path,
