@@ -153,7 +153,11 @@ def _kl_divergence(xp, pos, sum_xp, v) -> float:
     vp = v[pos]
     if np.any(vp <= 0):
         raise NumericalError("KL divergence is infinite: zero reconstruction under positive data")
-    return float(np.sum(xp * np.log(xp / vp)) - sum_xp + np.sum(v))
+    # xp * log(xp / vp), formed in vp's buffer.
+    terms = np.divide(xp, vp, out=vp)
+    np.log(terms, out=terms)
+    terms *= xp
+    return float(np.sum(terms) - sum_xp + np.sum(v))
 
 
 def sigma_update(x, h, w, theta: float, floor: float = 1e-12) -> float:
@@ -336,13 +340,19 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     return gh * h, gw * w
 
 
+def _kl_ratio(x, v, epsilon):
+    # x / max(v, epsilon), written over v: no second D x N array is formed.
+    np.maximum(v, epsilon, out=v)
+    return np.divide(x, v, out=v)
+
+
 def _kl_step(x, h, w, v, epsilon):
-    # v is h @ w on entry: the solver passes the one its objective formed.
-    ratio = x / np.maximum(v, epsilon)
+    # v is h @ w on entry, from the solver's objective. It is overwritten with
+    # the ratio, so the caller's v costs no memory and must not be read again.
+    ratio = _kl_ratio(x, v, epsilon)
     h = h * (ratio @ w.T) / (np.sum(w, axis=1)[None, :] + epsilon)
     h = np.maximum(h, FLOOR)
-    v = h @ w
-    ratio = x / np.maximum(v, epsilon)
+    ratio = _kl_ratio(x, h @ w, epsilon)
     w = w * (h.T @ ratio) / (np.sum(h, axis=0)[:, None] + epsilon)
     w = np.maximum(w, FLOOR)
     return h, w
@@ -439,17 +449,17 @@ def solve(
     sigma = _sigma(total, d, cfg.theta, cfg.epsilon)
     rho = _rho(r2, sigma) if live_rho else -np.ones(d)
     neg = -rho
+    if not kl:
+        trace = [fit(r, total, neg, w)]
+    # The residual is dead once the objective is formed; dropping it keeps
+    # one fewer D x N array alive through the M-step and kl's set-up.
+    del r
     if kl:
         pos = x > 0
         xp = x[pos]
         sum_xp = np.sum(xp)
         v = h @ w
         trace = [_kl_divergence(xp, pos, sum_xp, v)]
-    else:
-        trace = [fit(r, total, neg, w)]
-    # The residual is dead once the objective is formed; dropping it keeps
-    # one fewer D x N array alive through the M-step.
-    del r
     # Per-iteration change is judged against the starting objective, not the
     # current one: objectives with a zero infimum shrink geometrically
     # forever, so a change relative to the previous value would never settle

@@ -7,6 +7,7 @@ columns. Weights are binary; distances are plain Euclidean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,12 @@ __all__ = ["AffinityGraph", "build_knn_affinity", "graph_penalty", "laplacian"]
 
 MODES = ("mutual", "symmetrized")
 
+# With every entry of a d-row matrix at most _MAX_ENTRY / sqrt(d) in size, each
+# squared column norm is at most a sixteenth of the largest float64, so no
+# Gram entry, squared distance or sum of two of them overflows, and no NaN
+# (inf - inf) can arise.
+_MAX_ENTRY = math.sqrt(np.finfo(np.float64).max / 16)
+
 
 @dataclass(frozen=True)
 class AffinityGraph:
@@ -25,7 +32,6 @@ class AffinityGraph:
     affinity: np.ndarray
     knn: int
     mode: str
-    weighting: str = "binary"
     degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -53,6 +59,11 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
     (ties broken toward the lower column index). `mutual` keeps an edge
     only when both endpoints list each other; `symmetrized` keeps it when
     either does. The diagonal is always zero.
+
+    Each row's k-th smallest squared distance comes from np.partition, and
+    the row lists every column at or below it. In a row where that value is
+    tied across the cut, the tied columns with the highest indices are
+    dropped until k remain, which picks the same k columns as a stable sort.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -64,17 +75,25 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
         raise DataError("need at least two samples to build a graph")
     if not 1 <= k < n:
         raise DataError(f"k must satisfy 1 <= k <= n-1, got k={k} for n={n}")
+    # The selection below must not see NaN: its NaN order differs from a sort's.
+    if not np.all(np.isfinite(x)):
+        raise DataError("data contains NaN or Inf entries")
+    limit = _MAX_ENTRY / math.sqrt(max(x.shape[0], 1))
+    if max(np.max(x, initial=0.0), -np.min(x, initial=0.0)) > limit:
+        raise DataError("data entries too large: squared distances overflow; rescale the data")
 
     gram = x.T @ x
     sq = np.diag(gram).copy()
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     d2 = 0.5 * (d2 + d2.T)  # exact symmetry so row i and row j agree on ties
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    neighbors = order[:, :k]
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
+    member = d2 <= kth[:, None]
+    counts = np.count_nonzero(member, axis=1)
+    for i in np.flatnonzero(counts > k):
+        tied = np.flatnonzero(d2[i] == kth[i])
+        member[i, tied[k - (counts[i] - tied.size):]] = False
 
-    member = np.zeros((n, n), dtype=bool)
-    member[np.repeat(np.arange(n), k), neighbors.ravel()] = True
     if mode == "mutual":
         adjacency = member & member.T
     else:

@@ -8,6 +8,7 @@ aligned with the columns.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ __all__ = [
     "save_csv",
     "save_labels",
 ]
+
+# Bit pattern of 1.0; save_csv tests bits, so -0.0 does not pass for 0.0.
+_ONE_BITS = np.float64(1.0).view(np.uint64)
 
 
 def _as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -77,39 +81,65 @@ def read_matrix(path, allow_negative: bool = False) -> np.ndarray:
     Errors carry 1-based row/column positions. Negative entries are
     rejected unless `allow_negative` is set (most consumers here are
     non-negative by construction; Laplacians and the like opt out).
+
+    The file is parsed in C by np.loadtxt first. When that parse fails, or
+    finds no rows, a non-finite entry or a disallowed negative one, the file
+    is scanned again cell by cell with float(), which either pins the error
+    to its row and column or accepts what float() accepts and numpy does not
+    (whitespace-only lines, underscores in digits, non-ASCII digits). Both
+    parsers round every cell through the same string-to-double routine, so
+    the two paths return the same array. A pipe, which cannot be read twice,
+    is scanned cell by cell from the start. The path is opened as plain
+    text: a name ending in .gz is not decompressed.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        if fh.seekable():
+            try:
+                # loadtxt warns on input with no rows; the scan below reports it.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    m = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+            except ValueError:
+                pass
+            else:
+                if m.size and np.all(np.isfinite(m)) and (allow_negative or not np.any(m < 0)):
+                    return m
+            fh.seek(0)
+        return _scan_cells(fh, path, allow_negative)
+
+
+def _scan_cells(fh, path, allow_negative: bool) -> np.ndarray:
     rows: list[list[float]] = []
     width = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            cells = line.split(",")
-            if width < 0:
-                width = len(cells)
-            elif len(cells) != width:
+    for i, line in enumerate(fh):
+        line = line.strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        if width < 0:
+            width = len(cells)
+        elif len(cells) != width:
+            raise DataError(
+                f"{path}: row {i + 1} has {len(cells)} cells, expected {width}"
+            )
+        parsed = []
+        for j, cell in enumerate(cells):
+            try:
+                v = float(cell)
+            except ValueError:
                 raise DataError(
-                    f"{path}: row {i + 1} has {len(cells)} cells, expected {width}"
+                    f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell.strip()!r}"
+                ) from None
+            if not math.isfinite(v):
+                raise DataError(
+                    f"{path}: non-finite cell at row {i + 1}, column {j + 1}"
                 )
-            parsed = []
-            for j, cell in enumerate(cells):
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: non-numeric cell at row {i + 1}, column {j + 1}: {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: non-finite cell at row {i + 1}, column {j + 1}"
-                    )
-                if v < 0 and not allow_negative:
-                    raise DataError(
-                        f"{path}: negative entry at row {i + 1}, column {j + 1}: {cell.strip()!r}"
-                    )
-                parsed.append(v)
-            rows.append(parsed)
+            if v < 0 and not allow_negative:
+                raise DataError(
+                    f"{path}: negative entry at row {i + 1}, column {j + 1}: {cell.strip()!r}"
+                )
+            parsed.append(v)
+        rows.append(parsed)
     if not rows:
         raise DataError(f"{path}: empty matrix file")
     return np.array(rows, dtype=np.float64)
@@ -147,9 +177,25 @@ def save_csv(matrix, path) -> None:
     """Write a matrix as headerless CSV.
 
     %.17g preserves float64 exactly, so read_matrix(save_csv(m)) == m.
+    A matrix whose entries are all +0.0 or 1.0, such as a binary affinity,
+    is written as one byte buffer holding the bytes np.savetxt would write
+    for it ("0"/"1" cells); -0.0, which %.17g writes as "-0", takes the
+    general path. The file is always plain text, whatever its extension.
     """
     m = _as_matrix(matrix)
-    np.savetxt(path, m, delimiter=",", fmt="%.17g")
+    bits = m.view(np.uint64)
+    binary = bits == 0
+    binary |= bits == _ONE_BITS
+    with open(path, "wb") as fh:
+        if binary.all():
+            rows, cols = m.shape
+            buf = np.empty((rows, 2 * cols), dtype=np.uint8)
+            buf[:, 1::2] = ord(",")
+            buf[:, -1] = ord("\n")
+            np.add(m, ord("0"), out=buf[:, ::2], casting="unsafe")
+            fh.write(buf)
+        else:
+            np.savetxt(fh, m, delimiter=",", fmt="%.17g")
 
 
 def save_labels(labels, path) -> None:

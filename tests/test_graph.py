@@ -45,7 +45,7 @@ def test_affinity_invariants_random_data():
         assert np.all(np.diag(a) == 0.0)
         assert set(np.unique(a)) <= {0.0, 1.0}
         assert np.array_equal(g.degree, a.sum(axis=1))
-        assert g.knn == k and g.mode == mode and g.weighting == "binary"
+        assert g.knn == k and g.mode == mode
 
 
 def test_mutual_subset_of_symmetrized():
@@ -158,3 +158,48 @@ def test_penalty_rejects_mismatched_width():
     g = build_knn_affinity(x, 2, "mutual")
     with pytest.raises(DataError):
         graph_penalty(np.ones((2, 5)), g)
+
+
+def argsort_affinity(x, k, mode):
+    # The stable-argsort selection build_knn_affinity replaced, on the same d2.
+    gram = x.T @ x
+    sq = np.diag(gram).copy()
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
+    d2 = 0.5 * (d2 + d2.T)
+    np.fill_diagonal(d2, np.inf)
+    n = x.shape[1]
+    neighbors = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    member = np.zeros((n, n), dtype=bool)
+    member[np.repeat(np.arange(n), k), neighbors.ravel()] = True
+    adjacency = member & member.T if mode == "mutual" else member | member.T
+    return adjacency.astype(np.float64)
+
+
+def test_partition_selection_matches_stable_argsort_on_ties():
+    # small integer coordinates put many columns at equal distances, so most
+    # rows have ties across the k-th neighbour; every k and both modes
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = int(rng.integers(2, 16))
+        d = int(rng.integers(1, 4))
+        x = rng.integers(0, 3, size=(d, n)).astype(np.float64)
+        for k in range(1, n):
+            for mode in ("mutual", "symmetrized"):
+                got = build_knn_affinity(x, k, mode).affinity
+                assert np.array_equal(got, argsort_affinity(x, k, mode)), (trial, k, mode)
+
+
+def test_build_rejects_non_finite_data():
+    x = np.random.default_rng(13).random((3, 8))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[1, 4] = bad
+        with pytest.raises(DataError, match="NaN or Inf"):
+            build_knn_affinity(y, 2, "mutual")
+
+
+def test_build_rejects_overflowing_distances():
+    x = np.random.default_rng(14).random((3, 8))
+    x[0, 2] = 1e160  # finite, but its squared norm overflows
+    with pytest.raises(DataError, match="too large"):
+        build_knn_affinity(x, 2, "mutual")
