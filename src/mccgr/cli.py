@@ -97,15 +97,16 @@ def _cmd_factorize(args) -> int:
         k=args.k,
         alpha=args.alpha,
         theta=args.theta,
-        knn=args.knn,
         max_iter=args.max_iter,
         tol=args.tol,
-        seed=args.seed,
     )
+    # Checked for every variant, not only those that build a graph.
+    if args.knn < 1:
+        raise DataError(f"knn must be >= 1, got {args.knn}")
     graph = None
     if cfg.variant in ("grnmf", "mccgr") and cfg.alpha > 0:
-        graph = build_knn_affinity(dataset.matrix, cfg.knn, args.knn_mode)
-    rng = np.random.default_rng(cfg.seed)
+        graph = build_knn_affinity(dataset.matrix, args.knn, args.knn_mode)
+    rng = np.random.default_rng(args.seed)
     h0 = 1.0 - rng.random((dataset.n_features, cfg.k))
     w0 = 1.0 - rng.random((cfg.k, dataset.n_samples))
     result = solve(dataset.matrix, graph, cfg, h0, w0)

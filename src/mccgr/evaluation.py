@@ -60,41 +60,47 @@ class EvalReport:
         }
 
 
-def _sq_dist(points, centroids):
-    # (k, n) squared distances, clipped against tiny negative roundoff
-    p2 = np.sum(points * points, axis=0)
+def _sq_dist(points, p2, centroids):
+    # (k, n) squared distances, clipped against tiny negative roundoff;
+    # p2 = sum(points**2, axis=0) depends on the points alone.
     c2 = np.sum(centroids * centroids, axis=0)
     d2 = c2[:, None] + p2[None, :] - 2.0 * (centroids.T @ points)
     return np.maximum(d2, 0.0)
 
 
-def _lloyd(points, init_idx, max_rounds=300):
+def _lloyd(points, p2, init_idx, max_rounds=300):
     n = points.shape[1]
     k = len(init_idx)
     centroids = points[:, init_idx].copy()
     assign = None
     for _ in range(max_rounds):
-        d2 = _sq_dist(points, centroids)
+        d2 = _sq_dist(points, p2, centroids)
         new_assign = np.argmin(d2, axis=0)  # ties go to the lower cluster index
-        # Empty-cluster repair: reseed, in ascending cluster order, to the
-        # point currently farthest from its own centroid, claiming it so a
-        # later empty cluster picks the next-farthest.
-        own = None
-        for j in range(k):
-            if not np.any(new_assign == j):
-                if own is None:
-                    own = d2[new_assign, np.arange(n)]
-                candidate = int(np.argmax(own))
-                centroids[:, j] = points[:, candidate]
-                new_assign[candidate] = j
-                own[candidate] = 0.0
+        counts = np.bincount(new_assign, minlength=k)
+        if not counts.all():
+            # Empty-cluster repair: reseed, in ascending cluster order, to the
+            # point currently farthest from its own centroid, claiming it so a
+            # later empty cluster picks the next-farthest. A claimed point can
+            # empty a later cluster, which the counts then show.
+            own = d2[new_assign, np.arange(n)]
+            for j in range(k):
+                if counts[j] == 0:
+                    candidate = int(np.argmax(own))
+                    centroids[:, j] = points[:, candidate]
+                    counts[new_assign[candidate]] -= 1
+                    counts[j] += 1
+                    new_assign[candidate] = j
+                    own[candidate] = 0.0
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
+        # Members of each cluster, in ascending point order, as one gather.
+        grouped = points[:, np.argsort(assign, kind="stable")]
+        end = 0
         for j in range(k):
-            members = assign == j
-            if np.any(members):
-                centroids[:, j] = points[:, members].mean(axis=1)
+            start, end = end, end + counts[j]
+            if start < end:
+                centroids[:, j] = grouped[:, start:end].sum(axis=1) / counts[j]
     inertia = float(np.sum((points - centroids[:, assign]) ** 2))
     return assign, centroids, inertia
 
@@ -107,6 +113,12 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> Clustering:
     distance ties toward the lower cluster index; a cluster that empties is
     reseeded to the point farthest from its own centroid. Rounds are capped
     at 300 per restart.
+
+    The squared point norms are computed once per call and shared by every
+    round of every restart. A centroid is its members' row sums divided by
+    their count, taken from one stable sort of the assignment; that is the
+    same pairwise row reduction and the same division as
+    `points[:, members].mean(axis=1)`, so it equals the mean bit for bit.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -119,11 +131,12 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> Clustering:
     if restarts < 1:
         raise DataError(f"restarts must be >= 1, got {restarts}")
 
+    p2 = np.sum(points * points, axis=0)
     rng = np.random.default_rng(seed)
     best = None
     for _ in range(restarts):
         init_idx = rng.choice(n, size=k, replace=False)
-        assign, centroids, inertia = _lloyd(points, init_idx)
+        assign, centroids, inertia = _lloyd(points, p2, init_idx)
         if best is None or inertia < best[2]:
             best = (assign, centroids, inertia)
     return Clustering(
@@ -173,8 +186,7 @@ def accuracy(pred, true) -> MatchResult:
     pids, pinv = np.unique(pred, return_inverse=True)
     tids, tinv = np.unique(true, return_inverse=True)
     size = max(len(pids), len(tids))
-    confusion = np.zeros((size, size), dtype=np.int64)
-    np.add.at(confusion, (pinv, tinv), 1)
+    confusion = np.bincount(pinv * size + tinv, minlength=size * size).reshape(size, size)
     perm = hungarian_match(confusion)
     matched = int(confusion[np.arange(size), perm].sum())
     matching = {
@@ -200,8 +212,8 @@ def nmi(a, b) -> float:
     n = a.shape[0]
     _, ainv = np.unique(a, return_inverse=True)
     _, binv = np.unique(b, return_inverse=True)
-    joint = np.zeros((ainv.max() + 1, binv.max() + 1), dtype=np.float64)
-    np.add.at(joint, (ainv, binv), 1.0)
+    na, nb = ainv.max() + 1, binv.max() + 1
+    joint = np.bincount(ainv * nb + binv, minlength=na * nb).reshape(na, nb).astype(np.float64)
     p = joint / n
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)

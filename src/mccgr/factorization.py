@@ -65,10 +65,8 @@ class SolverConfig:
     k: int
     alpha: float = 100.0
     theta: float = 1.0
-    knn: int = 5
     max_iter: int = 500
     tol: float = 1e-6
-    seed: int = 0
     epsilon: float = 1e-12
 
     def __post_init__(self):
@@ -81,8 +79,6 @@ class SolverConfig:
             raise DataError(f"alpha must be >= 0, got {self.alpha}")
         if self.theta <= 0:
             raise DataError(f"theta must be > 0, got {self.theta}")
-        if self.knn < 1:
-            raise DataError(f"knn must be >= 1, got {self.knn}")
         if self.max_iter < 1:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol < 0:
@@ -142,15 +138,17 @@ def objective_kl(x, h, w) -> float:
     x, h, w = _check_triplet(x, h, w)
     if np.any(x < 0):
         raise DataError("KL divergence needs non-negative data")
-    pos = x > 0
-    xp = x[pos]
+    pos = np.flatnonzero(x > 0)
+    xp = x.take(pos)
     return _kl_divergence(xp, pos, np.sum(xp), h @ w)
 
 
 def _kl_divergence(xp, pos, sum_xp, v) -> float:
-    # xp = x[pos] and sum_xp = sum(xp) depend on the data alone, so the
-    # solver forms them once per solve.
-    vp = v[pos]
+    # pos holds the flat C-order indices of the positive data entries, xp =
+    # x.take(pos) and sum_xp = sum(xp); they depend on the data alone, so the
+    # solver forms them once per solve. v.take(pos) picks the same entries in
+    # the same order as the mask v[x > 0], at a fraction of its cost.
+    vp = v.take(pos)
     if np.any(vp <= 0):
         raise NumericalError("KL divergence is infinite: zero reconstruction under positive data")
     # xp * log(xp / vp), formed in vp's buffer.
@@ -455,8 +453,8 @@ def solve(
     # one fewer D x N array alive through the M-step and kl's set-up.
     del r
     if kl:
-        pos = x > 0
-        xp = x[pos]
+        pos = np.flatnonzero(x > 0)
+        xp = x.take(pos)
         sum_xp = np.sum(xp)
         v = h @ w
         trace = [_kl_divergence(xp, pos, sum_xp, v)]

@@ -41,8 +41,8 @@ __all__ = [
     "write_trace",
 ]
 
-# SolverConfig fields an experiment variant entry may override; k, seed and
-# knn come from the protocol itself.
+# SolverConfig fields an experiment variant entry may override; k comes from
+# the protocol itself.
 _VARIANT_KEYS = {"name", "variant", "alpha", "theta", "max_iter", "tol", "epsilon"}
 
 _SPEC_KEYS = {
@@ -178,11 +178,6 @@ def _variant_name(entry: dict) -> str:
     return str(entry.get("name", entry["variant"])).lower()
 
 
-def _variant_config(entry: dict, k: int, seed: int, knn: int) -> SolverConfig:
-    kwargs = {key: entry[key] for key in entry if key not in ("name",)}
-    return SolverConfig(k=k, seed=seed, knn=knn, **kwargs)
-
-
 def sample_categories(labels, k: int, seed: int) -> np.ndarray:
     """Column indices of k distinct label categories, original order kept."""
     labels = np.ascontiguousarray(labels, dtype=np.int64)
@@ -204,7 +199,12 @@ def run_experiment(spec: ExperimentSpec):
     from aggregation; it never aborts the other variants. Any other
     exception is a programming error and propagates.
     """
-    dataset = load_csv(spec.features_path, spec.labels_path)
+    return _run_grid(spec, load_csv(spec.features_path, spec.labels_path))
+
+
+def _run_grid(spec: ExperimentSpec, dataset):
+    # run_experiment on an already loaded dataset; alpha_sweep runs one grid
+    # per alpha on a single load.
     labels = dataset.labels
     if labels is None:
         raise DataError("experiments need labeled data")
@@ -222,7 +222,7 @@ def run_experiment(spec: ExperimentSpec):
             w0 = 1.0 - rng.random((k, x.shape[1]))
             init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
             for name, entry in zip(names, spec.variants):
-                cfg = _variant_config(entry, k=k, seed=seed_r, knn=spec.knn)
+                cfg = SolverConfig(k=k, **{key: entry[key] for key in entry if key != "name"})
                 started = time.perf_counter()
                 try:
                     result = solve(x, graph, cfg, h0, w0)
@@ -230,9 +230,10 @@ def run_experiment(spec: ExperimentSpec):
                         result.w, y, k, seed=seed_r, restarts=spec.kmeans_restarts
                     )
                 except (DataError, NumericalError) as exc:
+                    # Two frames up: the caller of run_experiment or alpha_sweep.
                     warnings.warn(
                         f"variant {name!r} failed at k={k} repeat {r}: {exc}",
-                        stacklevel=2,
+                        stacklevel=3,
                     )
                     continue
                 records.append(
@@ -282,10 +283,11 @@ def alpha_sweep(spec: ExperimentSpec):
     The sweep reruns the full repeat protocol per alpha on the graph-
     regularized correntropy variant (settings borrowed from the first such
     entry in spec.variants when present). Returns [(alpha, mean_accuracy)]
-    in ascending alpha order.
+    in ascending alpha order. The dataset is loaded once for the whole sweep.
     """
     if not spec.alpha_sweep:
         raise DataError("spec has no alpha_sweep values")
+    dataset = load_csv(spec.features_path, spec.labels_path)
     base = {"variant": "mccgr"}
     for entry in spec.variants:
         if str(entry["variant"]).lower() == "mccgr":
@@ -296,7 +298,7 @@ def alpha_sweep(spec: ExperimentSpec):
         entry = dict(base)
         entry["alpha"] = float(alpha)
         sub = replace(spec, k_range=(2,), variants=(entry,), alpha_sweep=())
-        aggregate, _ = run_experiment(sub)
+        aggregate, _ = _run_grid(sub, dataset)
         if not aggregate.rows:
             raise DataError(f"alpha sweep produced no successful runs at alpha={alpha}")
         table.append((float(alpha), aggregate.rows[0].mean_accuracy))

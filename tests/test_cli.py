@@ -153,3 +153,15 @@ def test_mismatched_labels_exit_2(tmp_path, capsys):
         "--out", str(tmp_path / "r.json"),
     ]) == 2
     assert "mccgr:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["l2", "kl", "grnmf", "mcc", "mccgr"])
+def test_factorize_rejects_knn_below_one_for_every_variant(tmp_path, capsys, variant):
+    xp, _ = write_dataset(tmp_path)
+    h_path = tmp_path / "h.csv"
+    assert main([
+        "factorize", "--input", xp, "--variant", variant, "--k", "2", "--knn", "0",
+        "--out-h", str(h_path), "--out-w", str(tmp_path / "w.csv"),
+    ]) == 2
+    assert "knn must be >= 1" in capsys.readouterr().err
+    assert not h_path.exists()

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mccgr import DataError, accuracy, evaluate, hungarian_match, kmeans, nmi
 
@@ -71,6 +73,114 @@ def test_kmeans_duplicate_points_repair():
     result = kmeans(pts, 3, seed=0)
     assert set(result.assignments.tolist()) == {0, 1, 2}
     assert np.isfinite(result.inertia)
+
+
+def reference_sq_dist(points, centroids):
+    p2 = np.sum(points * points, axis=0)
+    c2 = np.sum(centroids * centroids, axis=0)
+    d2 = c2[:, None] + p2[None, :] - 2.0 * (centroids.T @ points)
+    return np.maximum(d2, 0.0)
+
+
+def reference_lloyd(points, init_idx, max_rounds=300):
+    # Lloyd rounds with a scan per cluster for empties and a boolean gather
+    # and mean per centroid.
+    n = points.shape[1]
+    k = len(init_idx)
+    centroids = points[:, init_idx].copy()
+    assign = None
+    for _ in range(max_rounds):
+        d2 = reference_sq_dist(points, centroids)
+        new_assign = np.argmin(d2, axis=0)
+        own = None
+        for j in range(k):
+            if not np.any(new_assign == j):
+                if own is None:
+                    own = d2[new_assign, np.arange(n)]
+                candidate = int(np.argmax(own))
+                centroids[:, j] = points[:, candidate]
+                new_assign[candidate] = j
+                own[candidate] = 0.0
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(k):
+            members = assign == j
+            if np.any(members):
+                centroids[:, j] = points[:, members].mean(axis=1)
+    inertia = float(np.sum((points - centroids[:, assign]) ** 2))
+    return assign, centroids, inertia
+
+
+def reference_kmeans(points, k, seed=0, restarts=10):
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    n = points.shape[1]
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        init_idx = rng.choice(n, size=k, replace=False)
+        assign, centroids, inertia = reference_lloyd(points, init_idx)
+        if best is None or inertia < best[2]:
+            best = (assign, centroids, inertia)
+    return best[0].astype(np.int64), best[1], best[2]
+
+
+def assert_kmeans_matches_reference(points, k, seed, restarts):
+    assign, centroids, inertia = reference_kmeans(points, k, seed=seed, restarts=restarts)
+    result = kmeans(points, k, seed=seed, restarts=restarts)
+    assert result.assignments.dtype == assign.dtype
+    assert result.assignments.tobytes() == assign.tobytes()
+    assert result.centroids.tobytes() == centroids.tobytes()
+    assert np.float64(result.inertia).tobytes() == np.float64(inertia).tobytes()
+
+
+@st.composite
+def tie_heavy_problems(draw):
+    # Columns drawn with repetition from a small pool of integer points, so
+    # distances tie and clusters empty often.
+    d = draw(st.integers(1, 3))
+    column = st.lists(st.integers(0, 3), min_size=d, max_size=d)
+    pool = draw(st.lists(column, min_size=1, max_size=5))
+    cols = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    points = np.array(cols, dtype=np.float64).T
+    k = draw(st.integers(1, points.shape[1]))
+    return points, k, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_problems())
+def test_kmeans_matches_reference_on_tie_heavy_points(problem):
+    assert_kmeans_matches_reference(*problem)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    n=st.integers(2, 400),
+    k=st.integers(1, 6),
+    restarts=st.integers(1, 4),
+)
+def test_kmeans_matches_reference_on_real_points(seed, d, n, k, restarts):
+    # Non-integer coordinates make the centroid sums depend on summation
+    # order; clusters of more than 8 and 128 members reach numpy's unrolled
+    # and recursive pairwise sums. Columns repeat through the draw.
+    rng = np.random.default_rng(seed)
+    base = rng.random((d, n)) + 3.0 * rng.integers(0, 3, size=n)[None, :]
+    points = base[:, rng.integers(0, n, size=n)]
+    assert_kmeans_matches_reference(points, min(k, n), seed, restarts)
+
+
+def test_kmeans_repair_that_empties_a_later_cluster():
+    # Seed 22 starts the centroids at points 1, 3, 2, 0 (4, 5, 5, 0). Point 2
+    # ties with cluster 1 and joins it, leaving cluster 2 empty. Every point
+    # sits on its centroid, so the repair claims point 0, the sole member of
+    # cluster 3; cluster 3, now empty, reclaims point 0, and cluster 2 ends
+    # the round empty again.
+    points = np.array([[0.0, 4.0, 5.0, 5.0]])
+    assert np.random.default_rng(22).choice(4, size=4, replace=False).tolist() == [1, 3, 2, 0]
+    assert_kmeans_matches_reference(points, 4, 22, 1)
+    assert kmeans(points, 4, seed=22, restarts=1).assignments.tolist() == [3, 0, 1, 1]
 
 
 def test_kmeans_argument_validation():

@@ -70,6 +70,36 @@ def test_objective_kl_zero_entries_contribute_reconstruction():
     assert objective_kl(x, h, w) == pytest.approx(0.5, rel=1e-12)
 
 
+def mask_kl_divergence(x, h, w):
+    # The divergence gathered with the boolean mask x > 0, in the arithmetic
+    # order the library uses.
+    pos = x > 0
+    xp = x[pos]
+    v = h @ w
+    terms = np.log(xp / v[pos])
+    terms *= xp
+    return float(np.sum(terms) - np.sum(xp) + np.sum(v))
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 1), (9, 7, 2), (40, 60, 3), (256, 150, 4)])
+def test_kl_flat_index_gather_equals_the_mask_with_zero_data(shape):
+    d, n, k = shape
+    rng = np.random.default_rng(d * n)
+    x = rng.random((d, n)) + 0.05
+    x[rng.random((d, n)) < 0.3] = 0.0
+    h0 = rng.random((d, k)) + 0.1
+    w0 = rng.random((k, n)) + 0.1
+    expect = np.float64(mask_kl_divergence(x, h0, w0)).tobytes()
+    assert np.float64(objective_kl(x, h0, w0)).tobytes() == expect
+    # Flat indices follow C order whatever the memory layout of the data.
+    assert np.float64(objective_kl(np.asfortranarray(x), h0, w0)).tobytes() == expect
+    cfg = SolverConfig(variant="kl", k=k, max_iter=25, tol=0.0)
+    res = solve(x, None, cfg, h0, w0, record_iterates=True)
+    trace = [mask_kl_divergence(x, h0, w0)]
+    trace += [mask_kl_divergence(x, h, w) for h, w in res.iterates]
+    assert res.trace.tobytes() == np.array(trace).tobytes()
+
+
 def test_objective_kl_infinite_divergence_raises():
     x = np.array([[1.0]])
     with pytest.raises(NumericalError):

@@ -1,7 +1,9 @@
 """Experiment protocol: sampling, spec parsing, the grid runner, reports."""
 
+import itertools
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +205,44 @@ def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
     monkeypatch.setattr(mccgr.harness, "solve", broken)
     with pytest.raises(TypeError, match="synthetic bug"):
         run_experiment(spec)
+
+
+def test_failed_run_warning_names_the_caller(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, k_range=(2,), repeats=2, alpha_sweep=(1.0, 10.0))
+    real_solve = mccgr.harness.solve
+    calls = itertools.count()
+
+    def every_other(x, graph, cfg, h0, w0, **kwargs):
+        # Fails the first run of every pair, so each alpha keeps one success.
+        if next(calls) % 2 == 0:
+            raise mccgr.NumericalError("synthetic failure")
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", every_other)
+    with pytest.warns(UserWarning, match="synthetic failure") as caught:
+        run_experiment(spec)
+        alpha_sweep(spec)
+    assert len(caught) == 4
+    assert {w.filename for w in caught} == {__file__}
+
+
+def test_dataset_loaded_once_per_grid_and_per_sweep(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, k_range=(2,), repeats=1)
+    real_load = mccgr.harness.load_csv
+    loads = []
+
+    def counting_load(*args, **kwargs):
+        loads.append(args)
+        return real_load(*args, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "load_csv", counting_load)
+    run_experiment(spec)
+    assert len(loads) == 1
+    for alphas in [(1.0,), (0.1, 1.0, 10.0, 100.0)]:
+        loads.clear()
+        table = alpha_sweep(replace(spec, alpha_sweep=alphas))
+        assert len(table) == len(alphas)
+        assert len(loads) == 1
 
 
 def test_alpha_sweep_table(tmp_path):
