@@ -5,8 +5,9 @@ columns. Binary affinities come from Euclidean k-nearest neighbors in
 one of two modes: "mutual" keeps an edge only when both endpoints pick
 each other (sparser, no forced edges into outliers), "symmetrized"
 keeps an edge when either endpoint picks the other. The Laplacian
-L = degree - affinity is what the solver consumes; its quadratic form
-measures how rough a signal is across edges.
+L = degree - affinity defines the smoothness penalty: its quadratic form
+measures how rough a signal is across edges. The solver evaluates that
+form as sum_n deg_n ||w_n||^2 - <W, W A> and never builds L itself.
 """
 
 import numpy as np

@@ -18,10 +18,10 @@ from .factorization import SolverConfig, solve
 from .graph import MODES, build_knn_affinity
 from .harness import (
     ExperimentSpec,
-    alpha_sweep,
+    _run_spec,
+    _sweep_table,
     emit_report,
     make_synthetic,
-    run_experiment,
     write_alpha_sweep,
     write_trace,
 )
@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="factor a data matrix with one variant")
     p.add_argument("--input", required=True, help="features x samples CSV")
-    p.add_argument("--labels", default=None, help="optional single-column label CSV")
     p.add_argument("--variant", required=True, choices=["l2", "kl", "grnmf", "mcc", "mccgr"])
     p.add_argument("--k", required=True, type=int, help="factorization rank")
     p.add_argument("--alpha", type=float, default=100.0, help="graph penalty weight")
@@ -91,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_factorize(args) -> int:
-    dataset = load_csv(args.input, args.labels)
+    dataset = load_csv(args.input)
     cfg = SolverConfig(
         variant=args.variant,
         k=args.k,
@@ -147,11 +146,11 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out_dir or spec.output_dir
     if not out_dir:
         raise DataError("no output directory: pass --out-dir or set output_dir in the spec")
-    aggregate, records = run_experiment(spec)
+    # The alpha sweep shares the grid's load, k=2 cells and runs.
+    aggregate, records, sweep = _run_spec(spec)
     emit_report(aggregate, records, out_dir)
     if spec.alpha_sweep:
-        table = alpha_sweep(spec)
-        write_alpha_sweep(table, os.path.join(out_dir, "alpha_sweep.csv"))
+        write_alpha_sweep(_sweep_table(sweep), os.path.join(out_dir, "alpha_sweep.csv"))
     for row in aggregate.rows:
         print(
             f"k={row.k} {row.variant}: accuracy {row.mean_accuracy:.4f} "

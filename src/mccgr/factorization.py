@@ -16,6 +16,12 @@ residuals, with multiplicative M-step updates of H and then W. A feature
 row with weight -rho_d = exp(-r2_d / (2 sigma^2)) close to zero is
 effectively dropped from the fit, which is what buys robustness to
 grossly corrupted features.
+
+The squared-error kernels never form a weighted copy of the data or of
+the squared residual: the row weights scale the D x K and K x K products
+of the updates, and the fit is the weighted sum of the per-row squared
+residuals r2. The graph terms come from the K x N product W A; no
+Laplacian is built.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graph import AffinityGraph, _penalty, graph_penalty, laplacian
+from .graph import AffinityGraph, _penalty, graph_penalty
 
 __all__ = [
     "FLOOR",
@@ -169,8 +175,16 @@ def sigma_update(x, h, w, theta: float, floor: float = 1e-12) -> float:
     if theta <= 0:
         raise DataError(f"theta must be > 0, got {theta}")
     x, h, w = _check_triplet(x, h, w)
-    r = x - h @ w
-    return _sigma(float(np.sum(r * r)), x.shape[0], theta, floor)
+    return _sigma(_row_sq(x, h, w)[1], x.shape[0], theta, floor)
+
+
+def _row_sq(x, h, w):
+    # Per-row sums r2 of the squared residual r = x - h @ w, and their total.
+    # r is formed in the buffer of h @ w, so one D x N array is allocated.
+    r = h @ w
+    np.subtract(x, r, out=r)
+    r2 = np.einsum("ij,ij->i", r, r)
+    return r2, float(r2.sum())
 
 
 def _sigma(total, d, theta, floor) -> float:
@@ -187,8 +201,7 @@ def rho_step(x, h, w, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise DataError(f"sigma must be > 0, got {sigma}")
     x, h, w = _check_triplet(x, h, w)
-    r = x - h @ w
-    return _rho(np.sum(r * r, axis=1), sigma)
+    return _rho(_row_sq(x, h, w)[0], sigma)
 
 
 def _rho(r2, sigma) -> np.ndarray:
@@ -204,8 +217,7 @@ def mcc_objective(x, h, w, sigma: float) -> float:
     if sigma <= 0:
         raise DataError(f"sigma must be > 0, got {sigma}")
     x, h, w = _check_triplet(x, h, w)
-    r = x - h @ w
-    r2 = np.sum(r * r, axis=1)
+    r2 = _row_sq(x, h, w)[0]
     return float(np.sum(np.exp(-r2 / (2.0 * sigma * sigma))))
 
 
@@ -218,7 +230,7 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     """
     x, h, w = _check_triplet(x, h, w)
     rho = _check_rho(rho, x.shape[0])
-    value = _weighted_fit(x - h @ w, -rho)
+    value = _weighted_fit(-rho, _row_sq(x, h, w)[0])
     if alpha < 0:
         raise DataError(f"alpha must be >= 0, got {alpha}")
     if alpha > 0:
@@ -228,8 +240,9 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     return value
 
 
-def _weighted_fit(r, neg) -> float:
-    return float(np.sum(neg[:, None] * r * r))
+def _weighted_fit(neg, r2) -> float:
+    # sum_d neg_d r2_d: the weights scale the D row sums, not a D x N copy.
+    return float(neg @ r2)
 
 
 def _check_rho(rho, d):
@@ -251,12 +264,13 @@ def update_h(x, h, w, rho, epsilon: float = 1e-12) -> np.ndarray:
     """
     x, h, w = _check_triplet(x, h, w)
     neg = -_check_rho(rho, x.shape[0])
-    return _update_h(neg[:, None] * x, h, w, neg, epsilon)
+    return _update_h(x, h, w, neg, epsilon)
 
 
-def _update_h(nx, h, w, neg, epsilon) -> np.ndarray:
-    # nx is diag(neg) x, shared with the W step of the same iteration.
-    numer = nx @ w.T
+def _update_h(x, h, w, neg, epsilon) -> np.ndarray:
+    # diag(neg) x w^T as neg * (x w^T): the weights scale a D x K product.
+    # Multiplying by unit weights is exact, so l2 and grnmf get x @ w.T.
+    numer = neg[:, None] * (x @ w.T)
     denom = (neg[:, None] * h) @ (w @ w.T) + epsilon
     return np.maximum(h * numer / denom, FLOOR)
 
@@ -288,18 +302,21 @@ def update_w(
             raise DataError(
                 f"graph size {graph.n} does not match sample count {x.shape[1]}"
             )
-    return _update_w(neg[:, None] * x, h, w, neg, alpha, graph, epsilon)
+        return _update_w(x, h, w, neg, epsilon, alpha, w @ graph.affinity, graph.degree)
+    return _update_w(x, h, w, neg, epsilon)
 
 
-def _update_w(nx, h, w, neg, alpha, graph, epsilon) -> np.ndarray:
-    numer = h.T @ nx
-    # neg[:, None] * h is a new buffer even for unit weights. h.T @ h on one
-    # buffer would go to BLAS syrk, which rounds differently from gemm for
-    # larger D.
-    denom = (h.T @ (neg[:, None] * h)) @ w
+def _update_w(x, h, w, neg, epsilon, alpha=0.0, wa=None, degree=None) -> np.ndarray:
+    # h^T diag(neg) x as (diag(neg) h)^T x. hn is a new buffer even for unit
+    # weights: h.T @ h on one buffer would go to BLAS syrk, which rounds
+    # differently from gemm for larger D, and hn.T @ x is then the same gemm
+    # as h.T @ x. wa is w @ A, which the solver also reads for the penalty.
+    hn = neg[:, None] * h
+    numer = hn.T @ x
+    denom = (h.T @ hn) @ w
     if alpha > 0:
-        numer = numer + alpha * (w @ graph.affinity)
-        denom = denom + alpha * (w * graph.degree[None, :])
+        numer = numer + alpha * wa
+        denom = denom + alpha * (w * degree[None, :])
     return np.maximum(w * numer / (denom + epsilon), FLOOR)
 
 
@@ -320,7 +337,8 @@ def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | Non
     if alpha > 0:
         if graph is None:
             raise DataError("alpha > 0 requires an affinity graph")
-        g = g + 2.0 * alpha * (w @ laplacian(graph))
+        # w L = w diag(degree) - w A, without the N x N Laplacian.
+        g = g + 2.0 * alpha * (w * graph.degree[None, :] - w @ graph.affinity)
     return g
 
 
@@ -374,13 +392,17 @@ def solve(
     per-iteration change, relative to the objective at the initializers,
     falls below cfg.tol, or when cfg.max_iter is reached.
 
-    Each iteration forms the residual x - h @ w once, after the M-step. That
-    one pass gives the tracked objective and the residual total and row sums
-    from which the next iteration's sigma and rho follow; kl reuses the
-    reconstruction h @ w of its objective in its next step. Inputs are
-    validated here once, and the graph Laplacian is built once per call. The
-    loop runs the same private kernels that sigma_update, rho_step,
-    update_h, update_w, dual_objective and objective_kl wrap with argument
+    Each iteration forms the residual x - h @ w once, after the M-step, and
+    reduces it in one pass to its per-row squared sums r2. The tracked fit
+    is the weighted sum of r2, and the next iteration's sigma and rho follow
+    from r2 and its total. The row weights scale the small products of the
+    M-step, never x itself, so no step forms a weighted D x N copy. With a
+    graph, w @ A is formed once after each W step: it gives that
+    iteration's penalty and the next W step's numerator, and no Laplacian
+    is built. kl reuses the reconstruction h @ w of its objective in its
+    next step. Inputs are validated here once. The loop runs the same
+    private kernels that sigma_update, rho_step, update_h, update_w,
+    dual_objective, graph_penalty and objective_kl wrap with argument
     checks, so its results equal a loop over those public functions bit for
     bit.
 
@@ -419,45 +441,33 @@ def solve(
             raise DataError(f"variant {cfg.variant!r} with alpha > 0 requires a graph")
         if graph.n != n:
             raise DataError(f"graph size {graph.n} does not match sample count {n}")
-    lap = laplacian(graph) if alpha > 0 else None
-
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
+    degree = graph.degree if alpha > 0 else None
 
-    def residual(h_, w_):
-        # Returns r = x - h_ @ w_, sum(r^2) and, when rho is live, its row sums.
-        r = x - h_ @ w_
-        rr = r * r
-        return r, float(np.sum(rr)), (rr.sum(axis=1) if live_rho else None)
+    def products(w_):
+        # w_ @ A, shared by the penalty on w_ and the next W step's numerator.
+        return w_ @ graph.affinity if alpha > 0 else None
 
-    def m_step(h_, w_, neg_):
-        # diag(neg) x is formed once for both half-steps; with unit weights it is x.
-        nx = neg_[:, None] * x if live_rho else x
-        h_ = _update_h(nx, h_, w_, neg_, cfg.epsilon)
-        return h_, _update_w(nx, h_, w_, neg_, alpha, graph, cfg.epsilon)
-
-    def fit(r, total, neg, w_):
-        # With unit weights sum(1.0 * r * r) is the residual total, bit for bit.
-        value = _weighted_fit(r, neg) if live_rho else total
+    def fit(neg_, r2_, w_, wa_):
+        value = _weighted_fit(neg_, r2_)
         if alpha > 0:
-            value += alpha * _penalty(w_, lap)
+            value += alpha * _penalty(w_, wa_, degree)
         return value
 
-    r, total, r2 = residual(h, w)
+    r2, total = _row_sq(x, h, w)
     sigma = _sigma(total, d, cfg.theta, cfg.epsilon)
     rho = _rho(r2, sigma) if live_rho else -np.ones(d)
     neg = -rho
-    if not kl:
-        trace = [fit(r, total, neg, w)]
-    # The residual is dead once the objective is formed; dropping it keeps
-    # one fewer D x N array alive through the M-step and kl's set-up.
-    del r
     if kl:
         pos = np.flatnonzero(x > 0)
         xp = x.take(pos)
         sum_xp = np.sum(xp)
         v = h @ w
         trace = [_kl_divergence(xp, pos, sum_xp, v)]
+    else:
+        wa = products(w)
+        trace = [fit(neg, r2, w, wa)]
     # Per-iteration change is judged against the starting objective, not the
     # current one: objectives with a zero infimum shrink geometrically
     # forever, so a change relative to the previous value would never settle
@@ -479,10 +489,11 @@ def solve(
             if live_rho:
                 rho = _rho(r2, sigma)
                 neg = -rho
-            h, w = m_step(h, w, neg)
-            r, total, r2 = residual(h, w)
-            value = fit(r, total, neg, w)
-            del r
+            h = _update_h(x, h, w, neg, cfg.epsilon)
+            w = _update_w(x, h, w, neg, cfg.epsilon, alpha, wa, degree)
+            wa = products(w)
+            r2, total = _row_sq(x, h, w)
+            value = fit(neg, r2, w, wa)
         if not np.isfinite(value):
             raise NumericalError(
                 f"objective became non-finite at iteration {iterations}"

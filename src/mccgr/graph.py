@@ -102,7 +102,11 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
 
 
 def laplacian(graph: AffinityGraph) -> np.ndarray:
-    """Unnormalized graph Laplacian, degree matrix minus affinity."""
+    """Unnormalized graph Laplacian, degree matrix minus affinity.
+
+    An N x N array, for inspection and tests: the solver, the penalty and
+    the gradients work from the affinity and the degrees directly.
+    """
     return np.diag(graph.degree) - graph.affinity
 
 
@@ -110,17 +114,20 @@ def graph_penalty(w, graph: AffinityGraph) -> float:
     """Smoothness penalty Tr(W L W^T).
 
     Equals half the affinity-weighted sum of squared distances between
-    coefficient columns; clipped at zero against roundoff.
+    coefficient columns. Computed as sum_n deg_n ||w_n||^2 - <W, W A>, with
+    w_n the n-th column of W, so only the K x N product W A is formed and no
+    Laplacian; clipped at zero against roundoff.
     """
     w = np.ascontiguousarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] != graph.n:
         raise DataError(
             f"coefficient matrix shape {w.shape} does not match graph size {graph.n}"
         )
-    return _penalty(w, laplacian(graph))
+    return _penalty(w, w @ graph.affinity, graph.degree)
 
 
-def _penalty(w, lap) -> float:
-    # Takes the Laplacian built by the caller, so a solver can build it once
-    # per solve rather than once per objective evaluation.
-    return max(float(np.sum((w @ lap) * w)), 0.0)
+def _penalty(w, wa, degree) -> float:
+    # wa is w @ A, formed by the caller: the solver shares it with the next
+    # W step's numerator.
+    colsq = np.einsum("ij,ij->j", w, w)
+    return max(float(degree @ colsq - np.vdot(wa, w)), 0.0)

@@ -17,7 +17,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,43 +199,87 @@ def run_experiment(spec: ExperimentSpec):
     from aggregation; it never aborts the other variants. Any other
     exception is a programming error and propagates.
     """
-    return _run_grid(spec, load_csv(spec.features_path, spec.labels_path))
+    aggregate, records, _ = _run_grid(spec, _load(spec), spec.k_range, ())
+    return aggregate, records
 
 
-def _run_grid(spec: ExperimentSpec, dataset):
-    # run_experiment on an already loaded dataset; alpha_sweep runs one grid
-    # per alpha on a single load.
-    labels = dataset.labels
-    if labels is None:
+def _run_spec(spec: ExperimentSpec):
+    # Everything `mccgr experiment` computes, on one load: the grid and, when
+    # the spec lists sweep values, the alpha sweep, which shares the grid's
+    # k=2 cells and any run the grid already made. Returns (aggregate,
+    # records, sweep); _sweep_table turns sweep into alpha_sweep's table.
+    return _run_grid(spec, _load(spec), spec.k_range, spec.alpha_sweep)
+
+
+def _load(spec: ExperimentSpec):
+    dataset = load_csv(spec.features_path, spec.labels_path)
+    if dataset.labels is None:
         raise DataError("experiments need labeled data")
+    return dataset
+
+
+def _cell(spec: ExperimentSpec, dataset, k: int, r: int):
+    # The shared starting conditions of cell (k, repeat r): the sampled
+    # columns, the graph and the (h0, w0) draw. The data columns themselves
+    # are gathered per run, so a cell the sweep keeps holds no copy of them.
+    seed_r = spec.base_seed + r
+    columns = sample_categories(dataset.labels, k, seed_r)
+    graph = build_knn_affinity(dataset.matrix[:, columns], spec.knn, spec.knn_mode)
+    rng = np.random.default_rng(seed_r)
+    h0 = 1.0 - rng.random((dataset.matrix.shape[0], k))
+    w0 = 1.0 - rng.random((k, columns.size))
+    return columns, graph, h0, w0
+
+
+def _outcome(spec: ExperimentSpec, dataset, cell, r: int, cfg: SolverConfig, done: list):
+    # The run of cfg in a cell: solved and evaluated on first request, then
+    # read back from done, the cell's list of (config, outcome) pairs. A
+    # DataError or NumericalError is the outcome of a failed run.
+    for seen, outcome in done:
+        if seen == cfg:
+            return outcome
+    columns, graph, h0, w0 = cell
+    started = time.perf_counter()
+    try:
+        result = solve(dataset.matrix[:, columns], graph, cfg, h0, w0)
+        report = evaluate(
+            result.w, dataset.labels[columns], cfg.k, seed=spec.base_seed + r, restarts=spec.kmeans_restarts
+        )
+        outcome = (result, report, time.perf_counter() - started)
+    except (DataError, NumericalError) as exc:
+        outcome = exc
+    done.append((cfg, outcome))
+    return outcome
+
+
+def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
+    # Runs spec.variants at every k in ks, then the sweep's mccgr entry at
+    # k=2 for every alpha in alphas. Each k=2 cell is set up once, and a
+    # sweep run whose config equals one the grid already ran in that cell
+    # reuses its outcome. A reused failure is warned about again, as a rerun
+    # would be. Returns (aggregate, records, [(alpha, accuracies)]).
     records: list[RunRecord] = []
     names = [_variant_name(entry) for entry in spec.variants]
-    for k in spec.k_range:
+    sweep_cells: dict[int, tuple] = {}
+
+    def failed(name, k, r, exc):
+        # Names the caller of run_experiment, alpha_sweep or _run_spec.
+        warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {exc}", stacklevel=4)
+
+    for k in ks:
         for r in range(spec.repeats):
-            seed_r = spec.base_seed + r
-            columns = sample_categories(labels, k, seed_r)
-            x = dataset.matrix[:, columns]
-            y = labels[columns]
-            graph = build_knn_affinity(x, spec.knn, spec.knn_mode)
-            rng = np.random.default_rng(seed_r)
-            h0 = 1.0 - rng.random((x.shape[0], k))
-            w0 = 1.0 - rng.random((k, x.shape[1]))
-            init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
+            cell = _cell(spec, dataset, k, r)
+            init_hash = hashlib.sha256(cell[2].tobytes() + cell[3].tobytes()).hexdigest()[:16]
+            done: list = []
+            if k == 2 and alphas:
+                sweep_cells.setdefault(r, (cell, done))
             for name, entry in zip(names, spec.variants):
                 cfg = SolverConfig(k=k, **{key: entry[key] for key in entry if key != "name"})
-                started = time.perf_counter()
-                try:
-                    result = solve(x, graph, cfg, h0, w0)
-                    report = evaluate(
-                        result.w, y, k, seed=seed_r, restarts=spec.kmeans_restarts
-                    )
-                except (DataError, NumericalError) as exc:
-                    # Two frames up: the caller of run_experiment or alpha_sweep.
-                    warnings.warn(
-                        f"variant {name!r} failed at k={k} repeat {r}: {exc}",
-                        stacklevel=3,
-                    )
+                outcome = _outcome(spec, dataset, cell, r, cfg, done)
+                if isinstance(outcome, Exception):
+                    failed(name, k, r, outcome)
                     continue
+                result, report, wall_time = outcome
                 records.append(
                     RunRecord(
                         variant=name,
@@ -247,11 +291,33 @@ def _run_grid(spec: ExperimentSpec, dataset):
                         final_objective=float(result.trace[-1]),
                         converged=result.converged,
                         init_hash=init_hash,
-                        wall_time=time.perf_counter() - started,
+                        wall_time=wall_time,
                         trace=result.trace,
                     )
                 )
-    return _aggregate(records, names, spec.k_range), records
+
+    sweep = []
+    # The first mccgr entry's settings (not its name), with alpha replaced.
+    base = {"variant": "mccgr"}
+    for entry in spec.variants:
+        if str(entry["variant"]).lower() == "mccgr":
+            base = {key: entry[key] for key in entry if key != "name"}
+            break
+    name = _variant_name(base)
+    for alpha in sorted(alphas):
+        accuracies = []
+        for r in range(spec.repeats):
+            if r not in sweep_cells:
+                sweep_cells[r] = (_cell(spec, dataset, 2, r), [])
+            cell, done = sweep_cells[r]
+            cfg = SolverConfig(k=2, **dict(base, alpha=float(alpha)))
+            outcome = _outcome(spec, dataset, cell, r, cfg, done)
+            if isinstance(outcome, Exception):
+                failed(name, 2, r, outcome)
+                continue
+            accuracies.append(outcome[1].accuracy)
+        sweep.append((float(alpha), accuracies))
+    return _aggregate(records, names, spec.k_range), records, sweep
 
 
 def _aggregate(records, names, k_range) -> AggregateReport:
@@ -283,25 +349,21 @@ def alpha_sweep(spec: ExperimentSpec):
     The sweep reruns the full repeat protocol per alpha on the graph-
     regularized correntropy variant (settings borrowed from the first such
     entry in spec.variants when present). Returns [(alpha, mean_accuracy)]
-    in ascending alpha order. The dataset is loaded once for the whole sweep.
+    in ascending alpha order. The dataset is loaded once, and each repeat's
+    sample, graph and initialization are built once, for the whole sweep.
     """
     if not spec.alpha_sweep:
         raise DataError("spec has no alpha_sweep values")
-    dataset = load_csv(spec.features_path, spec.labels_path)
-    base = {"variant": "mccgr"}
-    for entry in spec.variants:
-        if str(entry["variant"]).lower() == "mccgr":
-            base = {key: entry[key] for key in entry if key != "name"}
-            break
+    _, _, sweep = _run_grid(spec, _load(spec), (), spec.alpha_sweep)
+    return _sweep_table(sweep)
+
+
+def _sweep_table(sweep):
     table = []
-    for alpha in sorted(spec.alpha_sweep):
-        entry = dict(base)
-        entry["alpha"] = float(alpha)
-        sub = replace(spec, k_range=(2,), variants=(entry,), alpha_sweep=())
-        aggregate, _ = _run_grid(sub, dataset)
-        if not aggregate.rows:
+    for alpha, accuracies in sweep:
+        if not accuracies:
             raise DataError(f"alpha sweep produced no successful runs at alpha={alpha}")
-        table.append((float(alpha), aggregate.rows[0].mean_accuracy))
+        table.append((alpha, float(np.array(accuracies).mean())))
     return table
 
 

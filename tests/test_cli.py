@@ -165,3 +165,17 @@ def test_factorize_rejects_knn_below_one_for_every_variant(tmp_path, capsys, var
     ]) == 2
     assert "knn must be >= 1" in capsys.readouterr().err
     assert not h_path.exists()
+
+
+def test_factorize_labels_option_is_gone(tmp_path, capsys):
+    # factorize never read its labels; the option is now a usage error.
+    xp, yp = write_dataset(tmp_path)
+    h_path = tmp_path / "h.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "factorize", "--input", xp, "--labels", yp, "--variant", "l2", "--k", "2",
+            "--out-h", str(h_path), "--out-w", str(tmp_path / "w.csv"),
+        ])
+    assert exc.value.code == 1
+    assert "--labels" in capsys.readouterr().err
+    assert not h_path.exists()

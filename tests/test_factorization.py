@@ -1,9 +1,14 @@
 """Objectives, auxiliary weights, multiplicative updates, and the solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mccgr import (
+    AffinityGraph,
     DataError,
     NumericalError,
     SolverConfig,
@@ -13,6 +18,7 @@ from mccgr import (
     dual_objective,
     graph_penalty,
     kkt_products,
+    laplacian,
     mcc_objective,
     objective_kl,
     objective_l2,
@@ -573,3 +579,130 @@ def test_solve_matches_public_step_loop_bitwise(variant, with_graph, shape, max_
     assert res.trace.tobytes() == trace.tobytes()
     assert res.iterations_run == iterations
     assert res.converged == converged
+
+
+# The squared-error kernels as they were before the weights moved onto the
+# small products and the graph terms onto W A: diag(neg) x formed in full,
+# the fit summed over a weighted copy of r * r, the penalty through the
+# Laplacian. The library's kernels must agree with them.
+
+
+def reference_weighted_fit(r, neg):
+    return float(np.sum(neg[:, None] * r * r))
+
+
+def reference_update_h(nx, h, w, neg, epsilon):
+    numer = nx @ w.T
+    denom = (neg[:, None] * h) @ (w @ w.T) + epsilon
+    return np.maximum(h * numer / denom, 1e-16)
+
+
+def reference_update_w(nx, h, w, neg, alpha, graph, epsilon):
+    numer = h.T @ nx
+    denom = (h.T @ (neg[:, None] * h)) @ w
+    if alpha > 0:
+        numer = numer + alpha * (w @ graph.affinity)
+        denom = denom + alpha * (w * graph.degree[None, :])
+    return np.maximum(w * numer / (denom + epsilon), 1e-16)
+
+
+def reference_penalty(w, lap):
+    return max(float(np.sum((w @ lap) * w)), 0.0)
+
+
+def weighted_graph(rng, n):
+    # Symmetric, zero diagonal, non-binary weights, about half the pairs joined.
+    a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    a = np.triu(a, 1)
+    return AffinityGraph(affinity=a + a.T, knn=1, mode="symmetrized")
+
+
+@st.composite
+def kernel_problems(draw):
+    d = draw(st.integers(1, 12))
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, min(d, n)))
+    return d, n, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_problems())
+@example((5, 2, 2, 0))
+@example((3, 7, 3, 1))
+@example((12, 12, 12, 2))
+def test_squared_error_kernels_agree_with_the_weighted_copy_forms(problem):
+    d, n, k, seed = problem
+    rng = np.random.default_rng(seed)
+    x = rng.random((d, n))
+    x[rng.random((d, n)) < 0.2] = 0.0
+    h = rng.random((d, k)) + 0.01
+    w = rng.random((k, n)) + 0.01
+    rho = -rng.uniform(1e-3, 1.0, size=d)
+    neg = -rho
+    alpha = float(rng.uniform(0.1, 100.0))
+    graph = weighted_graph(rng, n)
+    eps = 1e-12
+    nx = neg[:, None] * x
+
+    expect = reference_update_h(nx, h, w, neg, eps)
+    np.testing.assert_allclose(update_h(x, h, w, rho, eps), expect, rtol=1e-12, atol=0)
+    for a, g in ((0.0, None), (alpha, graph)):
+        expect = reference_update_w(nx, h, w, neg, a, g, eps)
+        np.testing.assert_allclose(update_w(x, h, w, rho, a, g, eps), expect, rtol=1e-12, atol=0)
+
+    fit = reference_weighted_fit(x - h @ w, neg)
+    assert dual_objective(x, h, w, rho) == pytest.approx(fit, rel=1e-12)
+    # The penalty is a difference of two non-negative sums; near zero the
+    # bound is relative to their size.
+    floor = 1e-12 * float(graph.degree @ np.sum(w * w, axis=0))
+    penalty = reference_penalty(w, laplacian(graph))
+    assert graph_penalty(w, graph) == pytest.approx(penalty, rel=1e-12, abs=floor)
+    full = dual_objective(x, h, w, rho, alpha, graph)
+    assert full == pytest.approx(fit + alpha * penalty, rel=1e-12, abs=alpha * floor)
+
+    # The gradient's graph term is 2 alpha w L, formed without L.
+    step = neg[:, None] * (h @ w - x)
+    expect = 2.0 * (h.T @ step) + 2.0 * alpha * (w @ laplacian(graph))
+    scale = 2.0 * (np.abs(h.T) @ np.abs(step) + alpha * np.abs(w) @ (np.abs(laplacian(graph))))
+    got = dual_gradient_w(x, h, w, rho, alpha, graph)
+    assert np.all(np.abs(got - expect) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("variant", ["l2", "grnmf"])
+@pytest.mark.parametrize("shape", [(50, 60, 3), (7, 2, 2), (500, 40, 4)])
+def test_unit_weight_solve_equals_the_weighted_copy_loop_bitwise(variant, shape):
+    # With unit weights the factors are the earlier kernels' bit for bit:
+    # multiplying by 1.0 is exact and (1 * h).T @ x is the gemm h.T @ x.
+    d, n, k = shape
+    rng = np.random.default_rng(d * n)
+    x = rng.random((d, n)) + 0.05
+    h0 = rng.random((d, k)) + 0.1
+    w0 = rng.random((k, n)) + 0.1
+    graph = weighted_graph(rng, n) if variant == "grnmf" else None
+    cfg = SolverConfig(variant=variant, k=k, alpha=10.0, max_iter=40, tol=0.0)
+    res = solve(x, graph, cfg, h0, w0)
+    ones = np.ones(d)
+    alpha = cfg.alpha if graph is not None else 0.0
+    h, w = h0.copy(), w0.copy()
+    for _ in range(cfg.max_iter):
+        h = reference_update_h(x, h, w, ones, cfg.epsilon)
+        w = reference_update_w(x, h, w, ones, alpha, graph, cfg.epsilon)
+    assert res.h.tobytes() == h.tobytes()
+    assert res.w.tobytes() == w.tobytes()
+
+
+def test_graph_solve_allocates_no_n_by_n_array():
+    d, n, k = 40, 800, 4
+    rng = np.random.default_rng(31)
+    x = rng.random((d, n)) + 0.05
+    graph = build_knn_affinity(x, 5, "mutual")
+    h0 = rng.random((d, k)) + 0.1
+    w0 = rng.random((k, n)) + 0.1
+    cfg = SolverConfig(variant="mccgr", k=k, alpha=10.0, max_iter=5, tol=0.0)
+    tracemalloc.start()
+    try:
+        solve(x, graph, cfg, h0, w0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8

@@ -21,6 +21,7 @@ from mccgr import (
     save_labels,
     write_alpha_sweep,
 )
+from mccgr.cli import main as cli_main
 
 
 def small_dataset(tmp_path, classes=3, per_class=8, dim=12, seed=0):
@@ -352,3 +353,101 @@ def test_make_synthetic_validation():
         make_synthetic(3, 5, 10, "heavy", corrupt_fraction=0.0)
     with pytest.raises(DataError):
         make_synthetic(3, 5, 10, "heavy", corrupt_fraction=1.5)
+
+
+def write_spec_file(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dataset": {"features": spec.features_path, "labels": spec.labels_path},
+                "k_range": list(spec.k_range),
+                "variants": list(spec.variants),
+                "repeats": spec.repeats,
+                "base_seed": spec.base_seed,
+                "knn": spec.knn,
+                "alpha_sweep": list(spec.alpha_sweep),
+            }
+        )
+    )
+    return str(path)
+
+
+def counting(monkeypatch, name):
+    real = getattr(mccgr.harness, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, name, counted)
+    return calls
+
+
+def test_experiment_sweep_shares_the_grid_cells_and_runs(tmp_path, monkeypatch):
+    # The grid's mccgr entry has alpha 1.0, which the sweep also lists: one
+    # experiment builds each k=2 graph once and solves that config once.
+    spec = small_spec(tmp_path, alpha_sweep=(10.0, 1.0))
+    aggregate, records = run_experiment(spec)
+    table = alpha_sweep(spec)
+    spec_path = write_spec_file(tmp_path, spec)
+    loads = counting(monkeypatch, "load_csv")
+    graphs = counting(monkeypatch, "build_knn_affinity")
+    solves = counting(monkeypatch, "solve")
+    out = tmp_path / "report"
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)]) == 0
+    assert len(loads) == 1
+    # 2 ks x 2 repeats; before, the sweep built 2 more graphs per alpha.
+    assert len(graphs) == 4
+    # 8 grid runs plus alpha 10 at k=2; alpha 1 is the grid's own run.
+    assert len(solves) == 10
+    expect = tmp_path / "expect.csv"
+    write_alpha_sweep(table, expect)
+    assert (out / "alpha_sweep.csv").read_bytes() == expect.read_bytes()
+    reference = tmp_path / "reference"
+    emit_report(aggregate, records, reference)
+    for name in ("accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+    assert dict(table)[1.0] == aggregate.cell("mccgr", 2).mean_accuracy
+
+
+def test_experiment_sweep_without_k2_in_the_grid(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, k_range=(3,), alpha_sweep=(1.0, 10.0))
+    table = alpha_sweep(spec)
+    spec_path = write_spec_file(tmp_path, spec)
+    graphs = counting(monkeypatch, "build_knn_affinity")
+    solves = counting(monkeypatch, "solve")
+    out = tmp_path / "report"
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)]) == 0
+    # 2 grid graphs at k=3 and 2 sweep graphs at k=2, shared by both alphas.
+    assert len(graphs) == 4
+    assert len(solves) == 4 + 4
+    expect = tmp_path / "expect.csv"
+    write_alpha_sweep(table, expect)
+    assert (out / "alpha_sweep.csv").read_bytes() == expect.read_bytes()
+
+
+def test_reused_failed_run_warns_again(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, k_range=(2,), alpha_sweep=(1.0,))
+    real_solve = mccgr.harness.solve
+    failures = []
+
+    def fail_first_mccgr(x, graph, cfg, h0, w0, **kwargs):
+        if cfg.variant == "mccgr" and not failures:
+            failures.append(cfg)
+            raise mccgr.NumericalError("synthetic failure")
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", fail_first_mccgr)
+    spec_path = write_spec_file(tmp_path, spec)
+    with pytest.warns(UserWarning, match="synthetic failure") as caught:
+        code = cli_main(["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    # Once for the grid's run at repeat 0 and once for the sweep that reuses it.
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "variant 'mccgr' failed at k=2 repeat 0"
+    ] * 2
+    assert len(failures) == 1
+    lines = (tmp_path / "out" / "alpha_sweep.csv").read_text().splitlines()
+    assert len(lines) == 2
