@@ -24,6 +24,7 @@ from .factorization import (
     dual_gradient_h,
     dual_gradient_w,
     dual_objective,
+    init_factors,
     kkt_products,
     mcc_objective,
     objective_kl,
@@ -46,7 +47,7 @@ from .harness import (
     sample_categories,
     write_alpha_sweep,
 )
-from .matrix import LabeledDataset, load_csv, load_labels, random_nonneg, read_matrix, save_csv, save_labels
+from .matrix import LabeledDataset, load_csv, load_labels, read_matrix, save_csv, save_labels
 
 __version__ = "0.1.0"
 
@@ -74,6 +75,7 @@ __all__ = [
     "evaluate",
     "graph_penalty",
     "hungarian_match",
+    "init_factors",
     "kkt_products",
     "kmeans",
     "laplacian",
@@ -84,7 +86,6 @@ __all__ = [
     "nmi",
     "objective_kl",
     "objective_l2",
-    "random_nonneg",
     "read_matrix",
     "rho_step",
     "run_experiment",

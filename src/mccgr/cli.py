@@ -9,12 +9,11 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import MISSING, fields
 
 from .errors import DataError, NumericalError
 from .evaluation import evaluate
-from .factorization import SolverConfig, solve
+from .factorization import VARIANTS, SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
 from .harness import (
     ExperimentSpec,
@@ -26,6 +25,11 @@ from .harness import (
     write_trace,
 )
 from .matrix import load_csv, load_labels, read_matrix, save_csv, save_labels
+
+
+# SolverConfig's defaults, which the factorize flags share; variant and k
+# have none, so their flags are required.
+_SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,14 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="factor a data matrix with one variant")
     p.add_argument("--input", required=True, help="features x samples CSV")
-    p.add_argument("--variant", required=True, choices=["l2", "kl", "grnmf", "mcc", "mccgr"])
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--k", required=True, type=int, help="factorization rank")
-    p.add_argument("--alpha", type=float, default=100.0, help="graph penalty weight")
-    p.add_argument("--theta", type=float, default=1.0, help="kernel width scale")
+    p.add_argument("--alpha", type=float, default=_SOLVER_DEFAULTS["alpha"], help="graph penalty weight")
+    p.add_argument("--theta", type=float, default=_SOLVER_DEFAULTS["theta"], help="kernel width scale")
     p.add_argument("--knn", type=int, default=5, help="neighbors for the affinity graph")
     p.add_argument("--knn-mode", choices=list(MODES), default="mutual")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-iter", type=int, default=_SOLVER_DEFAULTS["max_iter"])
+    p.add_argument("--tol", type=float, default=_SOLVER_DEFAULTS["tol"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-h", required=True, help="basis CSV destination")
     p.add_argument("--out-w", required=True, help="coefficients CSV destination")
@@ -91,23 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_factorize(args) -> int:
     dataset = load_csv(args.input)
-    cfg = SolverConfig(
-        variant=args.variant,
-        k=args.k,
-        alpha=args.alpha,
-        theta=args.theta,
-        max_iter=args.max_iter,
-        tol=args.tol,
-    )
+    cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     # Checked for every variant, not only those that build a graph.
     if args.knn < 1:
         raise DataError(f"knn must be >= 1, got {args.knn}")
     graph = None
-    if cfg.variant in ("grnmf", "mccgr") and cfg.alpha > 0:
+    if cfg.graph_weight > 0:
         graph = build_knn_affinity(dataset.matrix, args.knn, args.knn_mode)
-    rng = np.random.default_rng(args.seed)
-    h0 = 1.0 - rng.random((dataset.n_features, cfg.k))
-    w0 = 1.0 - rng.random((cfg.k, dataset.n_samples))
+    h0, w0 = init_factors(dataset.matrix, cfg.k, args.seed)
     result = solve(dataset.matrix, graph, cfg, h0, w0)
     save_csv(result.h, args.out_h)
     save_csv(result.w, args.out_w)

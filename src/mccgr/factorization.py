@@ -26,6 +26,7 @@ Laplacian is built.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import DataError, NumericalError
 from .graph import AffinityGraph, _penalty, graph_penalty
 
 __all__ = [
+    "EPSILON",
     "FLOOR",
     "VARIANTS",
     "Factorization",
@@ -41,6 +43,7 @@ __all__ = [
     "dual_gradient_h",
     "dual_gradient_w",
     "dual_objective",
+    "init_factors",
     "kkt_products",
     "mcc_objective",
     "objective_kl",
@@ -58,6 +61,10 @@ VARIANTS = ("l2", "kl", "grnmf", "mcc", "mccgr")
 # factor strictly positive so later multiplicative steps can still move it.
 FLOOR = 1e-16
 
+# Guard added to every multiplicative-update denominator, and the smallest
+# kernel width sigma may take.
+EPSILON = 1e-12
+
 # exp() underflows to 0.0 near 745; rho must stay strictly negative, so the
 # kernel value is floored at the smallest positive normal double.
 _KERNEL_TINY = np.finfo(np.float64).tiny
@@ -65,7 +72,11 @@ _KERNEL_TINY = np.finfo(np.float64).tiny
 
 @dataclass
 class SolverConfig:
-    """Solver settings; `variant` is one of VARIANTS (case-insensitive)."""
+    """Solver settings; `variant` is one of VARIANTS (case-insensitive).
+
+    These fields and their defaults are the one list of solver settings:
+    the CLI flags and the experiment spec's variant keys are read from it.
+    """
 
     variant: str
     k: int
@@ -73,12 +84,15 @@ class SolverConfig:
     theta: float = 1.0
     max_iter: int = 500
     tol: float = 1e-6
-    epsilon: float = 1e-12
 
     def __post_init__(self):
         self.variant = str(self.variant).lower()
         if self.variant not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        for name in ("k", "max_iter"):
+            _check_number(name, getattr(self, name), numbers.Integral)
+        for name in ("alpha", "theta", "tol"):
+            _check_number(name, getattr(self, name), numbers.Real)
         if self.k < 1:
             raise DataError(f"k must be >= 1, got {self.k}")
         if self.alpha < 0:
@@ -89,8 +103,36 @@ class SolverConfig:
             raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol < 0:
             raise DataError(f"tol must be >= 0, got {self.tol}")
-        if self.epsilon <= 0:
-            raise DataError(f"epsilon must be > 0, got {self.epsilon}")
+
+    @property
+    def graph_weight(self) -> float:
+        """The graph penalty weight a run applies: alpha for the graph variants, else 0."""
+        return self.alpha if self.variant in ("grnmf", "mccgr") else 0.0
+
+
+def _check_number(name, value, kind):
+    # bool is an Integral, but a true or false setting is a mistake.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        expected = "an integer" if kind is numbers.Integral else "a real number"
+        raise DataError(f"{name} must be {expected}, got {value!r}")
+
+
+def init_factors(x, k: int, seed: int):
+    """Seeded starting factors (h0, w0) for a (D, N) data matrix.
+
+    One default_rng(seed) draws h0 (D x k) and then w0 (k x N), uniform in
+    (0, 1], so every entry is strictly positive. Only the shape of x is read.
+    """
+    shape = np.shape(x)
+    if len(shape) != 2:
+        raise DataError(f"data must be 2-D, got shape {shape}")
+    _check_number("k", k, numbers.Integral)
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    rng = np.random.default_rng(seed)
+    h0 = 1.0 - rng.random((shape[0], k))
+    w0 = 1.0 - rng.random((k, shape[1]))
+    return h0, w0
 
 
 @dataclass
@@ -164,7 +206,7 @@ def _kl_divergence(xp, pos, sum_xp, v) -> float:
     return float(np.sum(terms) - sum_xp + np.sum(v))
 
 
-def sigma_update(x, h, w, theta: float, floor: float = 1e-12) -> float:
+def sigma_update(x, h, w, theta: float, floor: float = EPSILON) -> float:
     """Self-tuned kernel width: sigma^2 = theta * total squared residual / (2 D).
 
     sigma is floored at `floor` so a (near-)exact reconstruction cannot
@@ -230,12 +272,9 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     """
     x, h, w = _check_triplet(x, h, w)
     rho = _check_rho(rho, x.shape[0])
+    _check_graph(alpha, graph, x.shape[1])
     value = _weighted_fit(-rho, _row_sq(x, h, w)[0])
-    if alpha < 0:
-        raise DataError(f"alpha must be >= 0, got {alpha}")
     if alpha > 0:
-        if graph is None:
-            raise DataError("alpha > 0 requires an affinity graph")
         value += alpha * graph_penalty(w, graph)
     return value
 
@@ -243,6 +282,18 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
 def _weighted_fit(neg, r2) -> float:
     # sum_d neg_d r2_d: the weights scale the D row sums, not a D x N copy.
     return float(neg @ r2)
+
+
+def _check_graph(alpha, graph, n):
+    # The graph arguments of every function with a penalty term: the graph
+    # is read only when alpha > 0, and then it must span the n samples.
+    if alpha < 0:
+        raise DataError(f"alpha must be >= 0, got {alpha}")
+    if alpha > 0:
+        if graph is None:
+            raise DataError("alpha > 0 requires an affinity graph")
+        if graph.n != n:
+            raise DataError(f"graph size {graph.n} does not match sample count {n}")
 
 
 def _check_rho(rho, d):
@@ -254,7 +305,7 @@ def _check_rho(rho, d):
     return rho
 
 
-def update_h(x, h, w, rho, epsilon: float = 1e-12) -> np.ndarray:
+def update_h(x, h, w, rho, epsilon: float = EPSILON) -> np.ndarray:
     """One multiplicative step on the basis:
 
         h <- h * (diag(-rho) x w^T) / (diag(-rho) h w w^T + epsilon)
@@ -282,7 +333,7 @@ def update_w(
     rho,
     alpha: float = 0.0,
     graph: AffinityGraph | None = None,
-    epsilon: float = 1e-12,
+    epsilon: float = EPSILON,
 ) -> np.ndarray:
     """One multiplicative step on the coefficients:
 
@@ -293,15 +344,8 @@ def update_w(
     """
     x, h, w = _check_triplet(x, h, w)
     neg = -_check_rho(rho, x.shape[0])
-    if alpha < 0:
-        raise DataError(f"alpha must be >= 0, got {alpha}")
+    _check_graph(alpha, graph, x.shape[1])
     if alpha > 0:
-        if graph is None:
-            raise DataError("alpha > 0 requires an affinity graph")
-        if graph.n != x.shape[1]:
-            raise DataError(
-                f"graph size {graph.n} does not match sample count {x.shape[1]}"
-            )
         return _update_w(x, h, w, neg, epsilon, alpha, w @ graph.affinity, graph.degree)
     return _update_w(x, h, w, neg, epsilon)
 
@@ -331,12 +375,9 @@ def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | Non
     """Gradient of dual_objective in w."""
     x, h, w = _check_triplet(x, h, w)
     neg = -_check_rho(rho, x.shape[0])
+    _check_graph(alpha, graph, x.shape[1])
     g = 2.0 * (h.T @ (neg[:, None] * (h @ w - x)))
-    if alpha < 0:
-        raise DataError(f"alpha must be >= 0, got {alpha}")
     if alpha > 0:
-        if graph is None:
-            raise DataError("alpha > 0 requires an affinity graph")
         # w L = w diag(degree) - w A, without the N x N Laplacian.
         g = g + 2.0 * alpha * (w * graph.degree[None, :] - w @ graph.affinity)
     return g
@@ -356,20 +397,20 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     return gh * h, gw * w
 
 
-def _kl_ratio(x, v, epsilon):
-    # x / max(v, epsilon), written over v: no second D x N array is formed.
-    np.maximum(v, epsilon, out=v)
+def _kl_ratio(x, v):
+    # x / max(v, EPSILON), written over v: no second D x N array is formed.
+    np.maximum(v, EPSILON, out=v)
     return np.divide(x, v, out=v)
 
 
-def _kl_step(x, h, w, v, epsilon):
+def _kl_step(x, h, w, v):
     # v is h @ w on entry, from the solver's objective. It is overwritten with
     # the ratio, so the caller's v costs no memory and must not be read again.
-    ratio = _kl_ratio(x, v, epsilon)
-    h = h * (ratio @ w.T) / (np.sum(w, axis=1)[None, :] + epsilon)
+    ratio = _kl_ratio(x, v)
+    h = h * (ratio @ w.T) / (np.sum(w, axis=1)[None, :] + EPSILON)
     h = np.maximum(h, FLOOR)
-    ratio = _kl_ratio(x, h @ w, epsilon)
-    w = w * (h.T @ ratio) / (np.sum(h, axis=0)[:, None] + epsilon)
+    ratio = _kl_ratio(x, h @ w)
+    w = w * (h.T @ ratio) / (np.sum(h, axis=0)[:, None] + EPSILON)
     w = np.maximum(w, FLOOR)
     return h, w
 
@@ -390,7 +431,8 @@ def solve(
     divergence updates. The tracked objective is dual_objective for the
     squared-error family and objective_kl for kl; iteration stops when its
     per-iteration change, relative to the objective at the initializers,
-    falls below cfg.tol, or when cfg.max_iter is reached.
+    falls below cfg.tol, or when cfg.max_iter is reached. EPSILON guards
+    every update denominator and floors sigma.
 
     Each iteration forms the residual x - h @ w once, after the M-step, and
     reduces it in one pass to its per-row squared sums r2. The tracked fit
@@ -409,7 +451,7 @@ def solve(
     Parameters
     ----------
     x : (D, N) array, non-negative data.
-    graph : AffinityGraph or None, required iff the effective alpha > 0.
+    graph : AffinityGraph or None, required iff cfg.graph_weight > 0.
     cfg : SolverConfig.
     h0, w0 : (D, K) and (K, N) strictly positive initializers.
     record_iterates : store per-iteration copies of (h, w) on the result.
@@ -435,12 +477,8 @@ def solve(
     if np.any(h <= 0) or np.any(w <= 0):
         raise DataError("initializers must be strictly positive")
 
-    alpha = cfg.alpha if cfg.variant in ("grnmf", "mccgr") else 0.0
-    if alpha > 0:
-        if graph is None:
-            raise DataError(f"variant {cfg.variant!r} with alpha > 0 requires a graph")
-        if graph.n != n:
-            raise DataError(f"graph size {graph.n} does not match sample count {n}")
+    alpha = cfg.graph_weight
+    _check_graph(alpha, graph, n)
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
     degree = graph.degree if alpha > 0 else None
@@ -456,7 +494,7 @@ def solve(
         return value
 
     r2, total = _row_sq(x, h, w)
-    sigma = _sigma(total, d, cfg.theta, cfg.epsilon)
+    sigma = _sigma(total, d, cfg.theta, EPSILON)
     rho = _rho(r2, sigma) if live_rho else -np.ones(d)
     neg = -rho
     if kl:
@@ -478,19 +516,19 @@ def solve(
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         if kl:
-            h, w = _kl_step(x, h, w, v, cfg.epsilon)
+            h, w = _kl_step(x, h, w, v)
             v = h @ w
             value = _kl_divergence(xp, pos, sum_xp, v)
         else:
             # On the first iteration this repeats the E-step at the
             # initializers, which keeps sigma and rho at the values the last
             # M-step used when the loop ends.
-            sigma = _sigma(total, d, cfg.theta, cfg.epsilon)
+            sigma = _sigma(total, d, cfg.theta, EPSILON)
             if live_rho:
                 rho = _rho(r2, sigma)
                 neg = -rho
-            h = _update_h(x, h, w, neg, cfg.epsilon)
-            w = _update_w(x, h, w, neg, cfg.epsilon, alpha, wa, degree)
+            h = _update_h(x, h, w, neg, EPSILON)
+            w = _update_w(x, h, w, neg, EPSILON, alpha, wa, degree)
             wa = products(w)
             r2, total = _row_sq(x, h, w)
             value = fit(neg, r2, w, wa)

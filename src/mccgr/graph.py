@@ -84,8 +84,9 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
 
     gram = x.T @ x
     sq = np.diag(gram).copy()
+    # Exactly symmetric, so row i and row j agree on ties: numpy sends x.T @ x
+    # to BLAS syrk, which mirrors one triangle, and sq_i + sq_j == sq_j + sq_i.
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    d2 = 0.5 * (d2 + d2.T)  # exact symmetry so row i and row j agree on ties
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()
     member = d2 <= kth[:, None]

@@ -7,7 +7,7 @@ variant from those identical starting conditions. Per-run metrics land in
 RunRecords; per-(variant, k) means and deviations in an AggregateReport.
 
 All emitted artifacts are deterministic functions of the spec file and the
-dataset: wall-clock time is kept in memory only and never written out.
+dataset; no wall-clock time is recorded.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .evaluation import evaluate
-from .factorization import SolverConfig, solve
+from .factorization import SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
 from .matrix import load_csv
 
@@ -43,20 +42,36 @@ __all__ = [
 
 # SolverConfig fields an experiment variant entry may override; k comes from
 # the protocol itself.
-_VARIANT_KEYS = {"name", "variant", "alpha", "theta", "max_iter", "tol", "epsilon"}
+_VARIANT_KEYS = {"name"} | {f.name for f in fields(SolverConfig)} - {"k"}
 
-_SPEC_KEYS = {
-    "dataset",
-    "k_range",
-    "variants",
-    "repeats",
-    "base_seed",
-    "alpha_sweep",
-    "knn",
-    "knn_mode",
-    "kmeans_restarts",
-    "output_dir",
+def _integer(value) -> int:
+    # int() would truncate 2.5 to 2 and read true as 1.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+# How from_json reads each spec key besides "dataset". A key the file leaves
+# out takes its ExperimentSpec default.
+_SPEC_CONVERTERS = {
+    "k_range": lambda v: tuple(_integer(k) for k in v),
+    "variants": lambda v: tuple(dict(entry) for entry in v),
+    "repeats": _integer,
+    "base_seed": _integer,
+    "alpha_sweep": lambda v: tuple(float(a) for a in v),
+    "knn": _integer,
+    "knn_mode": str,
+    "kmeans_restarts": _integer,
+    "output_dir": lambda v: None if v is None else _text(v),
 }
+
+_SPEC_KEYS = {"dataset"} | set(_SPEC_CONVERTERS)
 
 
 @dataclass(frozen=True)
@@ -94,6 +109,11 @@ class ExperimentSpec:
             if name in seen:
                 raise DataError(f"duplicate variant name {name!r}; add a 'name' key")
             seen.add(name)
+            # Bad settings fail here, before any run, not inside the grid.
+            try:
+                SolverConfig(k=self.k_range[0], **_solver_settings(entry))
+            except DataError as exc:
+                raise DataError(f"variant {name!r}: {exc}") from None
         if self.repeats < 1:
             raise DataError(f"repeats must be >= 1, got {self.repeats}")
         if self.knn_mode not in MODES:
@@ -115,25 +135,28 @@ class ExperimentSpec:
         if unknown:
             raise DataError(f"{path}: unknown spec keys {sorted(unknown)}")
         dataset = raw.get("dataset")
-        if not isinstance(dataset, dict) or "features" not in dataset or "labels" not in dataset:
-            raise DataError(f"{path}: spec needs dataset.features and dataset.labels")
+        if not isinstance(dataset, dict) or not all(isinstance(dataset.get(key), str) for key in ("features", "labels")):
+            raise DataError(f"{path}: spec needs dataset.features and dataset.labels paths")
         base = os.path.dirname(os.path.abspath(path))
 
         def _resolve(p):
             return p if os.path.isabs(p) else os.path.join(base, p)
 
+        required = [f.name for f in fields(cls) if f.default is MISSING and f.name in _SPEC_CONVERTERS]
+        missing = [key for key in required if key not in raw]
+        if missing:
+            raise DataError(f"{path}: spec needs {', '.join(missing)}")
+        values = {}
+        for key, convert in _SPEC_CONVERTERS.items():
+            if key in raw:
+                try:
+                    values[key] = convert(raw[key])
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}: bad value for spec key {key!r}: {exc}") from None
         return cls(
             features_path=_resolve(dataset["features"]),
             labels_path=_resolve(dataset["labels"]),
-            k_range=tuple(int(k) for k in raw.get("k_range", ())),
-            variants=tuple(dict(v) for v in raw.get("variants", ())),
-            repeats=int(raw.get("repeats", 50)),
-            base_seed=int(raw.get("base_seed", 0)),
-            alpha_sweep=tuple(float(a) for a in raw.get("alpha_sweep", ())),
-            knn=int(raw.get("knn", 5)),
-            knn_mode=str(raw.get("knn_mode", "mutual")),
-            kmeans_restarts=int(raw.get("kmeans_restarts", 10)),
-            output_dir=raw.get("output_dir"),
+            **values,
         )
 
 
@@ -148,7 +171,6 @@ class RunRecord:
     final_objective: float
     converged: bool
     init_hash: str
-    wall_time: float = field(repr=False, default=0.0)
     trace: np.ndarray = field(repr=False, default=None)
 
 
@@ -176,6 +198,11 @@ class AggregateReport:
 
 def _variant_name(entry: dict) -> str:
     return str(entry.get("name", entry["variant"])).lower()
+
+
+def _solver_settings(entry: dict) -> dict:
+    # A variant entry's SolverConfig arguments: all its keys but the name.
+    return {key: entry[key] for key in entry if key != "name"}
 
 
 def sample_categories(labels, k: int, seed: int) -> np.ndarray:
@@ -224,10 +251,9 @@ def _cell(spec: ExperimentSpec, dataset, k: int, r: int):
     # are gathered per run, so a cell the sweep keeps holds no copy of them.
     seed_r = spec.base_seed + r
     columns = sample_categories(dataset.labels, k, seed_r)
-    graph = build_knn_affinity(dataset.matrix[:, columns], spec.knn, spec.knn_mode)
-    rng = np.random.default_rng(seed_r)
-    h0 = 1.0 - rng.random((dataset.matrix.shape[0], k))
-    w0 = 1.0 - rng.random((k, columns.size))
+    x = dataset.matrix[:, columns]
+    graph = build_knn_affinity(x, spec.knn, spec.knn_mode)
+    h0, w0 = init_factors(x, k, seed_r)
     return columns, graph, h0, w0
 
 
@@ -239,13 +265,12 @@ def _outcome(spec: ExperimentSpec, dataset, cell, r: int, cfg: SolverConfig, don
         if seen == cfg:
             return outcome
     columns, graph, h0, w0 = cell
-    started = time.perf_counter()
     try:
         result = solve(dataset.matrix[:, columns], graph, cfg, h0, w0)
         report = evaluate(
             result.w, dataset.labels[columns], cfg.k, seed=spec.base_seed + r, restarts=spec.kmeans_restarts
         )
-        outcome = (result, report, time.perf_counter() - started)
+        outcome = (result, report)
     except (DataError, NumericalError) as exc:
         outcome = exc
     done.append((cfg, outcome))
@@ -274,12 +299,12 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
             if k == 2 and alphas:
                 sweep_cells.setdefault(r, (cell, done))
             for name, entry in zip(names, spec.variants):
-                cfg = SolverConfig(k=k, **{key: entry[key] for key in entry if key != "name"})
+                cfg = SolverConfig(k=k, **_solver_settings(entry))
                 outcome = _outcome(spec, dataset, cell, r, cfg, done)
                 if isinstance(outcome, Exception):
                     failed(name, k, r, outcome)
                     continue
-                result, report, wall_time = outcome
+                result, report = outcome
                 records.append(
                     RunRecord(
                         variant=name,
@@ -291,7 +316,6 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
                         final_objective=float(result.trace[-1]),
                         converged=result.converged,
                         init_hash=init_hash,
-                        wall_time=wall_time,
                         trace=result.trace,
                     )
                 )
@@ -301,7 +325,7 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
     base = {"variant": "mccgr"}
     for entry in spec.variants:
         if str(entry["variant"]).lower() == "mccgr":
-            base = {key: entry[key] for key in entry if key != "name"}
+            base = _solver_settings(entry)
             break
     name = _variant_name(base)
     for alpha in sorted(alphas):

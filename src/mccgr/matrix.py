@@ -1,4 +1,4 @@
-"""Dense matrix I/O and seeded construction.
+"""Dense matrix I/O.
 
 Matrices are float64 numpy arrays in C order. Data matrices are laid out
 features x samples: column n is one sample. Labels are a flat int64 vector
@@ -19,7 +19,6 @@ __all__ = [
     "LabeledDataset",
     "load_csv",
     "load_labels",
-    "random_nonneg",
     "read_matrix",
     "save_csv",
     "save_labels",
@@ -204,15 +203,3 @@ def save_labels(labels, path) -> None:
     if y.ndim != 1:
         raise DataError(f"labels must be a flat vector, got shape {y.shape}")
     np.savetxt(path, y, fmt="%d")
-
-
-def random_nonneg(rows: int, cols: int, seed: int) -> np.ndarray:
-    """Seeded uniform matrix with entries in (0, 1].
-
-    Uses numpy's PCG64 via default_rng; the open-at-zero interval keeps
-    multiplicative-update initializers strictly positive.
-    """
-    if rows < 1 or cols < 1:
-        raise DataError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    rng = np.random.default_rng(seed)
-    return 1.0 - rng.random((rows, cols))

@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mccgr import load_labels, make_synthetic, read_matrix, save_csv, save_labels
-from mccgr.cli import main
+from mccgr import VARIANTS, SolverConfig, load_labels, make_synthetic, read_matrix, save_csv, save_labels
+from mccgr.cli import _build_parser, main
 
 
 def write_dataset(tmp_path, classes=3, per_class=8, dim=12):
@@ -110,6 +111,70 @@ def test_experiment_command(tmp_path, capsys):
     assert "report written" in capsys.readouterr().out
     # no output dir anywhere -> data error
     assert main(["experiment", "--spec", str(spec_path)]) == 2
+
+
+def test_factorize_defaults_and_choices_are_solver_configs():
+    parser = _build_parser()
+    args = parser.parse_args([
+        "factorize", "--input", "x.csv", "--variant", "l2", "--k", "2",
+        "--out-h", "h.csv", "--out-w", "w.csv",
+    ])
+    defaults = SolverConfig(variant="l2", k=2)
+    for f in fields(SolverConfig):
+        assert getattr(args, f.name) == getattr(defaults, f.name), f.name
+    factorize = parser._subparsers._group_actions[0].choices["factorize"]
+    (variant,) = [action for action in factorize._actions if action.dest == "variant"]
+    assert tuple(variant.choices) == VARIANTS
+
+
+def _bad_k_range(spec):
+    spec["k_range"] = 3
+
+
+def _bad_max_iter(spec):
+    spec["variants"][1]["max_iter"] = 2.5
+
+
+def _bad_alpha(spec):
+    spec["variants"][1]["alpha"] = "x"
+
+
+def _bad_repeats(spec):
+    spec["repeats"] = "many"
+
+
+def _epsilon_key(spec):
+    spec["variants"][0]["epsilon"] = 1e-9
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_bad_k_range, "'k_range'"),
+        (_bad_max_iter, "max_iter must be an integer"),
+        (_bad_alpha, "alpha must be a real number"),
+        (_bad_repeats, "'repeats'"),
+        (_epsilon_key, "unknown variant keys ['epsilon']"),
+    ],
+)
+def test_experiment_rejects_bad_spec_values_with_exit_2(tmp_path, capsys, spoil, message):
+    write_dataset(tmp_path)
+    spec = {
+        "dataset": {"features": "x.csv", "labels": "y.csv"},
+        "k_range": [2],
+        "variants": [{"variant": "l2", "max_iter": 5}, {"variant": "mccgr", "alpha": 1.0, "max_iter": 5}],
+        "repeats": 1,
+        "knn": 3,
+    }
+    spoil(spec)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_dir = tmp_path / "report"
+    assert main(["experiment", "--spec", str(spec_path), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("mccgr: ") and message in err
+    assert not out_dir.exists()
 
 
 def test_usage_errors_exit_1(capsys):

@@ -1,4 +1,4 @@
-"""Every script in demos/ runs to completion without writing to stderr."""
+"""Every script in demos/ runs to completion without writing to stderr or leaving files."""
 
 import os
 import subprocess
@@ -33,3 +33,5 @@ def test_demo_runs_clean(demo, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    # A demo cleans up after itself: nothing is left in its cwd or TMPDIR.
+    assert list(tmp_path.iterdir()) == []

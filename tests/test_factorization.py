@@ -17,6 +17,7 @@ from mccgr import (
     dual_gradient_w,
     dual_objective,
     graph_penalty,
+    init_factors,
     kkt_products,
     laplacian,
     mcc_objective,
@@ -28,6 +29,7 @@ from mccgr import (
     update_h,
     update_w,
 )
+from mccgr.factorization import EPSILON
 
 
 def random_instance(rng, d=8, n=10, k=3):
@@ -359,10 +361,99 @@ def test_solver_config_validation():
         SolverConfig(variant="l2", k=3, max_iter=0)
     with pytest.raises(DataError):
         SolverConfig(variant="l2", k=3, tol=-1e-6)
-    with pytest.raises(DataError):
-        SolverConfig(variant="l2", k=3, epsilon=0.0)
     cfg = SolverConfig(variant="MCCGR", k=3)
     assert cfg.variant == "mccgr"
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"k": 2.0},
+        {"k": True},
+        {"k": "3"},
+        {"max_iter": 2.5},
+        {"max_iter": False},
+        {"alpha": "x"},
+        {"alpha": None},
+        {"theta": "1"},
+        {"tol": [1e-6]},
+    ],
+)
+def test_solver_config_rejects_settings_of_the_wrong_type(setting):
+    with pytest.raises(DataError, match=next(iter(setting))):
+        SolverConfig(**dict({"variant": "l2", "k": 3}, **setting))
+
+
+def test_solver_config_accepts_numpy_scalars():
+    cfg = SolverConfig(variant="l2", k=np.int64(3), max_iter=np.int32(5), alpha=np.float64(2.0), tol=np.float32(0))
+    assert cfg.k == 3 and cfg.max_iter == 5
+
+
+@pytest.mark.parametrize("variant", ["l2", "kl", "grnmf", "mcc", "mccgr"])
+def test_graph_weight_is_alpha_for_the_graph_variants_only(variant):
+    cfg = SolverConfig(variant=variant, k=2, alpha=7.0)
+    assert cfg.graph_weight == (7.0 if variant in ("grnmf", "mccgr") else 0.0)
+
+
+def test_init_factors_is_the_two_draw_sequence_byte_for_byte():
+    x = np.ones((13, 7))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        expect_h = 1.0 - rng.random((13, 4))
+        expect_w = 1.0 - rng.random((4, 7))
+        h0, w0 = init_factors(x, 4, seed)
+        assert h0.tobytes() == expect_h.tobytes()
+        assert w0.tobytes() == expect_w.tobytes()
+        assert np.all(h0 > 0.0) and np.all(h0 <= 1.0)
+        assert np.all(w0 > 0.0) and np.all(w0 <= 1.0)
+    assert not np.array_equal(init_factors(x, 4, 0)[0], init_factors(x, 4, 1)[0])
+
+
+def test_init_factors_rejects_bad_input():
+    for x in (np.ones(5), np.ones((2, 3, 4))):
+        with pytest.raises(DataError, match="2-D"):
+            init_factors(x, 2, 0)
+    for k in (0, -1, 2.0, True):
+        with pytest.raises(DataError, match="k must"):
+            init_factors(np.ones((3, 4)), k, 0)
+
+
+def graph_argument_calls():
+    # Each public function that takes (alpha, graph), as a call on one problem.
+    rng = np.random.default_rng(26)
+    x = rng.random((6, 8)) + 0.1
+    h = rng.random((6, 2)) + 0.1
+    w = rng.random((2, 8)) + 0.1
+    rho = -np.ones(6)
+
+    def run_solve(alpha, graph):
+        cfg = SolverConfig(variant="mccgr", k=2, max_iter=2)
+        cfg.alpha = alpha  # past __post_init__, so solve's own check is reached
+        return solve(x, graph, cfg, h, w)
+
+    return x, {
+        "update_w": lambda alpha, graph: update_w(x, h, w, rho, alpha, graph),
+        "dual_objective": lambda alpha, graph: dual_objective(x, h, w, rho, alpha, graph),
+        "dual_gradient_w": lambda alpha, graph: dual_gradient_w(x, h, w, rho, alpha, graph),
+        "kkt_products": lambda alpha, graph: kkt_products(x, h, w, rho, alpha, graph),
+        "solve": run_solve,
+    }
+
+
+@pytest.mark.parametrize("name", ["update_w", "dual_objective", "dual_gradient_w", "kkt_products", "solve"])
+def test_graph_arguments_are_checked_alike(name):
+    x, calls = graph_argument_calls()
+    call = calls[name]
+    good = build_knn_affinity(x, 2, "mutual")
+    small = build_knn_affinity(x[:, :5], 2, "mutual")
+    call(1.0, good)
+    call(0.0, None)
+    with pytest.raises(DataError, match="graph size 5 does not match sample count 8"):
+        call(1.0, small)
+    with pytest.raises(DataError, match="alpha > 0 requires an affinity graph"):
+        call(1.0, None)
+    with pytest.raises(DataError, match="alpha must be >= 0"):
+        call(-1.0, good)
 
 
 def test_solve_input_validation():
@@ -514,7 +605,7 @@ def reference_solve(x, graph, cfg, h0, w0):
     alpha = cfg.alpha if cfg.variant in ("grnmf", "mccgr") else 0.0
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
-    eps = cfg.epsilon
+    eps = EPSILON
     rho = -np.ones(d)
     sigma = sigma_update(x, h, w, cfg.theta, floor=eps)
     if live_rho:
@@ -685,8 +776,8 @@ def test_unit_weight_solve_equals_the_weighted_copy_loop_bitwise(variant, shape)
     alpha = cfg.alpha if graph is not None else 0.0
     h, w = h0.copy(), w0.copy()
     for _ in range(cfg.max_iter):
-        h = reference_update_h(x, h, w, ones, cfg.epsilon)
-        w = reference_update_w(x, h, w, ones, alpha, graph, cfg.epsilon)
+        h = reference_update_h(x, h, w, ones, EPSILON)
+        w = reference_update_w(x, h, w, ones, alpha, graph, EPSILON)
     assert res.h.tobytes() == h.tobytes()
     assert res.w.tobytes() == w.tobytes()
 

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mccgr import AffinityGraph, DataError, build_knn_affinity, graph_penalty, laplacian
 
@@ -187,6 +190,30 @@ def test_partition_selection_matches_stable_argsort_on_ties():
             for mode in ("mutual", "symmetrized"):
                 got = build_knn_affinity(x, k, mode).affinity
                 assert np.array_equal(got, argsort_affinity(x, k, mode)), (trial, k, mode)
+
+
+@st.composite
+def real_valued_data(draw):
+    d = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 14))
+    unit = arrays(np.float64, (d, n), elements=st.floats(-1.0, 1.0, allow_subnormal=False))
+    return draw(unit) * 10.0 ** draw(st.integers(-5, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(real_valued_data())
+@example(np.array([[0.25, -3.0]]))
+@example(np.array([[1e-5, 2e-5, 3e-5, 1e-5]]))
+@example(np.array([[1e5, 0.0], [-1e5, 3e5]]))
+@example(np.array([[-0.3, 0.0, 0.3, 0.6, -0.6]]) * 1e-5)  # mirrored points: exact ties
+def test_selection_matches_stable_argsort_on_real_valued_data(x):
+    # The builder uses its d2 as computed and the reference symmetrizes its
+    # own, so a d2 that is not exactly symmetric can split a tie between rows
+    # i and j differently and list other neighbours.
+    for k in range(1, x.shape[1]):
+        for mode in ("mutual", "symmetrized"):
+            got = build_knn_affinity(x, k, mode).affinity
+            assert np.array_equal(got, argsort_affinity(x, k, mode)), (k, mode)
 
 
 def test_build_rejects_non_finite_data():

@@ -132,6 +132,43 @@ def test_spec_from_json_errors(tmp_path):
         ExperimentSpec.from_json(path)
 
 
+def test_spec_from_json_takes_the_dataclass_defaults(tmp_path):
+    small_dataset(tmp_path)
+    payload = {
+        "dataset": {"features": "x.csv", "labels": "y.csv"},
+        "k_range": [2],
+        "variants": [{"variant": "l2"}],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    spec = ExperimentSpec.from_json(path)
+    direct = ExperimentSpec(
+        features_path=str(tmp_path / "x.csv"), labels_path=str(tmp_path / "y.csv"),
+        k_range=(2,), variants=({"variant": "l2"},),
+    )
+    assert spec == direct
+    for key in ("k_range", "variants"):
+        path.write_text(json.dumps({k: v for k, v in payload.items() if k != key}))
+        with pytest.raises(DataError, match=f"spec needs {key}"):
+            ExperimentSpec.from_json(path)
+    path.write_text(json.dumps(dict(payload, dataset={"features": 3, "labels": "y.csv"})))
+    with pytest.raises(DataError, match="dataset"):
+        ExperimentSpec.from_json(path)
+    bad_values = (
+        ("alpha_sweep", ["x"]), ("variants", [1]), ("k_range", [2.9]), ("repeats", 1.7),
+        ("knn", True), ("output_dir", 5),
+    )
+    for key, value in bad_values:
+        path.write_text(json.dumps(dict(payload, **{key: value})))
+        with pytest.raises(DataError, match=f"spec key '{key}'"):
+            ExperimentSpec.from_json(path)
+
+
+def test_spec_rejects_bad_solver_settings_before_any_run(tmp_path):
+    with pytest.raises(DataError, match="variant 'fast': alpha must be >= 0"):
+        small_spec(tmp_path, variants=({"name": "fast", "variant": "grnmf", "alpha": -1.0},))
+
+
 def test_run_experiment_grid_and_shared_inits(tmp_path):
     spec = small_spec(tmp_path)
     aggregate, records = run_experiment(spec)

@@ -15,7 +15,6 @@ from mccgr import (
     LabeledDataset,
     load_csv,
     load_labels,
-    random_nonneg,
     read_matrix,
     save_csv,
     save_labels,
@@ -136,22 +135,6 @@ def test_labeled_dataset_validation():
         LabeledDataset(matrix=np.ones((2, 3)), labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(DataError):
         LabeledDataset(matrix=np.ones((2, 3)), labels=np.zeros((1, 3), dtype=np.int64))
-
-
-def test_random_nonneg_range_and_determinism():
-    for seed in range(20):
-        m = random_nonneg(13, 7, seed)
-        assert m.shape == (13, 7)
-        assert np.all(m > 0.0) and np.all(m <= 1.0)
-        assert np.array_equal(m, random_nonneg(13, 7, seed))
-    assert not np.array_equal(random_nonneg(13, 7, 0), random_nonneg(13, 7, 1))
-
-
-def test_random_nonneg_rejects_bad_shape():
-    with pytest.raises(DataError):
-        random_nonneg(0, 3, 0)
-    with pytest.raises(DataError):
-        random_nonneg(3, 0, 0)
 
 
 def reference_read_matrix(path, allow_negative=False):
