@@ -26,6 +26,7 @@ Laplacian is built.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -86,13 +87,17 @@ class SolverConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        self.variant = str(self.variant).lower()
-        if self.variant not in VARIANTS:
+        if not isinstance(self.variant, str) or self.variant.lower() not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        self.variant = self.variant.lower()
         for name in ("k", "max_iter"):
             _check_number(name, getattr(self, name), numbers.Integral)
         for name in ("alpha", "theta", "tol"):
-            _check_number(name, getattr(self, name), numbers.Real)
+            value = getattr(self, name)
+            _check_number(name, value, numbers.Real)
+            # NaN passes every comparison below.
+            if not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value!r}")
         if self.k < 1:
             raise DataError(f"k must be >= 1, got {self.k}")
         if self.alpha < 0:

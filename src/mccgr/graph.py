@@ -30,8 +30,6 @@ class AffinityGraph:
     """Symmetric binary affinity over n samples, with cached degrees."""
 
     affinity: np.ndarray
-    knn: int
-    mode: str
     degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -99,7 +97,7 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
         adjacency = member & member.T
     else:
         adjacency = member | member.T
-    return AffinityGraph(affinity=adjacency.astype(np.float64), knn=k, mode=mode)
+    return AffinityGraph(affinity=adjacency.astype(np.float64))
 
 
 def laplacian(graph: AffinityGraph) -> np.ndarray:

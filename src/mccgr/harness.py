@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
+import re
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .evaluation import evaluate
-from .factorization import SolverConfig, init_factors, solve
+from .factorization import SolverConfig, _check_number, init_factors, solve
 from .graph import MODES, build_knn_affinity
 from .matrix import load_csv
 
@@ -44,39 +47,18 @@ __all__ = [
 # the protocol itself.
 _VARIANT_KEYS = {"name"} | {f.name for f in fields(SolverConfig)} - {"k"}
 
-def _integer(value) -> int:
-    # int() would truncate 2.5 to 2 and read true as 1.
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
-# How from_json reads each spec key besides "dataset". A key the file leaves
-# out takes its ExperimentSpec default.
-_SPEC_CONVERTERS = {
-    "k_range": lambda v: tuple(_integer(k) for k in v),
-    "variants": lambda v: tuple(dict(entry) for entry in v),
-    "repeats": _integer,
-    "base_seed": _integer,
-    "alpha_sweep": lambda v: tuple(float(a) for a in v),
-    "knn": _integer,
-    "knn_mode": str,
-    "kmeans_restarts": _integer,
-    "output_dir": lambda v: None if v is None else _text(v),
-}
-
-_SPEC_KEYS = {"dataset"} | set(_SPEC_CONVERTERS)
+# A variant name becomes part of a trace file name and a runs.csv cell.
+_VARIANT_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to rerun an experiment bit-for-bit."""
+    """Everything needed to rerun an experiment bit-for-bit.
+
+    Every field is checked here, before any data is loaded, so a spec built
+    in Python passes the same checks as one read by from_json. The list
+    fields are stored as tuples.
+    """
 
     features_path: str
     labels_path: str
@@ -91,39 +73,64 @@ class ExperimentSpec:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for key in ("features_path", "labels_path", "output_dir"):
+            value = getattr(self, key)
+            if not isinstance(value, str) and not (key == "output_dir" and value is None):
+                raise DataError(f"spec key '{key}' must be a string, got {value!r}")
+        for key in ("k_range", "variants", "alpha_sweep"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise DataError(f"spec key '{key}' must be a list, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
+        for key, low in (("repeats", 1), ("base_seed", 0), ("knn", 1), ("kmeans_restarts", 1)):
+            _check_number(f"spec key '{key}'", getattr(self, key), numbers.Integral)
+            if getattr(self, key) < low:
+                raise DataError(f"spec key '{key}' must be >= {low}, got {getattr(self, key)}")
         if not self.k_range:
-            raise DataError("k_range must not be empty")
+            raise DataError("spec key 'k_range' must not be empty")
         for k in self.k_range:
+            _check_number("spec key 'k_range'", k, numbers.Integral)
             if k < 2:
-                raise DataError(f"clustering experiments need k >= 2, got {k}")
+                raise DataError(f"spec key 'k_range': clustering experiments need k >= 2, got {k}")
+        for alpha in self.alpha_sweep:
+            _check_number("spec key 'alpha_sweep'", alpha, numbers.Real)
+            if not math.isfinite(alpha) or alpha < 0:
+                raise DataError(f"spec key 'alpha_sweep' values must be finite and >= 0, got {alpha!r}")
+        for key in ("k_range", "alpha_sweep"):
+            if len(set(getattr(self, key))) != len(getattr(self, key)):
+                raise DataError(f"spec key '{key}' lists a value twice: {getattr(self, key)}")
+        if self.knn_mode not in MODES:
+            raise DataError(f"spec key 'knn_mode': unknown mode {self.knn_mode!r}, expected one of {MODES}")
+
         if not self.variants:
-            raise DataError("variants must not be empty")
+            raise DataError("spec key 'variants' must not be empty")
         seen = set()
         for entry in self.variants:
             if not isinstance(entry, dict) or "variant" not in entry:
-                raise DataError(f"variant entry must be a dict with a 'variant' key: {entry!r}")
+                raise DataError(f"spec key 'variants': each entry must be an object with a 'variant' key, got {entry!r}")
             unknown = set(entry) - _VARIANT_KEYS
             if unknown:
-                raise DataError(f"unknown variant keys {sorted(unknown)} in {entry!r}")
-            name = _variant_name(entry)
-            if name in seen:
-                raise DataError(f"duplicate variant name {name!r}; add a 'name' key")
-            seen.add(name)
+                raise DataError(f"spec key 'variants': unknown variant keys {sorted(unknown)} in {entry!r}")
+            name = entry.get("name", entry["variant"])
+            if "name" in entry and not (isinstance(name, str) and _VARIANT_NAME.fullmatch(name)):
+                raise DataError(f"spec key 'variants': a name must be a non-empty string of [A-Za-z0-9_.-], got {name!r}")
             # Bad settings fail here, before any run, not inside the grid.
             try:
                 SolverConfig(k=self.k_range[0], **_solver_settings(entry))
             except DataError as exc:
-                raise DataError(f"variant {name!r}: {exc}") from None
-        if self.repeats < 1:
-            raise DataError(f"repeats must be >= 1, got {self.repeats}")
-        if self.knn_mode not in MODES:
-            raise DataError(f"unknown knn_mode {self.knn_mode!r}")
-        if self.kmeans_restarts < 1:
-            raise DataError(f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}")
+                raise DataError(f"spec key 'variants': variant {name!r}: {exc}") from None
+            name = _variant_name(entry)
+            if name in seen:
+                raise DataError(f"spec key 'variants': duplicate variant name {name!r}; add a 'name' key")
+            seen.add(name)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        """Parse a spec file; unknown keys are data errors, not typos to ignore."""
+        """Parse a spec file; unknown keys are data errors, not typos to ignore.
+
+        The dataset paths resolve against the file's directory. The
+        constructor checks the values; its errors are prefixed with the path.
+        """
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
@@ -131,33 +138,22 @@ class ExperimentSpec:
                 raise DataError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(raw, dict):
             raise DataError(f"{path}: spec must be a JSON object")
-        unknown = set(raw) - _SPEC_KEYS
+        keys = [f.name for f in fields(cls) if f.name not in ("features_path", "labels_path")]
+        unknown = set(raw) - set(keys) - {"dataset"}
         if unknown:
             raise DataError(f"{path}: unknown spec keys {sorted(unknown)}")
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict) or not all(isinstance(dataset.get(key), str) for key in ("features", "labels")):
             raise DataError(f"{path}: spec needs dataset.features and dataset.labels paths")
-        base = os.path.dirname(os.path.abspath(path))
-
-        def _resolve(p):
-            return p if os.path.isabs(p) else os.path.join(base, p)
-
-        required = [f.name for f in fields(cls) if f.default is MISSING and f.name in _SPEC_CONVERTERS]
-        missing = [key for key in required if key not in raw]
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name in keys and f.name not in raw]
         if missing:
             raise DataError(f"{path}: spec needs {', '.join(missing)}")
-        values = {}
-        for key, convert in _SPEC_CONVERTERS.items():
-            if key in raw:
-                try:
-                    values[key] = convert(raw[key])
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path}: bad value for spec key {key!r}: {exc}") from None
-        return cls(
-            features_path=_resolve(dataset["features"]),
-            labels_path=_resolve(dataset["labels"]),
-            **values,
-        )
+        base = os.path.dirname(os.path.abspath(path))
+        features, labels = (os.path.join(base, dataset[key]) for key in ("features", "labels"))
+        try:
+            return cls(features_path=features, labels_path=labels, **{key: raw[key] for key in keys if key in raw})
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -197,7 +193,7 @@ class AggregateReport:
 
 
 def _variant_name(entry: dict) -> str:
-    return str(entry.get("name", entry["variant"])).lower()
+    return entry.get("name", entry["variant"]).lower()
 
 
 def _solver_settings(entry: dict) -> dict:
@@ -324,7 +320,7 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
     # The first mccgr entry's settings (not its name), with alpha replaced.
     base = {"variant": "mccgr"}
     for entry in spec.variants:
-        if str(entry["variant"]).lower() == "mccgr":
+        if entry["variant"].lower() == "mccgr":
             base = _solver_settings(entry)
             break
     name = _variant_name(base)

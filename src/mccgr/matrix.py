@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,10 @@ def _as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Non-negative data matrix with optional per-column integer labels.
-
-    `class_ids` caches the distinct label values in ascending order; it is
-    derived, never passed in.
-    """
+    """Non-negative data matrix with optional per-column integer labels."""
 
     matrix: np.ndarray
     labels: np.ndarray | None = None
-    class_ids: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
         m = _as_matrix(self.matrix, "data matrix")
@@ -63,15 +58,6 @@ class LabeledDataset:
                     f"label count {y.shape[0]} does not match sample count {m.shape[1]}"
                 )
             object.__setattr__(self, "labels", y)
-            object.__setattr__(self, "class_ids", np.unique(y))
-
-    @property
-    def n_features(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.shape[1]
 
 
 def read_matrix(path, allow_negative: bool = False) -> np.ndarray:

@@ -232,6 +232,18 @@ def test_factorize_rejects_knn_below_one_for_every_variant(tmp_path, capsys, var
     assert not h_path.exists()
 
 
+def test_factorize_rejects_a_nan_tolerance(tmp_path, capsys):
+    # NaN passes every range comparison; it must not run to max-iter and exit 0.
+    xp, _ = write_dataset(tmp_path)
+    h_path = tmp_path / "h.csv"
+    assert main([
+        "factorize", "--input", xp, "--variant", "l2", "--k", "2", "--tol", "nan",
+        "--out-h", str(h_path), "--out-w", str(tmp_path / "w.csv"),
+    ]) == 2
+    assert "tol must be finite" in capsys.readouterr().err
+    assert not h_path.exists()
+
+
 def test_factorize_labels_option_is_gone(tmp_path, capsys):
     # factorize never read its labels; the option is now a usage error.
     xp, yp = write_dataset(tmp_path)

@@ -377,6 +377,9 @@ def test_solver_config_validation():
         {"alpha": None},
         {"theta": "1"},
         {"tol": [1e-6]},
+        {"alpha": float("inf")},
+        {"theta": float("nan")},
+        {"tol": float("nan")},
     ],
 )
 def test_solver_config_rejects_settings_of_the_wrong_type(setting):
@@ -705,7 +708,7 @@ def weighted_graph(rng, n):
     # Symmetric, zero diagonal, non-binary weights, about half the pairs joined.
     a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
     a = np.triu(a, 1)
-    return AffinityGraph(affinity=a + a.T, knn=1, mode="symmetrized")
+    return AffinityGraph(affinity=a + a.T)
 
 
 @st.composite

@@ -48,7 +48,6 @@ def test_affinity_invariants_random_data():
         assert np.all(np.diag(a) == 0.0)
         assert set(np.unique(a)) <= {0.0, 1.0}
         assert np.array_equal(g.degree, a.sum(axis=1))
-        assert g.knn == k and g.mode == mode
 
 
 def test_mutual_subset_of_symmetrized():
@@ -147,13 +146,13 @@ def test_build_rejects_bad_arguments():
 
 def test_affinity_graph_validation():
     with pytest.raises(DataError, match="square"):
-        AffinityGraph(affinity=np.ones((2, 3)), knn=1, mode="mutual")
+        AffinityGraph(affinity=np.ones((2, 3)))
     with pytest.raises(DataError, match="symmetric"):
-        AffinityGraph(affinity=np.array([[0.0, 1.0], [0.0, 0.0]]), knn=1, mode="mutual")
+        AffinityGraph(affinity=np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(DataError, match="diagonal"):
-        AffinityGraph(affinity=np.eye(2), knn=1, mode="mutual")
+        AffinityGraph(affinity=np.eye(2))
     with pytest.raises(DataError, match="negative"):
-        AffinityGraph(affinity=np.array([[0.0, -1.0], [-1.0, 0.0]]), knn=1, mode="mutual")
+        AffinityGraph(affinity=np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
 def test_penalty_rejects_mismatched_width():

@@ -169,6 +169,67 @@ def test_spec_rejects_bad_solver_settings_before_any_run(tmp_path):
         small_spec(tmp_path, variants=({"name": "fast", "variant": "grnmf", "alpha": -1.0},))
 
 
+# (key, value) pairs that ExperimentSpec(...) and from_json must both reject,
+# with the same message, before any data is read.
+BAD_SPEC_VALUES = [
+    pytest.param("repeats", 2.5, id="repeats-float"),
+    pytest.param("kmeans_restarts", True, id="kmeans_restarts-bool"),
+    pytest.param("output_dir", 5, id="output_dir-int"),
+    pytest.param("alpha_sweep", ["x"], id="alpha_sweep-string"),
+    pytest.param("alpha_sweep", [-1.0], id="alpha_sweep-negative"),
+    pytest.param("alpha_sweep", [float("nan")], id="alpha_sweep-nan"),
+    pytest.param("alpha_sweep", [1.0, 1], id="alpha_sweep-repeated"),
+    pytest.param("knn", 0, id="knn-zero"),
+    pytest.param("base_seed", -3, id="base_seed-negative"),
+    pytest.param("k_range", [2, 2], id="k_range-repeated"),
+    pytest.param("variants", [1], id="variants-int"),
+    pytest.param("variants", [{"variant": "l2", "name": "../../evil"}], id="name-path"),
+    pytest.param("variants", [{"variant": "l2", "name": "a,b"}], id="name-comma"),
+    pytest.param("variants", [{"variant": "l2", "name": ""}], id="name-empty"),
+    pytest.param("variants", [{"variant": "l2", "name": 5}], id="name-int"),
+]
+
+
+def bad_spec_payload(key, value):
+    payload = {
+        "dataset": {"features": "x.csv", "labels": "y.csv"},
+        "k_range": [2],
+        "variants": [{"variant": "l2", "max_iter": 5}],
+        "repeats": 2,
+        "knn": 3,
+    }
+    payload[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("key, value", BAD_SPEC_VALUES)
+def test_spec_checks_are_the_same_from_python_and_from_json(tmp_path, key, value):
+    payload = bad_spec_payload(key, value)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(payload))
+    settings = {name: setting for name, setting in payload.items() if name != "dataset"}
+    with pytest.raises(DataError) as built:
+        ExperimentSpec(features_path=str(tmp_path / "x.csv"), labels_path=str(tmp_path / "y.csv"), **settings)
+    with pytest.raises(DataError) as read:
+        ExperimentSpec.from_json(path)
+    assert f"spec key '{key}'" in str(built.value)
+    assert str(read.value) == f"{path}: {built.value}"
+
+
+@pytest.mark.parametrize("key, value", BAD_SPEC_VALUES)
+def test_experiment_rejects_a_bad_spec_before_reading_data(tmp_path, capsys, monkeypatch, key, value):
+    small_dataset(tmp_path)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(bad_spec_payload(key, value)))
+    loads = counting(monkeypatch, "load_csv")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--spec", str(path), "--out-dir", str(out / "report")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("mccgr: ") and f"spec key '{key}'" in err
+    assert not out.exists()
+    assert loads == []
+
+
 def test_run_experiment_grid_and_shared_inits(tmp_path):
     spec = small_spec(tmp_path)
     aggregate, records = run_experiment(spec)

@@ -117,8 +117,6 @@ def test_load_csv_labeled(tmp_path):
     ds = load_csv(xp, yp)
     assert np.array_equal(ds.matrix, x)
     assert np.array_equal(ds.labels, y)
-    assert np.array_equal(ds.class_ids, [0, 1])
-    assert ds.n_features == 2 and ds.n_samples == 3
 
 
 def test_load_csv_rejects_negative_data(tmp_path):
