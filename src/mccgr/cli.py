@@ -130,8 +130,8 @@ def _cmd_eval(args) -> int:
 def _cmd_graph(args) -> int:
     dataset = load_csv(args.input)
     graph = build_knn_affinity(dataset.matrix, args.knn, args.knn_mode)
-    save_csv(graph.affinity, args.out)
-    edges = int(graph.affinity.sum()) // 2
+    save_csv(graph.affinity.toarray(), args.out)
+    edges = graph.affinity.nnz // 2
     print(f"{graph.n} samples, {edges} edges ({args.knn_mode})")
     return 0
 

@@ -20,8 +20,8 @@ grossly corrupted features.
 The squared-error kernels never form a weighted copy of the data or of
 the squared residual: the row weights scale the D x K and K x K products
 of the updates, and the fit is the weighted sum of the per-row squared
-residuals r2. The graph terms come from the K x N product W A; no
-Laplacian is built.
+residuals r2. The graph terms come from the K x N product W A with the
+sparse affinity; no Laplacian is built.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graph import AffinityGraph, _penalty, graph_penalty
+from .graph import AffinityGraph, _penalty, _times_affinity, graph_penalty
 
 __all__ = [
     "EPSILON",
@@ -351,7 +351,7 @@ def update_w(
     neg = -_check_rho(rho, x.shape[0])
     _check_graph(alpha, graph, x.shape[1])
     if alpha > 0:
-        return _update_w(x, h, w, neg, epsilon, alpha, w @ graph.affinity, graph.degree)
+        return _update_w(x, h, w, neg, epsilon, alpha, _times_affinity(w, graph), graph.degree)
     return _update_w(x, h, w, neg, epsilon)
 
 
@@ -384,7 +384,7 @@ def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | Non
     g = 2.0 * (h.T @ (neg[:, None] * (h @ w - x)))
     if alpha > 0:
         # w L = w diag(degree) - w A, without the N x N Laplacian.
-        g = g + 2.0 * alpha * (w * graph.degree[None, :] - w @ graph.affinity)
+        g = g + 2.0 * alpha * (w * graph.degree[None, :] - _times_affinity(w, graph))
     return g
 
 
@@ -490,7 +490,7 @@ def solve(
 
     def products(w_):
         # w_ @ A, shared by the penalty on w_ and the next W step's numerator.
-        return w_ @ graph.affinity if alpha > 0 else None
+        return _times_affinity(w_, graph) if alpha > 0 else None
 
     def fit(neg_, r2_, w_, wa_):
         value = _weighted_fit(neg_, r2_)

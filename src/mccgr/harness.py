@@ -220,7 +220,9 @@ def run_experiment(spec: ExperimentSpec):
     Returns (AggregateReport, list[RunRecord]). A variant that fails inside
     a cell with DataError or NumericalError is warned about and excluded
     from aggregation; it never aborts the other variants. Any other
-    exception is a programming error and propagates.
+    exception is a programming error and propagates. A k above the labels'
+    category count, or a knn not below a cell's sample count, is a
+    DataError raised before the first run.
     """
     aggregate, records, _ = _run_grid(spec, _load(spec), spec.k_range, ())
     return aggregate, records
@@ -241,15 +243,34 @@ def _load(spec: ExperimentSpec):
     return dataset
 
 
-def _cell(spec: ExperimentSpec, dataset, k: int, r: int):
+def _samples(spec: ExperimentSpec, dataset, ks, sweep: bool):
+    # Every cell's sampled columns, keyed by (k, repeat r): the grid's ks and,
+    # for a sweep, k=2. They are drawn before the first run, so a spec that
+    # asks more of the data than it holds fails before any solve.
+    classes = np.unique(dataset.labels).size
+    samples = {}
+    for key, k in [("k_range", k) for k in ks] + ([("alpha_sweep", 2)] if sweep else []):
+        if k > classes:
+            raise DataError(f"spec key '{key}': cannot sample {k} categories from the {classes} in the labels")
+        for r in range(spec.repeats):
+            if (k, r) not in samples:
+                samples[k, r] = sample_categories(dataset.labels, k, spec.base_seed + r)
+            size = samples[k, r].size
+            if spec.knn >= size:
+                raise DataError(
+                    f"spec key 'knn' must be below every cell's sample count, got {spec.knn} "
+                    f"for the {size} samples at k={k} repeat {r}"
+                )
+    return samples
+
+
+def _cell(spec: ExperimentSpec, dataset, columns, k: int, r: int):
     # The shared starting conditions of cell (k, repeat r): the sampled
     # columns, the graph and the (h0, w0) draw. The data columns themselves
     # are gathered per run, so a cell the sweep keeps holds no copy of them.
-    seed_r = spec.base_seed + r
-    columns = sample_categories(dataset.labels, k, seed_r)
     x = dataset.matrix[:, columns]
     graph = build_knn_affinity(x, spec.knn, spec.knn_mode)
-    h0, w0 = init_factors(x, k, seed_r)
+    h0, w0 = init_factors(x, k, spec.base_seed + r)
     return columns, graph, h0, w0
 
 
@@ -279,6 +300,7 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
     # sweep run whose config equals one the grid already ran in that cell
     # reuses its outcome. A reused failure is warned about again, as a rerun
     # would be. Returns (aggregate, records, [(alpha, accuracies)]).
+    samples = _samples(spec, dataset, ks, bool(alphas))
     records: list[RunRecord] = []
     names = [_variant_name(entry) for entry in spec.variants]
     sweep_cells: dict[int, tuple] = {}
@@ -289,7 +311,7 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
 
     for k in ks:
         for r in range(spec.repeats):
-            cell = _cell(spec, dataset, k, r)
+            cell = _cell(spec, dataset, samples[k, r], k, r)
             init_hash = hashlib.sha256(cell[2].tobytes() + cell[3].tobytes()).hexdigest()[:16]
             done: list = []
             if k == 2 and alphas:
@@ -328,7 +350,7 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
         accuracies = []
         for r in range(spec.repeats):
             if r not in sweep_cells:
-                sweep_cells[r] = (_cell(spec, dataset, 2, r), [])
+                sweep_cells[r] = (_cell(spec, dataset, samples[2, r], 2, r), [])
             cell, done = sweep_cells[r]
             cfg = SolverConfig(k=2, **dict(base, alpha=float(alpha)))
             outcome = _outcome(spec, dataset, cell, r, cfg, done)

@@ -232,6 +232,23 @@ def test_factorize_rejects_knn_below_one_for_every_variant(tmp_path, capsys, var
     assert not h_path.exists()
 
 
+def test_knn_above_the_sample_count_is_named_as_the_neighbor_count(tmp_path, capsys):
+    # The rank flag is --k; a bad --knn must not read as a bad rank.
+    xp, _ = write_dataset(tmp_path)
+    h_path = tmp_path / "h.csv"
+    a_path = tmp_path / "a.csv"
+    for argv in (
+        ["factorize", "--input", xp, "--variant", "mccgr", "--k", "2", "--knn", "5000",
+         "--out-h", str(h_path), "--out-w", str(tmp_path / "w.csv")],
+        ["graph", "--input", xp, "--knn", "5000", "--out", str(a_path)],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "neighbor count knn" in err and "knn=5000" in err and "n=24 samples" in err
+        assert " k=5000" not in err
+    assert not h_path.exists() and not a_path.exists()
+
+
 def test_factorize_rejects_a_nan_tolerance(tmp_path, capsys):
     # NaN passes every range comparison; it must not run to max-iter and exit 0.
     xp, _ = write_dataset(tmp_path)

@@ -230,6 +230,27 @@ def test_experiment_rejects_a_bad_spec_before_reading_data(tmp_path, capsys, mon
     assert loads == []
 
 
+@pytest.mark.parametrize(
+    "key, overrides",
+    [
+        # 3 classes in the data; the k=2 cells come first and would run.
+        ("k_range", dict(k_range=(2, 4))),
+        # k=3 cells hold 24 samples and k=2 cells 16.
+        ("knn", dict(k_range=(3, 2), knn=16)),
+        ("knn", dict(k_range=(3,), knn=16, alpha_sweep=(1.0,))),
+    ],
+)
+def test_experiment_rejects_a_spec_the_data_cannot_serve_before_any_solve(tmp_path, capsys, monkeypatch, key, overrides):
+    spec_path = write_spec_file(tmp_path, small_spec(tmp_path, **overrides))
+    solves = counting(monkeypatch, "solve")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out / "report")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("mccgr: ") and f"spec key '{key}'" in err
+    assert not out.exists()
+    assert solves == []
+
+
 def test_run_experiment_grid_and_shared_inits(tmp_path):
     spec = small_spec(tmp_path)
     aggregate, records = run_experiment(spec)
