@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
 def _cmd_graph(args) -> int:
     dataset = load_csv(args.input)
     graph = build_knn_affinity(dataset.matrix, args.knn, args.knn_mode)
-    save_csv(graph.affinity.toarray(), args.out)
+    save_csv(graph.affinity, args.out)
     edges = graph.affinity.nnz // 2
     print(f"{graph.n} samples, {edges} edges ({args.knn_mode})")
     return 0

@@ -89,10 +89,12 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
     dropped until k remain, which picks the same k columns as a stable sort.
 
     The squared distances are formed over the Gram matrix's own buffer one
-    block of rows at a time, each row's k listed columns are kept, and the
-    CSR affinity is built from those N k pairs. Beside the N x N Gram matrix
-    the build holds one block of distances and O(N k) indices, never a
-    second N x N array or a dense affinity.
+    block of rows at a time, and each row's k listed columns are kept as one
+    CSR matrix L of ones. The affinity is the elementwise product L * L^T
+    (mutual) or maximum max(L, L^T) (symmetrized), taken by scipy on the
+    stored entries. Beside the N x N Gram matrix the build holds one block
+    of distances and O(N k) entries, never a second N x N array or a dense
+    affinity.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -113,21 +115,10 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
     if max(np.max(x, initial=0.0), -np.min(x, initial=0.0)) > limit:
         raise DataError("data entries too large: squared distances overflow; rescale the data")
 
+    # Row i of listed holds a 1.0 at each of the k columns sample i lists.
     neighbors = _neighbor_lists(x, k).ravel()
-    # Edge i -> j as the key i n + j: the lists give these keys ascending.
-    listers = np.repeat(np.arange(n), k)
-    listed = listers * n + neighbors
-    reverse = neighbors * n + listers
-    # j lists i back when the key of j -> i is among the listed keys.
-    found = np.minimum(np.searchsorted(listed, reverse), listed.size - 1)
-    listed_back = listed[found] == reverse
-    if mode == "mutual":
-        keys = listed[listed_back]
-    else:
-        keys = np.sort(np.concatenate((listed, reverse[~listed_back])))
-    rows, cols = np.divmod(keys, n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    affinity = sparse.csr_array((np.ones(keys.size), cols, indptr), shape=(n, n))
+    listed = sparse.csr_array((np.ones(n * k), neighbors, np.arange(0, n * k + 1, k)), shape=(n, n))
+    affinity = listed.multiply(listed.T) if mode == "mutual" else listed.maximum(listed.T)
     return AffinityGraph(affinity=affinity)
 
 

@@ -3,8 +3,11 @@
 The protocol: for each requested cluster count k and repeat r, sample k
 label categories with seed base_seed + r, restrict the dataset to those
 columns, build one affinity graph, draw one (H0, W0) pair, and run every
-variant from those identical starting conditions. Per-run metrics land in
-RunRecords; per-(variant, k) means and deviations in an AggregateReport.
+variant from those identical starting conditions. An alpha sweep adds the
+first mccgr entry at each sweep alpha as more runs of the k=2 cells. Each
+cell is set up once and each distinct run in it is solved once, a run the
+grid and the sweep share included. Per-run metrics land in RunRecords;
+per-(variant, k) means and deviations in an AggregateReport.
 
 All emitted artifacts are deterministic functions of the spec file and the
 dataset; no wall-clock time is recorded.
@@ -19,7 +22,7 @@ import numbers
 import os
 import re
 import warnings
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -244,9 +247,10 @@ def _load(spec: ExperimentSpec):
 
 
 def _samples(spec: ExperimentSpec, dataset, ks, sweep: bool):
-    # Every cell's sampled columns, keyed by (k, repeat r): the grid's ks and,
-    # for a sweep, k=2. They are drawn before the first run, so a spec that
-    # asks more of the data than it holds fails before any solve.
+    # Every cell's sampled columns, keyed by (k, repeat r), in the order
+    # _run_grid runs them: the grid's ks, then, for a sweep, k=2 unless the
+    # grid has it. They are drawn before the first run, so a spec that asks
+    # more of the data than it holds fails before any solve.
     classes = np.unique(dataset.labels).size
     samples = {}
     for key, k in [("k_range", k) for k in ks] + ([("alpha_sweep", 2)] if sweep else []):
@@ -264,64 +268,50 @@ def _samples(spec: ExperimentSpec, dataset, ks, sweep: bool):
     return samples
 
 
-def _cell(spec: ExperimentSpec, dataset, columns, k: int, r: int):
-    # The shared starting conditions of cell (k, repeat r): the sampled
-    # columns, the graph and the (h0, w0) draw. The data columns themselves
-    # are gathered per run, so a cell the sweep keeps holds no copy of them.
-    x = dataset.matrix[:, columns]
-    graph = build_knn_affinity(x, spec.knn, spec.knn_mode)
-    h0, w0 = init_factors(x, k, spec.base_seed + r)
-    return columns, graph, h0, w0
-
-
-def _outcome(spec: ExperimentSpec, dataset, cell, r: int, cfg: SolverConfig, done: list):
-    # The run of cfg in a cell: solved and evaluated on first request, then
-    # read back from done, the cell's list of (config, outcome) pairs. A
-    # DataError or NumericalError is the outcome of a failed run.
-    for seen, outcome in done:
-        if seen == cfg:
-            return outcome
-    columns, graph, h0, w0 = cell
-    try:
-        result = solve(dataset.matrix[:, columns], graph, cfg, h0, w0)
-        report = evaluate(
-            result.w, dataset.labels[columns], cfg.k, seed=spec.base_seed + r, restarts=spec.kmeans_restarts
-        )
-        outcome = (result, report)
-    except (DataError, NumericalError) as exc:
-        outcome = exc
-    done.append((cfg, outcome))
-    return outcome
-
-
 def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
-    # Runs spec.variants at every k in ks, then the sweep's mccgr entry at
-    # k=2 for every alpha in alphas. Each k=2 cell is set up once, and a
-    # sweep run whose config equals one the grid already ran in that cell
-    # reuses its outcome. A reused failure is warned about again, as a rerun
-    # would be. Returns (aggregate, records, [(alpha, accuracies)]).
+    # One pass over the cells _samples draws, in its order. Each cell builds
+    # its graph and (h0, w0) once, then asks for its runs: spec.variants when
+    # its k is in ks and, at k=2, the first mccgr entry's settings (not its
+    # name) at every alpha in alphas. A config asked for twice in a cell is
+    # solved once; a failed one is warned about once per request. Nothing of
+    # a cell outlives it. Returns (aggregate, records, [(alpha, accuracies)]).
     samples = _samples(spec, dataset, ks, bool(alphas))
-    records: list[RunRecord] = []
     names = [_variant_name(entry) for entry in spec.variants]
-    sweep_cells: dict[int, tuple] = {}
-
-    def failed(name, k, r, exc):
-        # Names the caller of run_experiment, alpha_sweep or _run_spec.
-        warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {exc}", stacklevel=4)
-
-    for k in ks:
-        for r in range(spec.repeats):
-            cell = _cell(spec, dataset, samples[k, r], k, r)
-            init_hash = hashlib.sha256(cell[2].tobytes() + cell[3].tobytes()).hexdigest()[:16]
-            done: list = []
-            if k == 2 and alphas:
-                sweep_cells.setdefault(r, (cell, done))
-            for name, entry in zip(names, spec.variants):
-                cfg = SolverConfig(k=k, **_solver_settings(entry))
-                outcome = _outcome(spec, dataset, cell, r, cfg, done)
-                if isinstance(outcome, Exception):
-                    failed(name, k, r, outcome)
-                    continue
+    mccgr_entries = [_solver_settings(entry) for entry in spec.variants if entry["variant"].lower() == "mccgr"]
+    base = mccgr_entries[0] if mccgr_entries else {"variant": "mccgr"}
+    sweep = {float(alpha): [] for alpha in sorted(alphas)}
+    records: list[RunRecord] = []
+    for (k, r), columns in samples.items():
+        x = dataset.matrix[:, columns]
+        graph = build_knn_affinity(x, spec.knn, spec.knn_mode)
+        h0, w0 = init_factors(x, k, spec.base_seed + r)
+        init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
+        # The cell's runs in order, as (name, config, sweep alpha or None).
+        runs = []
+        if k in ks:
+            runs += [(name, SolverConfig(k=k, **_solver_settings(e)), None) for name, e in zip(names, spec.variants)]
+        if k == 2:
+            runs += [(_variant_name(base), SolverConfig(k=2, **dict(base, alpha=a)), a) for a in sweep]
+        # Outcomes keyed by config fields; a DataError or NumericalError is
+        # the outcome of a failed run.
+        outcomes = {}
+        for name, cfg, alpha in runs:
+            key = astuple(cfg)
+            if key not in outcomes:
+                try:
+                    result = solve(x, graph, cfg, h0, w0)
+                    outcomes[key] = result, evaluate(
+                        result.w, dataset.labels[columns], k, seed=spec.base_seed + r, restarts=spec.kmeans_restarts
+                    )
+                except (DataError, NumericalError) as exc:
+                    outcomes[key] = exc
+            outcome = outcomes[key]
+            if isinstance(outcome, Exception):
+                # Names the caller of run_experiment, alpha_sweep or _run_spec.
+                warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {outcome}", stacklevel=3)
+            elif alpha is not None:
+                sweep[alpha].append(outcome[1].accuracy)
+            else:
                 result, report = outcome
                 records.append(
                     RunRecord(
@@ -337,29 +327,7 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
                         trace=result.trace,
                     )
                 )
-
-    sweep = []
-    # The first mccgr entry's settings (not its name), with alpha replaced.
-    base = {"variant": "mccgr"}
-    for entry in spec.variants:
-        if entry["variant"].lower() == "mccgr":
-            base = _solver_settings(entry)
-            break
-    name = _variant_name(base)
-    for alpha in sorted(alphas):
-        accuracies = []
-        for r in range(spec.repeats):
-            if r not in sweep_cells:
-                sweep_cells[r] = (_cell(spec, dataset, samples[2, r], 2, r), [])
-            cell, done = sweep_cells[r]
-            cfg = SolverConfig(k=2, **dict(base, alpha=float(alpha)))
-            outcome = _outcome(spec, dataset, cell, r, cfg, done)
-            if isinstance(outcome, Exception):
-                failed(name, 2, r, outcome)
-                continue
-            accuracies.append(outcome[1].accuracy)
-        sweep.append((float(alpha), accuracies))
-    return _aggregate(records, names, spec.k_range), records, sweep
+    return _aggregate(records, names, spec.k_range), records, list(sweep.items())
 
 
 def _aggregate(records, names, k_range) -> AggregateReport:

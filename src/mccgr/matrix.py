@@ -1,4 +1,4 @@
-"""Dense matrix I/O.
+"""Matrix I/O.
 
 Matrices are float64 numpy arrays in C order. Data matrices are laid out
 features x samples: column n is one sample. Labels are a flat int64 vector
@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DataError
 
@@ -23,10 +24,6 @@ __all__ = [
     "save_csv",
     "save_labels",
 ]
-
-# Bit pattern of 1.0; save_csv tests bits, so -0.0 does not pass for 0.0.
-_ONE_BITS = np.float64(1.0).view(np.uint64)
-
 
 def _as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(values, dtype=np.float64)
@@ -159,28 +156,33 @@ def load_csv(path, labels_path=None) -> LabeledDataset:
 
 
 def save_csv(matrix, path) -> None:
-    """Write a matrix as headerless CSV.
+    """Write a matrix, dense or scipy.sparse, as headerless CSV.
 
     %.17g preserves float64 exactly, so read_matrix(save_csv(m)) == m.
-    A matrix whose entries are all +0.0 or 1.0, such as a binary affinity,
-    is written as one byte buffer holding the bytes np.savetxt would write
-    for it ("0"/"1" cells); -0.0, which %.17g writes as "-0", takes the
-    general path. The file is always plain text, whatever its extension.
+    A sparse matrix whose stored entries are all 1.0, such as a binary
+    affinity, is written as one byte buffer of "0" cells whose "1" cells are
+    set from the stored indices: the bytes np.savetxt writes for its dense
+    form, with no dense float array formed. Any other sparse matrix is
+    written dense, and dense input always goes through np.savetxt. The file
+    is always plain text, whatever its extension.
     """
-    m = _as_matrix(matrix)
-    bits = m.view(np.uint64)
-    binary = bits == 0
-    binary |= bits == _ONE_BITS
-    with open(path, "wb") as fh:
-        if binary.all():
-            rows, cols = m.shape
-            buf = np.empty((rows, 2 * cols), dtype=np.uint8)
+    if sparse.issparse(matrix):
+        # A copy, so summing duplicates never edits the caller's arrays.
+        ones = sparse.csr_array(matrix, dtype=np.float64, copy=True)
+        ones.sum_duplicates()
+        rows, cols = ones.shape
+        if rows and cols and np.all(ones.data == 1.0):
+            buf = np.full((rows, 2 * cols), ord("0"), dtype=np.uint8)
             buf[:, 1::2] = ord(",")
             buf[:, -1] = ord("\n")
-            np.add(m, ord("0"), out=buf[:, ::2], casting="unsafe")
-            fh.write(buf)
-        else:
-            np.savetxt(fh, m, delimiter=",", fmt="%.17g")
+            buf[np.repeat(np.arange(rows), np.diff(ones.indptr)), 2 * ones.indices] = ord("1")
+            with open(path, "wb") as fh:
+                fh.write(buf)
+            return
+        matrix = ones.toarray()
+    m = _as_matrix(matrix)
+    with open(path, "wb") as fh:
+        np.savetxt(fh, m, delimiter=",", fmt="%.17g")
 
 
 def save_labels(labels, path) -> None:

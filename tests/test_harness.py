@@ -1,12 +1,14 @@
 """Experiment protocol: sampling, spec parsing, the grid runner, reports."""
 
-import itertools
 import json
 import os
-from dataclasses import replace
+import tempfile
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mccgr
 from mccgr import (
@@ -330,15 +332,14 @@ def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
 def test_failed_run_warning_names_the_caller(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, k_range=(2,), repeats=2, alpha_sweep=(1.0, 10.0))
     real_solve = mccgr.harness.solve
-    calls = itertools.count()
 
-    def every_other(x, graph, cfg, h0, w0, **kwargs):
-        # Fails the first run of every pair, so each alpha keeps one success.
-        if next(calls) % 2 == 0:
+    def fail_repeat_0(x, graph, cfg, h0, w0, **kwargs):
+        # Fails every run of repeat 0, so each alpha keeps one success.
+        if np.array_equal(h0, mccgr.init_factors(x, cfg.k, spec.base_seed)[0]):
             raise mccgr.NumericalError("synthetic failure")
         return real_solve(x, graph, cfg, h0, w0, **kwargs)
 
-    monkeypatch.setattr(mccgr.harness, "solve", every_other)
+    monkeypatch.setattr(mccgr.harness, "solve", fail_repeat_0)
     with pytest.warns(UserWarning, match="synthetic failure") as caught:
         run_experiment(spec)
         alpha_sweep(spec)
@@ -570,3 +571,69 @@ def test_reused_failed_run_warns_again(tmp_path, monkeypatch):
     assert len(failures) == 1
     lines = (tmp_path / "out" / "alpha_sweep.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+def test_each_cell_runs_all_its_solves_before_the_next_graph(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, k_range=(3, 2), alpha_sweep=(10.0, 1.0))
+    real_build, real_solve = mccgr.harness.build_knn_affinity, mccgr.harness.solve
+    cells = []
+
+    def build(*args, **kwargs):
+        graph = real_build(*args, **kwargs)
+        cells.append([graph])
+        return graph
+
+    def solve(x, graph, cfg, h0, w0, **kwargs):
+        assert graph is cells[-1][0], "a solve ran on an earlier cell's graph"
+        cells[-1].append(cfg)
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "build_knn_affinity", build)
+    monkeypatch.setattr(mccgr.harness, "solve", solve)
+    spec_path = write_spec_file(tmp_path, spec)
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / "out")]) == 0
+    # k=3 cells run l2 and mccgr; k=2 cells also run mccgr at alpha 10.
+    assert [len(cell) - 1 for cell in cells] == [2, 2, 3, 3]
+
+
+def distinct_runs(spec):
+    # Distinct (cell, config) pairs the grid and the sweep ask for.
+    entries = [{key: v for key, v in entry.items() if key != "name"} for entry in spec.variants]
+    mccgr_entry = next(entry for entry in entries if entry["variant"] == "mccgr")
+    runs = set()
+    for r in range(spec.repeats):
+        for k in spec.k_range:
+            runs |= {(k, r, astuple(mccgr.SolverConfig(k=k, **entry))) for entry in entries}
+        for alpha in spec.alpha_sweep:
+            runs.add((2, r, astuple(mccgr.SolverConfig(k=2, **dict(mccgr_entry, alpha=alpha)))))
+    return len(runs)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.permutations([2, 3]).flatmap(lambda ks: st.sampled_from([ks[:1], ks])),
+    # The grid's mccgr entry has alpha 1.0.
+    st.lists(st.sampled_from([0.1, 1.0, 10.0]), unique=True, max_size=3),
+)
+def test_experiment_command_equals_the_library_calls(tmp_path, k_range, alphas):
+    spec = small_spec(tmp_path, k_range=tuple(k_range), alpha_sweep=tuple(alphas))
+    work = tempfile.mkdtemp(dir=tmp_path)
+    reference = os.path.join(work, "reference")
+    emit_report(*run_experiment(spec), reference)
+    if alphas:
+        write_alpha_sweep(alpha_sweep(spec), os.path.join(reference, "alpha_sweep.csv"))
+    spec_path = write_spec_file(tmp_path, spec)
+    out = os.path.join(work, "out")
+    with pytest.MonkeyPatch.context() as patch:
+        solves = counting(patch, "solve")
+        assert cli_main(["experiment", "--spec", spec_path, "--out-dir", out]) == 0
+    assert len(solves) == distinct_runs(spec)
+    names = ["accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json", "alpha_sweep.csv"]
+    for name in names:
+        path = os.path.join(reference, name)
+        if not os.path.exists(path):
+            assert not alphas and name == "alpha_sweep.csv"
+            assert not os.path.exists(os.path.join(out, name))
+            continue
+        with open(path, "rb") as want, open(os.path.join(out, name), "rb") as got:
+            assert got.read() == want.read(), name

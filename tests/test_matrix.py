@@ -3,22 +3,26 @@
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mccgr import (
     DataError,
     LabeledDataset,
+    build_knn_affinity,
     load_csv,
     load_labels,
     read_matrix,
     save_csv,
     save_labels,
 )
+from mccgr.graph import MODES
 
 
 def test_save_load_roundtrip_exact(tmp_path):
@@ -305,6 +309,44 @@ def test_save_csv_bytes_match_savetxt(tmp_path, m):
     path = tmp_path / "m.csv"
     save_csv(m, path)
     assert path.read_bytes() == savetxt_bytes(m, tmp_path)
+
+
+def sparse_cases():
+    x = np.random.default_rng(2).random((6, 40))
+    ties = np.random.default_rng(3).integers(0, 2, size=(3, 30)).astype(np.float64)
+    for mode in MODES:
+        yield f"{mode}-real", build_knn_affinity(x, 4, mode).affinity
+        yield f"{mode}-ties", build_knn_affinity(ties, 5, mode).affinity
+    # At k=1, samples 0 and 1 list each other; 2 and 3 are left isolated.
+    yield "isolated", build_knn_affinity(np.array([[0.0, 1.0, 2.0, 100.0]]), 1, "mutual").affinity
+    yield "zero-1x1", sparse.csr_array((1, 1))
+    yield "half", sparse.csr_array(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    yield "coo-duplicates", sparse.coo_array((np.ones(2), ([0, 0], [1, 1])), shape=(2, 3))
+
+
+@pytest.mark.parametrize("a", [pytest.param(a, id=name) for name, a in sparse_cases()])
+def test_save_csv_sparse_bytes_match_savetxt_of_the_dense_form(tmp_path, a):
+    path = tmp_path / "a.csv"
+    save_csv(a, path)
+    assert path.read_bytes() == savetxt_bytes(a.toarray(), tmp_path)
+
+
+def test_save_csv_of_the_isolated_case_has_empty_rows():
+    a = dict(sparse_cases())["isolated"]
+    assert list(np.diff(a.indptr)) == [1, 1, 0, 0]
+
+
+def test_save_csv_writes_a_large_graph_without_a_dense_array(tmp_path):
+    n = 2000
+    graph = build_knn_affinity(np.random.default_rng(17).random((20, n)), 5, "symmetrized")
+    tracemalloc.start()
+    try:
+        save_csv(graph.affinity, tmp_path / "a.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert (tmp_path / "a.csv").stat().st_size == n * 2 * n
 
 
 def test_gz_name_is_plain_text_both_ways(tmp_path):
