@@ -26,11 +26,6 @@ from .factorization import (
     dual_objective,
     init_factors,
     kkt_products,
-    mcc_objective,
-    objective_kl,
-    objective_l2,
-    rho_step,
-    sigma_update,
     solve,
     update_h,
     update_w,
@@ -82,17 +77,12 @@ __all__ = [
     "load_csv",
     "load_labels",
     "make_synthetic",
-    "mcc_objective",
     "nmi",
-    "objective_kl",
-    "objective_l2",
     "read_matrix",
-    "rho_step",
     "run_experiment",
     "sample_categories",
     "save_csv",
     "save_labels",
-    "sigma_update",
     "solve",
     "update_h",
     "update_w",

@@ -123,6 +123,8 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> Clustering:
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise DataError(f"points must be 2-D, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise DataError("points contain NaN or Inf entries")
     n = points.shape[1]
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")

@@ -46,11 +46,6 @@ __all__ = [
     "dual_objective",
     "init_factors",
     "kkt_products",
-    "mcc_objective",
-    "objective_kl",
-    "objective_l2",
-    "rho_step",
-    "sigma_update",
     "solve",
     "update_h",
     "update_w",
@@ -175,27 +170,6 @@ def _check_triplet(x, h, w):
     return x, h, w
 
 
-def objective_l2(x, h, w) -> float:
-    """Total squared reconstruction error sum((x - h @ w)**2)."""
-    x, h, w = _check_triplet(x, h, w)
-    r = x - h @ w
-    return float(np.sum(r * r))
-
-
-def objective_kl(x, h, w) -> float:
-    """Generalized KL divergence sum(x log(x / v) - x + v), v = h @ w.
-
-    Entries with x == 0 contribute v. Raises NumericalError when some
-    x > 0 sits over an exactly zero reconstruction (infinite divergence).
-    """
-    x, h, w = _check_triplet(x, h, w)
-    if np.any(x < 0):
-        raise DataError("KL divergence needs non-negative data")
-    pos = np.flatnonzero(x > 0)
-    xp = x.take(pos)
-    return _kl_divergence(xp, pos, np.sum(xp), h @ w)
-
-
 def _kl_divergence(xp, pos, sum_xp, v) -> float:
     # pos holds the flat C-order indices of the positive data entries, xp =
     # x.take(pos) and sum_xp = sum(xp); they depend on the data alone, so the
@@ -211,20 +185,6 @@ def _kl_divergence(xp, pos, sum_xp, v) -> float:
     return float(np.sum(terms) - sum_xp + np.sum(v))
 
 
-def sigma_update(x, h, w, theta: float, floor: float = EPSILON) -> float:
-    """Self-tuned kernel width: sigma^2 = theta * total squared residual / (2 D).
-
-    sigma is floored at `floor` so a (near-)exact reconstruction cannot
-    produce a degenerate zero width. Flooring this way caps every kernel
-    exponent r2_d / (2 sigma^2) at D / theta, so rho can never underflow
-    en masse when a fit becomes nearly exact.
-    """
-    if theta <= 0:
-        raise DataError(f"theta must be > 0, got {theta}")
-    x, h, w = _check_triplet(x, h, w)
-    return _sigma(_row_sq(x, h, w)[1], x.shape[0], theta, floor)
-
-
 def _row_sq(x, h, w):
     # Per-row sums r2 of the squared residual r = x - h @ w, and their total.
     # r is formed in the buffer of h @ w, so one D x N array is allocated.
@@ -234,45 +194,26 @@ def _row_sq(x, h, w):
     return r2, float(r2.sum())
 
 
-def _sigma(total, d, theta, floor) -> float:
-    return max(float(np.sqrt(theta * total / (2.0 * d))), floor)
-
-
-def rho_step(x, h, w, sigma: float) -> np.ndarray:
-    """Auxiliary weights rho_d = -exp(-r2_d / (2 sigma^2)), one per feature.
-
-    r2_d is the squared residual summed over samples in feature row d.
-    Values lie in [-1, 0); the kernel is floored at the smallest positive
-    double so enormous residuals cannot zero a weight out entirely.
-    """
-    if sigma <= 0:
-        raise DataError(f"sigma must be > 0, got {sigma}")
-    x, h, w = _check_triplet(x, h, w)
-    return _rho(_row_sq(x, h, w)[0], sigma)
+def _sigma(total, d, theta) -> float:
+    # Self-tuned kernel width: sigma^2 = theta * total squared residual / (2 D).
+    # The floor at EPSILON keeps a (near-)exact fit from giving a zero width,
+    # and it caps every kernel exponent r2_d / (2 sigma^2) at D / theta, so rho
+    # cannot underflow en masse when a fit becomes nearly exact.
+    return max(float(np.sqrt(theta * total / (2.0 * d))), EPSILON)
 
 
 def _rho(r2, sigma) -> np.ndarray:
+    # Auxiliary weights rho_d = -exp(-r2_d / (2 sigma^2)), one per feature row,
+    # in [-1, 0). The kernel is floored at the smallest positive double so an
+    # enormous residual cannot zero a weight out entirely.
     return -np.maximum(np.exp(-r2 / (2.0 * sigma * sigma)), _KERNEL_TINY)
-
-
-def mcc_objective(x, h, w, sigma: float) -> float:
-    """Sum over features of the Gaussian kernel of the row residual.
-
-    This is the quantity the half-quadratic scheme maximizes; it increases
-    whenever any single row residual shrinks.
-    """
-    if sigma <= 0:
-        raise DataError(f"sigma must be > 0, got {sigma}")
-    x, h, w = _check_triplet(x, h, w)
-    r2 = _row_sq(x, h, w)[0]
-    return float(np.sum(np.exp(-r2 / (2.0 * sigma * sigma))))
 
 
 def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> float:
     """Weighted squared error plus the graph penalty.
 
     Tr((x - h w)^T diag(-rho) (x - h w)) + alpha * Tr(w L w^T). With rho
-    frozen at -1 and alpha = 0 this is exactly objective_l2. Minimized by
+    frozen at -1 and alpha = 0 this is sum((x - h w)^2). Minimized by
     the M-step for fixed rho.
     """
     x, h, w = _check_triplet(x, h, w)
@@ -310,39 +251,31 @@ def _check_rho(rho, d):
     return rho
 
 
-def update_h(x, h, w, rho, epsilon: float = EPSILON) -> np.ndarray:
+def update_h(x, h, w, rho) -> np.ndarray:
     """One multiplicative step on the basis:
 
-        h <- h * (diag(-rho) x w^T) / (diag(-rho) h w w^T + epsilon)
+        h <- h * (diag(-rho) x w^T) / (diag(-rho) h w w^T + EPSILON)
 
-    Any positive rescaling of rho cancels (up to the epsilon guard), so
+    Any positive rescaling of rho cancels (up to the EPSILON guard), so
     only the relative feature weights matter. Entries are floored at FLOOR.
     """
     x, h, w = _check_triplet(x, h, w)
     neg = -_check_rho(rho, x.shape[0])
-    return _update_h(x, h, w, neg, epsilon)
+    return _update_h(x, h, w, neg)
 
 
-def _update_h(x, h, w, neg, epsilon) -> np.ndarray:
+def _update_h(x, h, w, neg) -> np.ndarray:
     # diag(neg) x w^T as neg * (x w^T): the weights scale a D x K product.
     # Multiplying by unit weights is exact, so l2 and grnmf get x @ w.T.
     numer = neg[:, None] * (x @ w.T)
-    denom = (neg[:, None] * h) @ (w @ w.T) + epsilon
+    denom = (neg[:, None] * h) @ (w @ w.T) + EPSILON
     return np.maximum(h * numer / denom, FLOOR)
 
 
-def update_w(
-    x,
-    h,
-    w,
-    rho,
-    alpha: float = 0.0,
-    graph: AffinityGraph | None = None,
-    epsilon: float = EPSILON,
-) -> np.ndarray:
+def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> np.ndarray:
     """One multiplicative step on the coefficients:
 
-        w <- w * (h^T diag(-rho) x + alpha w A) / (h^T diag(-rho) h w + alpha w U + epsilon)
+        w <- w * (h^T diag(-rho) x + alpha w A) / (h^T diag(-rho) h w + alpha w U + EPSILON)
 
     A is the affinity, U its diagonal degree matrix; both terms drop out
     when alpha == 0. Entries are floored at FLOOR.
@@ -351,11 +284,11 @@ def update_w(
     neg = -_check_rho(rho, x.shape[0])
     _check_graph(alpha, graph, x.shape[1])
     if alpha > 0:
-        return _update_w(x, h, w, neg, epsilon, alpha, _times_affinity(w, graph), graph.degree)
-    return _update_w(x, h, w, neg, epsilon)
+        return _update_w(x, h, w, neg, alpha, _times_affinity(w, graph), graph.degree)
+    return _update_w(x, h, w, neg)
 
 
-def _update_w(x, h, w, neg, epsilon, alpha=0.0, wa=None, degree=None) -> np.ndarray:
+def _update_w(x, h, w, neg, alpha=0.0, wa=None, degree=None) -> np.ndarray:
     # h^T diag(neg) x as (diag(neg) h)^T x. hn is a new buffer even for unit
     # weights: h.T @ h on one buffer would go to BLAS syrk, which rounds
     # differently from gemm for larger D, and hn.T @ x is then the same gemm
@@ -366,7 +299,7 @@ def _update_w(x, h, w, neg, epsilon, alpha=0.0, wa=None, degree=None) -> np.ndar
     if alpha > 0:
         numer = numer + alpha * wa
         denom = denom + alpha * (w * degree[None, :])
-    return np.maximum(w * numer / (denom + epsilon), FLOOR)
+    return np.maximum(w * numer / (denom + EPSILON), FLOOR)
 
 
 def dual_gradient_h(x, h, w, rho) -> np.ndarray:
@@ -434,10 +367,12 @@ def solve(
     the current residuals, then update h (using the current w) and w
     (using the fresh h). l2/grnmf keep rho frozen at -1; kl runs the
     divergence updates. The tracked objective is dual_objective for the
-    squared-error family and objective_kl for kl; iteration stops when its
-    per-iteration change, relative to the objective at the initializers,
-    falls below cfg.tol, or when cfg.max_iter is reached. EPSILON guards
-    every update denominator and floors sigma.
+    squared-error family and, for kl, the generalized KL divergence
+    sum(x log(x / v) - x + v) with v = h @ w, where entries with x == 0
+    contribute v. Iteration stops when the objective's per-iteration
+    change, relative to its value at the initializers, falls below
+    cfg.tol, or when cfg.max_iter is reached. EPSILON guards every update
+    denominator and floors sigma.
 
     Each iteration forms the residual x - h @ w once, after the M-step, and
     reduces it in one pass to its per-row squared sums r2. The tracked fit
@@ -447,11 +382,10 @@ def solve(
     graph, w @ A is formed once after each W step: it gives that
     iteration's penalty and the next W step's numerator, and no Laplacian
     is built. kl reuses the reconstruction h @ w of its objective in its
-    next step. Inputs are validated here once. The loop runs the same
-    private kernels that sigma_update, rho_step, update_h, update_w,
-    dual_objective, graph_penalty and objective_kl wrap with argument
-    checks, so its results equal a loop over those public functions bit for
-    bit.
+    next step. Inputs are validated here once. The results equal bit for
+    bit a loop that calls the public update_h, update_w and dual_objective
+    and recomputes sigma, rho and the KL divergence from a fresh residual
+    with plain numpy at every step.
 
     Parameters
     ----------
@@ -499,7 +433,7 @@ def solve(
         return value
 
     r2, total = _row_sq(x, h, w)
-    sigma = _sigma(total, d, cfg.theta, EPSILON)
+    sigma = _sigma(total, d, cfg.theta)
     rho = _rho(r2, sigma) if live_rho else -np.ones(d)
     neg = -rho
     if kl:
@@ -528,12 +462,12 @@ def solve(
             # On the first iteration this repeats the E-step at the
             # initializers, which keeps sigma and rho at the values the last
             # M-step used when the loop ends.
-            sigma = _sigma(total, d, cfg.theta, EPSILON)
+            sigma = _sigma(total, d, cfg.theta)
             if live_rho:
                 rho = _rho(r2, sigma)
                 neg = -rho
-            h = _update_h(x, h, w, neg, EPSILON)
-            w = _update_w(x, h, w, neg, EPSILON, alpha, wa, degree)
+            h = _update_h(x, h, w, neg)
+            w = _update_w(x, h, w, neg, alpha, wa, degree)
             wa = products(w)
             r2, total = _row_sq(x, h, w)
             value = fit(neg, r2, w, wa)

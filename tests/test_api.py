@@ -1,0 +1,47 @@
+"""The package's public names: each one resolves, and the retired ones stay gone."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import mccgr
+from mccgr import factorization
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(mccgr.__path__))
+
+# Wrappers around the solver's E-step and objective kernels that nothing
+# but tests read; solve runs the kernels themselves.
+RETIRED = ("sigma_update", "rho_step", "mcc_objective", "objective_l2", "objective_kl")
+
+
+def test_star_import_gives_every_listed_name():
+    namespace = {}
+    exec("from mccgr import *", namespace)
+    assert set(mccgr.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_name_a_module_lists_resolves(name):
+    module = importlib.import_module(f"mccgr.{name}")
+    for attr in getattr(module, "__all__", ()):
+        assert hasattr(module, attr), f"mccgr.{name}.{attr}"
+
+
+def test_every_package_name_is_an_attribute():
+    assert len(set(mccgr.__all__)) == len(mccgr.__all__)
+    for attr in mccgr.__all__:
+        assert hasattr(mccgr, attr), attr
+
+
+@pytest.mark.parametrize("name", RETIRED)
+def test_retired_wrappers_are_gone(name):
+    assert not hasattr(mccgr, name)
+    assert not hasattr(factorization, name)
+    assert name not in mccgr.__all__ and name not in factorization.__all__
+
+
+@pytest.mark.parametrize("step", [mccgr.update_h, mccgr.update_w])
+def test_update_steps_take_no_epsilon(step):
+    assert "epsilon" not in inspect.signature(step).parameters

@@ -195,6 +195,18 @@ def test_kmeans_argument_validation():
         kmeans(pts[0], 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_and_evaluate_reject_non_finite_points(bad):
+    # Without the check a NaN gave assignments, an inertia of nan and a
+    # score, with no warning; an Inf gave only RuntimeWarnings.
+    pts = np.random.default_rng(5).random((2, 12))
+    pts[1, 4] = bad
+    with pytest.raises(DataError, match="NaN or Inf"):
+        kmeans(pts, 3)
+    with pytest.raises(DataError, match="NaN or Inf"):
+        evaluate(pts, np.repeat([0, 1, 2], 4), 3)
+
+
 def test_hungarian_matches_brute_force_loop():
     rng = np.random.default_rng(4)
     for _ in range(200):

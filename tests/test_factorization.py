@@ -20,16 +20,11 @@ from mccgr import (
     init_factors,
     kkt_products,
     laplacian,
-    mcc_objective,
-    objective_kl,
-    objective_l2,
-    rho_step,
-    sigma_update,
     solve,
     update_h,
     update_w,
 )
-from mccgr.factorization import EPSILON
+from mccgr.factorization import EPSILON, _kl_divergence, _rho, _row_sq
 
 
 def random_instance(rng, d=8, n=10, k=3):
@@ -46,6 +41,21 @@ def lee_seung_step(x, h, w):
     return h, w
 
 
+def first_step(x, h, w, variant="mcc", theta=1.0):
+    # One solver iteration from (h, w): its trace[0] is the tracked objective
+    # at (h, w), and its sigma and rho are the E-step at (h, w).
+    cfg = SolverConfig(variant=variant, k=h.shape[1], theta=theta, max_iter=1, tol=0.0)
+    return solve(x, None, cfg, h, w)
+
+
+def kl_divergence(x, h, w):
+    # The solver's divergence kernel, fed the positive entries as solve
+    # gathers them; it reaches factors with zero entries, which solve rejects.
+    pos = np.flatnonzero(x > 0)
+    xp = x.take(pos)
+    return _kl_divergence(xp, pos, np.sum(xp), h @ w)
+
+
 def test_objective_l2_matches_loop():
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -54,7 +64,7 @@ def test_objective_l2_matches_loop():
         expect = sum(
             (x[i, j] - v[i, j]) ** 2 for i in range(x.shape[0]) for j in range(x.shape[1])
         )
-        assert objective_l2(x, h, w) == pytest.approx(expect, rel=1e-12)
+        assert first_step(x, h, w, "l2").trace[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_objective_kl_matches_loop():
@@ -67,7 +77,7 @@ def test_objective_kl_matches_loop():
             for i in range(x.shape[0])
             for j in range(x.shape[1])
         )
-        assert objective_kl(x, h, w) == pytest.approx(expect, rel=1e-12)
+        assert first_step(x, h, w, "kl").trace[0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_objective_kl_zero_entries_contribute_reconstruction():
@@ -75,7 +85,7 @@ def test_objective_kl_zero_entries_contribute_reconstruction():
     h = np.array([[1.0]])
     w = np.array([[0.5, 2.0]])
     # 0-entry contributes v = 0.5; the other contributes 2 log 1 - 2 + 2 = 0
-    assert objective_kl(x, h, w) == pytest.approx(0.5, rel=1e-12)
+    assert first_step(x, h, w, "kl").trace[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def mask_kl_divergence(x, h, w):
@@ -98,30 +108,31 @@ def test_kl_flat_index_gather_equals_the_mask_with_zero_data(shape):
     h0 = rng.random((d, k)) + 0.1
     w0 = rng.random((k, n)) + 0.1
     expect = np.float64(mask_kl_divergence(x, h0, w0)).tobytes()
-    assert np.float64(objective_kl(x, h0, w0)).tobytes() == expect
-    # Flat indices follow C order whatever the memory layout of the data.
-    assert np.float64(objective_kl(np.asfortranarray(x), h0, w0)).tobytes() == expect
+    assert np.float64(kl_divergence(x, h0, w0)).tobytes() == expect
     cfg = SolverConfig(variant="kl", k=k, max_iter=25, tol=0.0)
     res = solve(x, None, cfg, h0, w0, record_iterates=True)
     trace = [mask_kl_divergence(x, h0, w0)]
     trace += [mask_kl_divergence(x, h, w) for h, w in res.iterates]
     assert res.trace.tobytes() == np.array(trace).tobytes()
+    # Flat indices follow C order whatever the memory layout of the data.
+    fortran = solve(np.asfortranarray(x), None, cfg, h0, w0)
+    assert fortran.trace.tobytes() == res.trace.tobytes()
 
 
 def test_objective_kl_infinite_divergence_raises():
     x = np.array([[1.0]])
     with pytest.raises(NumericalError):
-        objective_kl(x, np.array([[0.0]]), np.array([[1.0]]))
+        kl_divergence(x, np.array([[0.0]]), np.array([[1.0]]))
 
 
 def test_objective_kl_nonnegative_at_matching_mass():
     # KL >= 0 with equality iff v == x
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert objective_kl(x, x, np.eye(2)) == pytest.approx(0.0, abs=1e-15)
+    assert kl_divergence(x, x, np.eye(2)) == pytest.approx(0.0, abs=1e-15)
     rng = np.random.default_rng(2)
     for _ in range(10):
         x, h, w = random_instance(rng)
-        assert objective_kl(x, h, w) >= 0.0
+        assert kl_divergence(x, h, w) >= 0.0
 
 
 def test_sigma_update_formula():
@@ -131,7 +142,7 @@ def test_sigma_update_formula():
         theta = float(rng.uniform(0.5, 5.0))
         total = float(np.sum((x - h @ w) ** 2))
         expect = np.sqrt(theta * total / (2.0 * x.shape[0]))
-        assert sigma_update(x, h, w, theta) == pytest.approx(expect, rel=1e-12)
+        assert first_step(x, h, w, theta=theta).sigma == pytest.approx(expect, rel=1e-12)
 
 
 def test_sigma_update_floor_on_exact_fit():
@@ -139,8 +150,7 @@ def test_sigma_update_floor_on_exact_fit():
     h = rng.random((6, 2)) + 0.1
     w = rng.random((2, 5)) + 0.1
     x = h @ w
-    assert sigma_update(x, h, w, 1.0) == 1e-12
-    assert sigma_update(x, h, w, 1.0, floor=1e-6) == 1e-6
+    assert first_step(x, h, w).sigma == EPSILON == 1e-12
 
 
 def test_sigma_floor_caps_kernel_exponent():
@@ -152,8 +162,7 @@ def test_sigma_floor_caps_kernel_exponent():
     x = h @ w
     x[0, 0] += 1e-7  # nearly exact
     theta = 1.0
-    sigma = sigma_update(x, h, w, theta)
-    rho = rho_step(x, h, w, sigma)
+    rho = first_step(x, h, w, theta=theta).rho
     assert np.all(rho <= -np.exp(-x.shape[0] / theta) * (1 - 1e-12))
 
 
@@ -161,8 +170,8 @@ def test_rho_step_formula_and_range():
     rng = np.random.default_rng(6)
     for _ in range(10):
         x, h, w = random_instance(rng)
-        sigma = sigma_update(x, h, w, 2.0)
-        rho = rho_step(x, h, w, sigma)
+        res = first_step(x, h, w, theta=2.0)
+        sigma, rho = res.sigma, res.rho
         r2 = np.sum((x - h @ w) ** 2, axis=1)
         assert np.allclose(rho, -np.exp(-r2 / (2 * sigma * sigma)), rtol=1e-12)
         assert np.all(rho < 0.0) and np.all(rho >= -1.0)
@@ -170,11 +179,12 @@ def test_rho_step_formula_and_range():
 
 def test_rho_step_never_reaches_zero():
     # a row with an astronomically large residual keeps a strictly
-    # negative weight (kernel floored at the smallest positive double)
+    # negative weight (kernel floored at the smallest positive double); the
+    # self-tuned sigma of a solve never gets this far, so sigma is fixed at 1
     x = np.array([[1e150, 1e150], [1.0, 1.0]])
     h = np.array([[1.0], [1.0]])
     w = np.array([[1.0, 1.0]])
-    rho = rho_step(x, h, w, 1.0)
+    rho = _rho(_row_sq(x, h, w)[0], 1.0)
     assert np.all(rho < 0.0)
     assert rho[0] == -np.finfo(np.float64).tiny
 
@@ -183,19 +193,8 @@ def test_rho_orders_rows_by_residual():
     rng = np.random.default_rng(7)
     x, h, w = random_instance(rng, d=6)
     x[2] += 5.0  # make row 2 the worst fit
-    sigma = sigma_update(x, h, w, 1.0)
-    rho = rho_step(x, h, w, sigma)
+    rho = first_step(x, h, w).rho
     assert np.argmax(rho) == 2 or np.argmin(-rho) == 2  # closest to zero
-
-
-def test_mcc_objective_matches_loop():
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        x, h, w = random_instance(rng)
-        sigma = 1.5
-        r2 = np.sum((x - h @ w) ** 2, axis=1)
-        expect = float(np.sum(np.exp(-r2 / (2 * sigma * sigma))))
-        assert mcc_objective(x, h, w, sigma) == pytest.approx(expect, rel=1e-12)
 
 
 def test_dual_objective_reduces_to_l2():
@@ -203,7 +202,7 @@ def test_dual_objective_reduces_to_l2():
     for _ in range(10):
         x, h, w = random_instance(rng)
         rho = -np.ones(x.shape[0])
-        assert dual_objective(x, h, w, rho) == pytest.approx(objective_l2(x, h, w), rel=1e-12)
+        assert dual_objective(x, h, w, rho) == pytest.approx(np.sum((x - h @ w) ** 2), rel=1e-12)
 
 
 def test_dual_objective_with_graph_term():
@@ -239,13 +238,13 @@ def test_rho_validation():
 
 
 def test_update_h_scaling_invariance_in_rho():
-    # only relative weights matter: scaling rho by c > 0 cancels exactly
-    # up to the epsilon guard, so use matched epsilon scaling
+    # only relative weights matter: scaling rho by c > 0 cancels up to the
+    # EPSILON guard, which is far below the denominators here
     rng = np.random.default_rng(13)
     x, h, w = random_instance(rng)
     rho = -rng.random(x.shape[0]) - 0.1
-    a = update_h(x, h, w, rho, epsilon=1e-12)
-    b = update_h(x, h, w, 7.0 * rho, epsilon=7.0 * 1e-12)
+    a = update_h(x, h, w, rho)
+    b = update_h(x, h, w, 7.0 * rho)
     assert np.allclose(a, b, rtol=1e-12)
 
 
@@ -494,7 +493,7 @@ def test_solve_trace_and_flags():
     assert not res.converged
     assert res.iterations_run == 40
     assert len(res.trace) == 41
-    assert res.trace[0] == pytest.approx(objective_l2(x, h0, w0), rel=1e-12)
+    assert res.trace[0] == pytest.approx(np.sum((x - h0 @ w0) ** 2), rel=1e-12)
     # a generous tolerance stops immediately
     loose = solve(x, None, SolverConfig(variant="l2", k=2, max_iter=40, tol=0.9), h0, w0)
     assert loose.converged and loose.iterations_run == 1
@@ -601,24 +600,29 @@ def test_planted_recovery_all_variants():
 
 
 def reference_solve(x, graph, cfg, h0, w0):
-    # The solver loop written over the public step functions: every residual
-    # recomputed by each one, the Laplacian rebuilt per objective.
+    # The solver loop over the public update_h, update_w and dual_objective,
+    # with the E-step and the KL divergence written out in numpy and every
+    # residual recomputed where it is read.
     d = x.shape[0]
     h, w = h0.copy(), w0.copy()
     alpha = cfg.alpha if cfg.variant in ("grnmf", "mccgr") else 0.0
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
     eps = EPSILON
-    rho = -np.ones(d)
-    sigma = sigma_update(x, h, w, cfg.theta, floor=eps)
-    if live_rho:
-        rho = rho_step(x, h, w, sigma)
+
+    def e_step(h_, w_):
+        r = x - h_ @ w_
+        r2 = np.einsum("ij,ij->i", r, r)
+        sigma_ = max(float(np.sqrt(cfg.theta * float(r2.sum()) / (2.0 * d))), eps)
+        rho_ = -np.maximum(np.exp(-r2 / (2.0 * sigma_ * sigma_)), np.finfo(np.float64).tiny)
+        return sigma_, rho_ if live_rho else -np.ones(d)
 
     def tracked(h_, w_, rho_):
         if kl:
-            return objective_kl(x, h_, w_)
+            return mask_kl_divergence(x, h_, w_)
         return dual_objective(x, h_, w_, rho_, alpha, graph)
 
+    sigma, rho = e_step(h, w)
     trace = [tracked(h, w, rho)]
     scale = abs(trace[0])
     converged = False
@@ -629,11 +633,9 @@ def reference_solve(x, graph, cfg, h0, w0):
             ratio = x / np.maximum(h @ w, eps)
             w = np.maximum(w * (h.T @ ratio) / (np.sum(h, axis=0)[:, None] + eps), 1e-16)
         else:
-            sigma = sigma_update(x, h, w, cfg.theta, floor=eps)
-            if live_rho:
-                rho = rho_step(x, h, w, sigma)
-            h = update_h(x, h, w, rho, eps)
-            w = update_w(x, h, w, rho, alpha, graph, eps)
+            sigma, rho = e_step(h, w)
+            h = update_h(x, h, w, rho)
+            w = update_w(x, h, w, rho, alpha, graph)
         value = tracked(h, w, rho)
         diff = abs(value - trace[-1])
         trace.append(value)
@@ -735,14 +737,13 @@ def test_squared_error_kernels_agree_with_the_weighted_copy_forms(problem):
     neg = -rho
     alpha = float(rng.uniform(0.1, 100.0))
     graph = weighted_graph(rng, n)
-    eps = 1e-12
     nx = neg[:, None] * x
 
-    expect = reference_update_h(nx, h, w, neg, eps)
-    np.testing.assert_allclose(update_h(x, h, w, rho, eps), expect, rtol=1e-12, atol=0)
+    expect = reference_update_h(nx, h, w, neg, EPSILON)
+    np.testing.assert_allclose(update_h(x, h, w, rho), expect, rtol=1e-12, atol=0)
     for a, g in ((0.0, None), (alpha, graph)):
-        expect = reference_update_w(nx, h, w, neg, a, g, eps)
-        np.testing.assert_allclose(update_w(x, h, w, rho, a, g, eps), expect, rtol=1e-12, atol=0)
+        expect = reference_update_w(nx, h, w, neg, a, g, EPSILON)
+        np.testing.assert_allclose(update_w(x, h, w, rho, a, g), expect, rtol=1e-12, atol=0)
 
     fit = reference_weighted_fit(x - h @ w, neg)
     assert dual_objective(x, h, w, rho) == pytest.approx(fit, rel=1e-12)
