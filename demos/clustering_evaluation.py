@@ -31,7 +31,7 @@ centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
 points = np.vstack([c + rng.normal(0, 0.4, size=(30, 2)) for c in centers]).T
 true = np.repeat(np.arange(3), 30)
 clus = kmeans(points, 3, seed=0)
-print(f"k-means inertia {clus.inertia:.2f}, restarts used {clus.restarts_used}")
+print(f"k-means inertia {clus.inertia:.2f}")
 rep = accuracy(clus.assignments, true)
 print(f"accuracy after matching {rep.accuracy:.3f}")
 print()

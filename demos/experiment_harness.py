@@ -1,18 +1,18 @@
-"""A full spec-driven experiment: grid, artifacts, and the alpha sweep.
+"""A full spec-driven experiment: grid, alpha sweep, and artifacts.
 
 One spec pins everything a rerun needs: dataset paths, cluster counts,
-variant settings, repeat count, and the base seed. Repeat r of every
-variant shares one seed (base_seed + r), one sampled subset, one graph,
-and one random initialization, so variants differ only in the update
-rule. Everything lands in CSV and JSON files that are byte-identical
-across reruns.
+variant settings, repeat count, the base seed and the sweep's alphas.
+Repeat r of every variant shares one seed (base_seed + r), one sampled
+subset, one graph, and one random initialization, so variants differ only
+in the update rule. One call runs the grid and the sweep; everything lands
+in CSV and JSON files that are byte-identical across reruns.
 """
 
 import json
 import os
 import tempfile
 
-from mccgr import ExperimentSpec, alpha_sweep, emit_report, run_experiment, save_csv, save_labels
+from mccgr import ExperimentSpec, emit_report, run_experiment, save_csv, save_labels
 from mccgr.cli import main
 from mccgr.harness import make_synthetic
 
@@ -45,11 +45,19 @@ with tempfile.TemporaryDirectory(prefix="mccgr_demo_") as work:
         )
     spec = ExperimentSpec.from_json(spec_path)
 
+    # The grid and the sweep in one pass over the cells.
     aggregate, records = run_experiment(spec)
     print(f"{'variant':8s} {'k':>2s} {'accuracy':>16s} {'nmi':>16s}")
     for row in aggregate.rows:
         print(f"{row.variant:8s} {row.k:2d} {row.mean_accuracy:8.3f} +/- {row.std_accuracy:5.3f} "
               f"{row.mean_nmi:8.3f} +/- {row.std_nmi:5.3f}")
+    print()
+
+    # The sweep runs the first mccgr entry at each alpha in the k=2 cells;
+    # clustering quality should barely move across two orders of magnitude.
+    print("alpha sweep (k=2):")
+    for alpha, acc in aggregate.sweep:
+        print(f"  alpha {alpha:8.1f}  mean accuracy {acc:.3f}")
     print()
 
     out_dir = os.path.join(work, "report")
@@ -61,24 +69,18 @@ with tempfile.TemporaryDirectory(prefix="mccgr_demo_") as work:
             print(f"  {rel}")
     print()
 
-    # The sweep reruns the protocol at k=2 for each alpha; clustering
-    # quality should barely move across four orders of magnitude.
-    print("alpha sweep (k=2):")
-    for alpha, acc in alpha_sweep(spec):
-        print(f"  alpha {alpha:8.1f}  mean accuracy {acc:.3f}")
-    print()
-
     with open(os.path.join(out_dir, "summary.json"), "r", encoding="utf-8") as fh:
         summary = json.load(fh)
     print(f"summary.json keys: {sorted(summary)}")
     print()
 
-    # The same run from a shell, here through the CLI's entry point. It
-    # writes the same files again, plus alpha_sweep.csv.
+    # The same run from a shell, here through the CLI's entry point, which
+    # makes the same two calls and writes the same files again.
     cli_out = os.path.join(work, "cli_report")
     argv = ["experiment", "--spec", spec_path, "--out-dir", cli_out]
     print("the same run, from a shell:")
     print("  mccgr " + " ".join(argv))
     assert main(argv) == 0
-    with open(os.path.join(out_dir, "runs.csv"), "rb") as a, open(os.path.join(cli_out, "runs.csv"), "rb") as b:
-        print(f"runs.csv byte-identical to the library run: {a.read() == b.read()}")
+    for name in ("runs.csv", "alpha_sweep.csv"):
+        with open(os.path.join(out_dir, name), "rb") as a, open(os.path.join(cli_out, name), "rb") as b:
+            print(f"{name} byte-identical to the library run: {a.read() == b.read()}")

@@ -35,7 +35,6 @@ from .harness import (
     AggregateReport,
     ExperimentSpec,
     RunRecord,
-    alpha_sweep,
     emit_report,
     make_synthetic,
     run_experiment,
@@ -61,7 +60,6 @@ __all__ = [
     "SolverConfig",
     "VARIANTS",
     "accuracy",
-    "alpha_sweep",
     "build_knn_affinity",
     "dual_gradient_h",
     "dual_gradient_w",

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import MISSING, fields
 
@@ -15,15 +14,7 @@ from .errors import DataError, NumericalError
 from .evaluation import evaluate
 from .factorization import VARIANTS, SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
-from .harness import (
-    ExperimentSpec,
-    _run_spec,
-    _sweep_table,
-    emit_report,
-    make_synthetic,
-    write_alpha_sweep,
-    write_trace,
-)
+from .harness import ExperimentSpec, emit_report, make_synthetic, run_experiment, write_trace
 from .matrix import load_csv, load_labels, read_matrix, save_csv, save_labels
 
 
@@ -141,11 +132,8 @@ def _cmd_experiment(args) -> int:
     out_dir = args.out_dir or spec.output_dir
     if not out_dir:
         raise DataError("no output directory: pass --out-dir or set output_dir in the spec")
-    # The alpha sweep shares the grid's load, k=2 cells and runs.
-    aggregate, records, sweep = _run_spec(spec)
+    aggregate, records = run_experiment(spec)
     emit_report(aggregate, records, out_dir)
-    if spec.alpha_sweep:
-        write_alpha_sweep(_sweep_table(sweep), os.path.join(out_dir, "alpha_sweep.csv"))
     for row in aggregate.rows:
         print(
             f"k={row.k} {row.variant}: accuracy {row.mean_accuracy:.4f} "

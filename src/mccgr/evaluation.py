@@ -32,7 +32,6 @@ class Clustering:
     assignments: np.ndarray
     centroids: np.ndarray
     inertia: float
-    restarts_used: int
 
 
 @dataclass
@@ -145,7 +144,6 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> Clustering:
         assignments=best[0].astype(np.int64),
         centroids=best[1],
         inertia=best[2],
-        restarts_used=restarts,
     )
 
 

@@ -4,10 +4,12 @@ The protocol: for each requested cluster count k and repeat r, sample k
 label categories with seed base_seed + r, restrict the dataset to those
 columns, build one affinity graph, draw one (H0, W0) pair, and run every
 variant from those identical starting conditions. An alpha sweep adds the
-first mccgr entry at each sweep alpha as more runs of the k=2 cells. Each
-cell is set up once and each distinct run in it is solved once, a run the
-grid and the sweep share included. Per-run metrics land in RunRecords;
-per-(variant, k) means and deviations in an AggregateReport.
+first mccgr entry at each sweep alpha as more runs of the k=2 cells.
+run_experiment is the one way to run a spec: it sets each cell up once and
+solves each distinct run in it once, a run the grid and the sweep share
+included. Per-run metrics land in RunRecords; per-(variant, k) means and
+deviations, and the sweep's mean accuracy per alpha, in an AggregateReport,
+which emit_report writes out.
 
 All emitted artifacts are deterministic functions of the spec file and the
 dataset; no wall-clock time is recorded.
@@ -37,7 +39,6 @@ __all__ = [
     "AggregateRow",
     "ExperimentSpec",
     "RunRecord",
-    "alpha_sweep",
     "emit_report",
     "make_synthetic",
     "run_experiment",
@@ -187,6 +188,8 @@ class AggregateRow:
 @dataclass(frozen=True)
 class AggregateReport:
     rows: tuple[AggregateRow, ...]
+    # (alpha, mean k=2 accuracy) per sweep alpha, ascending; () for no sweep.
+    sweep: tuple[tuple[float, float], ...]
 
     def cell(self, variant: str, k: int) -> AggregateRow | None:
         for row in self.rows:
@@ -218,68 +221,32 @@ def sample_categories(labels, k: int, seed: int) -> np.ndarray:
 
 
 def run_experiment(spec: ExperimentSpec):
-    """Execute the full (k, repeat, variant) grid.
+    """Run everything the spec asks for in one pass over its cells.
 
-    Returns (AggregateReport, list[RunRecord]). A variant that fails inside
-    a cell with DataError or NumericalError is warned about and excluded
-    from aggregation; it never aborts the other variants. Any other
-    exception is a programming error and propagates. A k above the labels'
-    category count, or a knn not below a cell's sample count, is a
-    DataError raised before the first run.
+    The grid is every (k, repeat, variant) run. An alpha sweep adds the
+    first mccgr entry's settings (not its name; mccgr's defaults when there
+    is no such entry) at each spec.alpha_sweep value, as more runs of the
+    k=2 cells. The dataset is loaded once; each cell builds its graph and
+    (H0, W0) once and solves each distinct config once, a run the grid and
+    the sweep share included.
+
+    Returns (AggregateReport, list[RunRecord]). AggregateReport.sweep holds
+    (alpha, mean k=2 accuracy) in ascending alpha order, and is empty when
+    the spec lists no sweep values. A run that fails with DataError or
+    NumericalError is warned about and left out of aggregation; it never
+    aborts the other runs. Any other exception is a programming error and
+    propagates. A k above the labels' category count, or a knn not below a
+    cell's sample count, is a DataError raised before the first run; a
+    sweep alpha with no successful run is one raised after the last.
     """
-    aggregate, records, _ = _run_grid(spec, _load(spec), spec.k_range, ())
-    return aggregate, records
-
-
-def _run_spec(spec: ExperimentSpec):
-    # Everything `mccgr experiment` computes, on one load: the grid and, when
-    # the spec lists sweep values, the alpha sweep, which shares the grid's
-    # k=2 cells and any run the grid already made. Returns (aggregate,
-    # records, sweep); _sweep_table turns sweep into alpha_sweep's table.
-    return _run_grid(spec, _load(spec), spec.k_range, spec.alpha_sweep)
-
-
-def _load(spec: ExperimentSpec):
     dataset = load_csv(spec.features_path, spec.labels_path)
     if dataset.labels is None:
         raise DataError("experiments need labeled data")
-    return dataset
-
-
-def _samples(spec: ExperimentSpec, dataset, ks, sweep: bool):
-    # Every cell's sampled columns, keyed by (k, repeat r), in the order
-    # _run_grid runs them: the grid's ks, then, for a sweep, k=2 unless the
-    # grid has it. They are drawn before the first run, so a spec that asks
-    # more of the data than it holds fails before any solve.
-    classes = np.unique(dataset.labels).size
-    samples = {}
-    for key, k in [("k_range", k) for k in ks] + ([("alpha_sweep", 2)] if sweep else []):
-        if k > classes:
-            raise DataError(f"spec key '{key}': cannot sample {k} categories from the {classes} in the labels")
-        for r in range(spec.repeats):
-            if (k, r) not in samples:
-                samples[k, r] = sample_categories(dataset.labels, k, spec.base_seed + r)
-            size = samples[k, r].size
-            if spec.knn >= size:
-                raise DataError(
-                    f"spec key 'knn' must be below every cell's sample count, got {spec.knn} "
-                    f"for the {size} samples at k={k} repeat {r}"
-                )
-    return samples
-
-
-def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
-    # One pass over the cells _samples draws, in its order. Each cell builds
-    # its graph and (h0, w0) once, then asks for its runs: spec.variants when
-    # its k is in ks and, at k=2, the first mccgr entry's settings (not its
-    # name) at every alpha in alphas. A config asked for twice in a cell is
-    # solved once; a failed one is warned about once per request. Nothing of
-    # a cell outlives it. Returns (aggregate, records, [(alpha, accuracies)]).
-    samples = _samples(spec, dataset, ks, bool(alphas))
+    samples = _samples(spec, dataset)
     names = [_variant_name(entry) for entry in spec.variants]
     mccgr_entries = [_solver_settings(entry) for entry in spec.variants if entry["variant"].lower() == "mccgr"]
     base = mccgr_entries[0] if mccgr_entries else {"variant": "mccgr"}
-    sweep = {float(alpha): [] for alpha in sorted(alphas)}
+    sweep = {float(alpha): [] for alpha in sorted(spec.alpha_sweep)}
     records: list[RunRecord] = []
     for (k, r), columns in samples.items():
         x = dataset.matrix[:, columns]
@@ -288,12 +255,14 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
         init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
         # The cell's runs in order, as (name, config, sweep alpha or None).
         runs = []
-        if k in ks:
+        if k in spec.k_range:
             runs += [(name, SolverConfig(k=k, **_solver_settings(e)), None) for name, e in zip(names, spec.variants)]
         if k == 2:
             runs += [(_variant_name(base), SolverConfig(k=2, **dict(base, alpha=a)), a) for a in sweep]
         # Outcomes keyed by config fields; a DataError or NumericalError is
-        # the outcome of a failed run.
+        # the outcome of a failed run. A config asked for twice in a cell is
+        # solved once; a failed one is warned about once per request. Nothing
+        # of a cell outlives it.
         outcomes = {}
         for name, cfg, alpha in runs:
             key = astuple(cfg)
@@ -307,8 +276,8 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
                     outcomes[key] = exc
             outcome = outcomes[key]
             if isinstance(outcome, Exception):
-                # Names the caller of run_experiment, alpha_sweep or _run_spec.
-                warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {outcome}", stacklevel=3)
+                # Names the caller of run_experiment.
+                warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {outcome}", stacklevel=2)
             elif alpha is not None:
                 sweep[alpha].append(outcome[1].accuracy)
             else:
@@ -327,10 +296,37 @@ def _run_grid(spec: ExperimentSpec, dataset, ks, alphas):
                         trace=result.trace,
                     )
                 )
-    return _aggregate(records, names, spec.k_range), records, list(sweep.items())
+    for alpha, accuracies in sweep.items():
+        if not accuracies:
+            raise DataError(f"alpha sweep produced no successful runs at alpha={alpha}")
+    table = tuple((alpha, float(np.array(accuracies).mean())) for alpha, accuracies in sweep.items())
+    return AggregateReport(rows=_aggregate(records, names, spec.k_range), sweep=table), records
 
 
-def _aggregate(records, names, k_range) -> AggregateReport:
+def _samples(spec: ExperimentSpec, dataset):
+    # Every cell's sampled columns, keyed by (k, repeat r), in the order
+    # run_experiment runs them: the spec's k_range, then, for a sweep, k=2
+    # unless k_range has it. They are drawn before the first run, so a spec
+    # that asks more of the data than it holds fails before any solve.
+    classes = np.unique(dataset.labels).size
+    samples = {}
+    asks = [("k_range", k) for k in spec.k_range] + ([("alpha_sweep", 2)] if spec.alpha_sweep else [])
+    for key, k in asks:
+        if k > classes:
+            raise DataError(f"spec key '{key}': cannot sample {k} categories from the {classes} in the labels")
+        for r in range(spec.repeats):
+            if (k, r) not in samples:
+                samples[k, r] = sample_categories(dataset.labels, k, spec.base_seed + r)
+            size = samples[k, r].size
+            if spec.knn >= size:
+                raise DataError(
+                    f"spec key 'knn' must be below every cell's sample count, got {spec.knn} "
+                    f"for the {size} samples at k={k} repeat {r}"
+                )
+    return samples
+
+
+def _aggregate(records, names, k_range) -> tuple[AggregateRow, ...]:
     rows = []
     for k in k_range:
         for name in names:
@@ -350,31 +346,7 @@ def _aggregate(records, names, k_range) -> AggregateReport:
                     repeats=len(cell),
                 )
             )
-    return AggregateReport(rows=tuple(rows))
-
-
-def alpha_sweep(spec: ExperimentSpec):
-    """Mean accuracy at k=2 for each alpha in spec.alpha_sweep.
-
-    The sweep reruns the full repeat protocol per alpha on the graph-
-    regularized correntropy variant (settings borrowed from the first such
-    entry in spec.variants when present). Returns [(alpha, mean_accuracy)]
-    in ascending alpha order. The dataset is loaded once, and each repeat's
-    sample, graph and initialization are built once, for the whole sweep.
-    """
-    if not spec.alpha_sweep:
-        raise DataError("spec has no alpha_sweep values")
-    _, _, sweep = _run_grid(spec, _load(spec), (), spec.alpha_sweep)
-    return _sweep_table(sweep)
-
-
-def _sweep_table(sweep):
-    table = []
-    for alpha, accuracies in sweep:
-        if not accuracies:
-            raise DataError(f"alpha sweep produced no successful runs at alpha={alpha}")
-        table.append((alpha, float(np.array(accuracies).mean())))
-    return table
+    return tuple(rows)
 
 
 def write_alpha_sweep(table, path) -> None:
@@ -393,13 +365,15 @@ def write_trace(trace, path) -> None:
 
 
 def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
-    """Write accuracy/NMI tables, per-run records, traces, and summary.json.
+    """Write accuracy/NMI tables, per-run records, traces, summary.json and,
+    for a sweep, alpha_sweep.csv.
 
     Layout under out_dir:
       accuracy_table.csv   k x variant mean accuracies
       nmi_table.csv        k x variant mean NMI
       runs.csv             one row per successful run
       summary.json         aggregate rows
+      alpha_sweep.csv      alpha,mean_accuracy; only when aggregate.sweep is non-empty
       traces/<variant>_k<k>_r<repeat>.csv   iteration,objective
     """
     if not records:
@@ -456,6 +430,8 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
+    if aggregate.sweep:
+        write_alpha_sweep(aggregate.sweep, os.path.join(out_dir, "alpha_sweep.csv"))
 
 
 def make_synthetic(

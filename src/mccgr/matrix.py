@@ -57,15 +57,13 @@ class LabeledDataset:
             object.__setattr__(self, "labels", y)
 
 
-def read_matrix(path, allow_negative: bool = False) -> np.ndarray:
-    """Read a headerless comma-separated matrix of floats.
+def read_matrix(path) -> np.ndarray:
+    """Read a headerless comma-separated matrix of non-negative floats.
 
-    Errors carry 1-based row/column positions. Negative entries are
-    rejected unless `allow_negative` is set (most consumers here are
-    non-negative by construction; Laplacians and the like opt out).
+    Errors carry 1-based row/column positions; a negative entry is one.
 
     The file is parsed in C by np.loadtxt first. When that parse fails, or
-    finds no rows, a non-finite entry or a disallowed negative one, the file
+    finds no rows, a non-finite entry or a negative one, the file
     is scanned again cell by cell with float(), which either pins the error
     to its row and column or accepts what float() accepts and numpy does not
     (whitespace-only lines, underscores in digits, non-ASCII digits). Both
@@ -84,13 +82,13 @@ def read_matrix(path, allow_negative: bool = False) -> np.ndarray:
             except ValueError:
                 pass
             else:
-                if m.size and np.all(np.isfinite(m)) and (allow_negative or not np.any(m < 0)):
+                if m.size and np.all(np.isfinite(m)) and not np.any(m < 0):
                     return m
             fh.seek(0)
-        return _scan_cells(fh, path, allow_negative)
+        return _scan_cells(fh, path)
 
 
-def _scan_cells(fh, path, allow_negative: bool) -> np.ndarray:
+def _scan_cells(fh, path) -> np.ndarray:
     rows: list[list[float]] = []
     width = -1
     for i, line in enumerate(fh):
@@ -116,7 +114,7 @@ def _scan_cells(fh, path, allow_negative: bool) -> np.ndarray:
                 raise DataError(
                     f"{path}: non-finite cell at row {i + 1}, column {j + 1}"
                 )
-            if v < 0 and not allow_negative:
+            if v < 0:
                 raise DataError(
                     f"{path}: negative entry at row {i + 1}, column {j + 1}: {cell.strip()!r}"
                 )

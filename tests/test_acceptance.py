@@ -16,7 +16,6 @@ import numpy as np
 from mccgr import (
     ExperimentSpec,
     SolverConfig,
-    alpha_sweep,
     build_knn_affinity,
     dual_gradient_h,
     dual_gradient_w,
@@ -331,7 +330,7 @@ def test_criterion_08_alpha_robustness(tmp_path):
             knn=5,
             alpha_sweep=(1.0, 10.0, 100.0, 1000.0, 10000.0),
         )
-        table = alpha_sweep(spec)
+        table = run_experiment(spec)[0].sweep
         assert [alpha for alpha, _ in table] == [1.0, 10.0, 100.0, 1000.0, 10000.0]
         accs = [acc for _, acc in table]
         assert max(accs) - min(accs) < 0.15

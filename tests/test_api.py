@@ -1,5 +1,6 @@
 """The package's public names: each one resolves, and the retired ones stay gone."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -7,13 +8,14 @@ import pkgutil
 import pytest
 
 import mccgr
-from mccgr import factorization
+from mccgr import cli
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mccgr.__path__))
 
-# Wrappers around the solver's E-step and objective kernels that nothing
-# but tests read; solve runs the kernels themselves.
-RETIRED = ("sigma_update", "rho_step", "mcc_objective", "objective_l2", "objective_kl")
+# Names that nothing but tests read: wrappers around the solver's E-step and
+# objective kernels, which solve runs itself, and the sweep-only runner,
+# whose table run_experiment returns as AggregateReport.sweep.
+RETIRED = ("sigma_update", "rho_step", "mcc_objective", "objective_l2", "objective_kl", "alpha_sweep")
 
 
 def test_star_import_gives_every_listed_name():
@@ -37,9 +39,22 @@ def test_every_package_name_is_an_attribute():
 
 @pytest.mark.parametrize("name", RETIRED)
 def test_retired_wrappers_are_gone(name):
-    assert not hasattr(mccgr, name)
-    assert not hasattr(factorization, name)
-    assert name not in mccgr.__all__ and name not in factorization.__all__
+    assert not hasattr(mccgr, name) and name not in mccgr.__all__
+    for module in MODULES:
+        module = importlib.import_module(f"mccgr.{module}")
+        assert not hasattr(module, name) and name not in getattr(module, "__all__", ())
+
+
+def test_the_cli_imports_only_public_names():
+    # The CLI is a client of the library: it uses what any caller can.
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(inspect.getsource(cli)))
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mccgr")
+        for alias in node.names
+    ]
+    assert "ExperimentSpec" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 @pytest.mark.parametrize("step", [mccgr.update_h, mccgr.update_w])

@@ -14,7 +14,6 @@ import mccgr
 from mccgr import (
     DataError,
     ExperimentSpec,
-    alpha_sweep,
     emit_report,
     make_synthetic,
     run_experiment,
@@ -253,6 +252,27 @@ def test_experiment_rejects_a_spec_the_data_cannot_serve_before_any_solve(tmp_pa
     assert solves == []
 
 
+def test_a_sweep_alpha_without_a_successful_run_writes_no_report(tmp_path, capsys, monkeypatch):
+    # Every k=2 run fails, so the sweep's alpha 10 has no accuracy to average,
+    # while the k=3 grid cells succeed and alone would make a report.
+    spec_path = write_spec_file(tmp_path, small_spec(tmp_path, alpha_sweep=(10.0,)))
+    real_solve = mccgr.harness.solve
+
+    def fail_k2(x, graph, cfg, h0, w0, **kwargs):
+        if cfg.k == 2:
+            raise mccgr.NumericalError("synthetic failure")
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", fail_k2)
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="synthetic failure"):
+        code = cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out / "report")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "mccgr: alpha sweep produced no successful runs at alpha=10.0\n"
+    assert not out.exists()
+
+
 def test_run_experiment_grid_and_shared_inits(tmp_path):
     spec = small_spec(tmp_path)
     aggregate, records = run_experiment(spec)
@@ -342,7 +362,8 @@ def test_failed_run_warning_names_the_caller(tmp_path, monkeypatch):
     monkeypatch.setattr(mccgr.harness, "solve", fail_repeat_0)
     with pytest.warns(UserWarning, match="synthetic failure") as caught:
         run_experiment(spec)
-        alpha_sweep(spec)
+    # l2 and mccgr at repeat 0, the sweep's alpha 1 reusing mccgr's failed
+    # run, and its alpha 10.
     assert len(caught) == 4
     assert {w.filename for w in caught} == {__file__}
 
@@ -361,8 +382,8 @@ def test_dataset_loaded_once_per_grid_and_per_sweep(tmp_path, monkeypatch):
     assert len(loads) == 1
     for alphas in [(1.0,), (0.1, 1.0, 10.0, 100.0)]:
         loads.clear()
-        table = alpha_sweep(replace(spec, alpha_sweep=alphas))
-        assert len(table) == len(alphas)
+        aggregate, _ = run_experiment(replace(spec, alpha_sweep=alphas))
+        assert len(aggregate.sweep) == len(alphas)
         assert len(loads) == 1
 
 
@@ -373,12 +394,12 @@ def test_alpha_sweep_table(tmp_path):
         alpha_sweep=(10.0, 0.1, 1.0),
         repeats=2,
     )
-    table = alpha_sweep(spec)
+    table = run_experiment(spec)[0].sweep
     assert [alpha for alpha, _ in table] == [0.1, 1.0, 10.0]
     assert all(0.0 <= acc <= 1.0 for _, acc in table)
-    assert table == alpha_sweep(spec)
-    with pytest.raises(DataError, match="alpha_sweep"):
-        alpha_sweep(small_spec(tmp_path))
+    assert table == run_experiment(spec)[0].sweep
+    assert table == sweep_oracle(spec)
+    assert run_experiment(small_spec(tmp_path))[0].sweep == ()
 
 
 def test_write_alpha_sweep_format(tmp_path):
@@ -510,7 +531,6 @@ def test_experiment_sweep_shares_the_grid_cells_and_runs(tmp_path, monkeypatch):
     # experiment builds each k=2 graph once and solves that config once.
     spec = small_spec(tmp_path, alpha_sweep=(10.0, 1.0))
     aggregate, records = run_experiment(spec)
-    table = alpha_sweep(spec)
     spec_path = write_spec_file(tmp_path, spec)
     loads = counting(monkeypatch, "load_csv")
     graphs = counting(monkeypatch, "build_knn_affinity")
@@ -522,19 +542,16 @@ def test_experiment_sweep_shares_the_grid_cells_and_runs(tmp_path, monkeypatch):
     assert len(graphs) == 4
     # 8 grid runs plus alpha 10 at k=2; alpha 1 is the grid's own run.
     assert len(solves) == 10
-    expect = tmp_path / "expect.csv"
-    write_alpha_sweep(table, expect)
-    assert (out / "alpha_sweep.csv").read_bytes() == expect.read_bytes()
     reference = tmp_path / "reference"
     emit_report(aggregate, records, reference)
-    for name in ("accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json"):
+    for name in ("accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json", "alpha_sweep.csv"):
         assert (out / name).read_bytes() == (reference / name).read_bytes()
-    assert dict(table)[1.0] == aggregate.cell("mccgr", 2).mean_accuracy
+    assert dict(aggregate.sweep)[1.0] == aggregate.cell("mccgr", 2).mean_accuracy
+    assert aggregate.sweep == sweep_oracle(spec)
 
 
 def test_experiment_sweep_without_k2_in_the_grid(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, k_range=(3,), alpha_sweep=(1.0, 10.0))
-    table = alpha_sweep(spec)
     spec_path = write_spec_file(tmp_path, spec)
     graphs = counting(monkeypatch, "build_knn_affinity")
     solves = counting(monkeypatch, "solve")
@@ -544,7 +561,7 @@ def test_experiment_sweep_without_k2_in_the_grid(tmp_path, monkeypatch):
     assert len(graphs) == 4
     assert len(solves) == 4 + 4
     expect = tmp_path / "expect.csv"
-    write_alpha_sweep(table, expect)
+    write_alpha_sweep(sweep_oracle(spec), expect)
     assert (out / "alpha_sweep.csv").read_bytes() == expect.read_bytes()
 
 
@@ -596,6 +613,17 @@ def test_each_cell_runs_all_its_solves_before_the_next_graph(tmp_path, monkeypat
     assert [len(cell) - 1 for cell in cells] == [2, 2, 3, 3]
 
 
+def sweep_oracle(spec):
+    # The sweep as its own k=2 grids, one per alpha, each of the first mccgr
+    # entry alone at that alpha: the table the one pass must reproduce.
+    entry = next({key: v for key, v in e.items() if key != "name"} for e in spec.variants if e["variant"] == "mccgr")
+    table = []
+    for alpha in sorted(spec.alpha_sweep):
+        grid = replace(spec, k_range=(2,), variants=(dict(entry, alpha=alpha),), alpha_sweep=())
+        table.append((float(alpha), run_experiment(grid)[0].cell("mccgr", 2).mean_accuracy))
+    return tuple(table)
+
+
 def distinct_runs(spec):
     # Distinct (cell, config) pairs the grid and the sweep ask for.
     entries = [{key: v for key, v in entry.items() if key != "name"} for entry in spec.variants]
@@ -619,9 +647,9 @@ def test_experiment_command_equals_the_library_calls(tmp_path, k_range, alphas):
     spec = small_spec(tmp_path, k_range=tuple(k_range), alpha_sweep=tuple(alphas))
     work = tempfile.mkdtemp(dir=tmp_path)
     reference = os.path.join(work, "reference")
-    emit_report(*run_experiment(spec), reference)
+    emit_report(*run_experiment(replace(spec, alpha_sweep=())), reference)
     if alphas:
-        write_alpha_sweep(alpha_sweep(spec), os.path.join(reference, "alpha_sweep.csv"))
+        write_alpha_sweep(sweep_oracle(spec), os.path.join(reference, "alpha_sweep.csv"))
     spec_path = write_spec_file(tmp_path, spec)
     out = os.path.join(work, "out")
     with pytest.MonkeyPatch.context() as patch:

@@ -80,8 +80,9 @@ def test_read_matrix_negative_gate(tmp_path):
     path.write_text("1,-2\n3,4\n")
     with pytest.raises(DataError, match="row 1, column 2"):
         read_matrix(path)
-    m = read_matrix(path, allow_negative=True)
-    assert m[0, 1] == -2.0
+    path.write_text("1,2\n3,-0.0\n5,-1e-300\n")
+    with pytest.raises(DataError, match="row 3, column 2"):
+        read_matrix(path)
 
 
 def test_read_matrix_empty_file(tmp_path):
@@ -178,20 +179,18 @@ def reference_read_matrix(path, allow_negative=False):
     return np.array(rows, dtype=np.float64)
 
 
-def outcome(read, path, allow_negative):
+def outcome(read, path):
     # (dtype, shape, bytes) of the array, or (type, message) of the exception
     try:
-        m = read(path, allow_negative=allow_negative)
+        m = read(path)
     except Exception as e:  # noqa: BLE001 - the type itself is compared
         return type(e), str(e)
     return m.dtype, m.shape, m.tobytes()
 
 
 def assert_reads_like_reference(path):
-    for allow_negative in (False, True):
-        assert outcome(read_matrix, path, allow_negative) == outcome(
-            reference_read_matrix, path, allow_negative
-        )
+    # read_matrix has only the reference's default branch: negatives rejected.
+    assert outcome(read_matrix, path) == outcome(reference_read_matrix, path)
 
 
 FIXTURE_SETTINGS = settings(
