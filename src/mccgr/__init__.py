@@ -39,7 +39,6 @@ from .harness import (
     make_synthetic,
     run_experiment,
     sample_categories,
-    write_alpha_sweep,
 )
 from .matrix import LabeledDataset, load_csv, load_labels, read_matrix, save_csv, save_labels
 
@@ -84,5 +83,4 @@ __all__ = [
     "solve",
     "update_h",
     "update_w",
-    "write_alpha_sweep",
 ]

@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a spec-driven experiment grid")
     p.add_argument("--spec", required=True, help="experiment spec JSON")
-    p.add_argument("--out-dir", default=None, help="overrides output_dir from the spec")
+    p.add_argument("--out-dir", required=True, help="report directory")
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
@@ -128,18 +128,14 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    spec = ExperimentSpec.from_json(args.spec)
-    out_dir = args.out_dir or spec.output_dir
-    if not out_dir:
-        raise DataError("no output directory: pass --out-dir or set output_dir in the spec")
-    aggregate, records = run_experiment(spec)
-    emit_report(aggregate, records, out_dir)
+    aggregate, records = run_experiment(ExperimentSpec.from_json(args.spec))
+    emit_report(aggregate, records, args.out_dir)
     for row in aggregate.rows:
         print(
             f"k={row.k} {row.variant}: accuracy {row.mean_accuracy:.4f} "
             f"(+/- {row.std_accuracy:.4f}), nmi {row.mean_nmi:.4f}"
         )
-    print(f"report written to {out_dir}")
+    print(f"report written to {args.out_dir}")
     return 0
 
 

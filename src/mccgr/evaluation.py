@@ -14,6 +14,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError
+from .factorization import _check_seed
 
 __all__ = [
     "Clustering",
@@ -131,6 +132,7 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> Clustering:
         raise DataError(f"k={k} exceeds the number of points {n}")
     if restarts < 1:
         raise DataError(f"restarts must be >= 1, got {restarts}")
+    _check_seed(seed)
 
     p2 = np.sum(points * points, axis=0)
     rng = np.random.default_rng(seed)

@@ -117,6 +117,13 @@ def _check_number(name, value, kind):
         raise DataError(f"{name} must be {expected}, got {value!r}")
 
 
+def _check_seed(seed) -> None:
+    # Every seeded entry point's check; numpy's own error names no argument.
+    _check_number("seed", seed, numbers.Integral)
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+
+
 def init_factors(x, k: int, seed: int):
     """Seeded starting factors (h0, w0) for a (D, N) data matrix.
 
@@ -129,6 +136,7 @@ def init_factors(x, k: int, seed: int):
     _check_number("k", k, numbers.Integral)
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     h0 = 1.0 - rng.random((shape[0], k))
     w0 = 1.0 - rng.random((k, shape[1]))

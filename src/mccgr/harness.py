@@ -7,9 +7,9 @@ variant from those identical starting conditions. An alpha sweep adds the
 first mccgr entry at each sweep alpha as more runs of the k=2 cells.
 run_experiment is the one way to run a spec: it sets each cell up once and
 solves each distinct run in it once, a run the grid and the sweep share
-included. Per-run metrics land in RunRecords; per-(variant, k) means and
-deviations, and the sweep's mean accuracy per alpha, in an AggregateReport,
-which emit_report writes out.
+included. Per-run metrics land in RunRecords; the spec's variant order,
+per-(variant, k) means and deviations, and the sweep's mean accuracy per
+alpha in an AggregateReport, which alone sets the layout emit_report writes.
 
 All emitted artifacts are deterministic functions of the spec file and the
 dataset; no wall-clock time is recorded.
@@ -24,15 +24,15 @@ import numbers
 import os
 import re
 import warnings
-from dataclasses import MISSING, astuple, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .evaluation import evaluate
-from .factorization import SolverConfig, _check_number, init_factors, solve
+from .factorization import SolverConfig, _check_number, _check_seed, init_factors, solve
 from .graph import MODES, build_knn_affinity
-from .matrix import load_csv
+from .matrix import _open_text, load_csv
 
 __all__ = [
     "AggregateReport",
@@ -43,7 +43,6 @@ __all__ = [
     "make_synthetic",
     "run_experiment",
     "sample_categories",
-    "write_alpha_sweep",
     "write_trace",
 ]
 
@@ -74,12 +73,11 @@ class ExperimentSpec:
     knn: int = 5
     knn_mode: str = "mutual"
     kmeans_restarts: int = 10
-    output_dir: str | None = None
 
     def __post_init__(self):
-        for key in ("features_path", "labels_path", "output_dir"):
+        for key in ("features_path", "labels_path"):
             value = getattr(self, key)
-            if not isinstance(value, str) and not (key == "output_dir" and value is None):
+            if not isinstance(value, str):
                 raise DataError(f"spec key '{key}' must be a string, got {value!r}")
         for key in ("k_range", "variants", "alpha_sweep"):
             value = getattr(self, key)
@@ -135,7 +133,7 @@ class ExperimentSpec:
         The dataset paths resolve against the file's directory. The
         constructor checks the values; its errors are prefixed with the path.
         """
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             try:
                 raw = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -187,15 +185,11 @@ class AggregateRow:
 
 @dataclass(frozen=True)
 class AggregateReport:
+    # The spec's variant names in spec order, failed ones included.
+    variants: tuple[str, ...]
     rows: tuple[AggregateRow, ...]
     # (alpha, mean k=2 accuracy) per sweep alpha, ascending; () for no sweep.
     sweep: tuple[tuple[float, float], ...]
-
-    def cell(self, variant: str, k: int) -> AggregateRow | None:
-        for row in self.rows:
-            if row.variant == variant and row.k == k:
-                return row
-        return None
 
 
 def _variant_name(entry: dict) -> str:
@@ -215,6 +209,7 @@ def sample_categories(labels, k: int, seed: int) -> np.ndarray:
     classes = np.unique(labels)
     if k < 1 or k > len(classes):
         raise DataError(f"cannot sample {k} categories from {len(classes)}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(classes, size=k, replace=False)
     return np.flatnonzero(np.isin(labels, chosen))
@@ -243,7 +238,7 @@ def run_experiment(spec: ExperimentSpec):
     if dataset.labels is None:
         raise DataError("experiments need labeled data")
     samples = _samples(spec, dataset)
-    names = [_variant_name(entry) for entry in spec.variants]
+    names = tuple(_variant_name(entry) for entry in spec.variants)
     mccgr_entries = [_solver_settings(entry) for entry in spec.variants if entry["variant"].lower() == "mccgr"]
     base = mccgr_entries[0] if mccgr_entries else {"variant": "mccgr"}
     sweep = {float(alpha): [] for alpha in sorted(spec.alpha_sweep)}
@@ -300,7 +295,7 @@ def run_experiment(spec: ExperimentSpec):
         if not accuracies:
             raise DataError(f"alpha sweep produced no successful runs at alpha={alpha}")
     table = tuple((alpha, float(np.array(accuracies).mean())) for alpha, accuracies in sweep.items())
-    return AggregateReport(rows=_aggregate(records, names, spec.k_range), sweep=table), records
+    return AggregateReport(variants=names, rows=_aggregate(records, names, spec.k_range), sweep=table), records
 
 
 def _samples(spec: ExperimentSpec, dataset):
@@ -349,89 +344,57 @@ def _aggregate(records, names, k_range) -> tuple[AggregateRow, ...]:
     return tuple(rows)
 
 
-def write_alpha_sweep(table, path) -> None:
+def _write_csv(path, header: str, lines) -> None:
+    # Every CSV the harness writes: a header line, then one line per item.
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,mean_accuracy\n")
-        for alpha, acc in table:
-            fh.write(f"{alpha!r},{acc!r}\n")
+        fh.write("\n".join([header, *lines]) + "\n")
 
 
 def write_trace(trace, path) -> None:
     """Write an objective trace as `iteration,objective` CSV, repr precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iteration,objective\n")
-        for i, value in enumerate(trace):
-            fh.write(f"{i},{float(value)!r}\n")
+    _write_csv(path, "iteration,objective", (f"{i},{value!r}" for i, value in enumerate(map(float, trace))))
 
 
 def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
-    """Write accuracy/NMI tables, per-run records, traces, summary.json and,
-    for a sweep, alpha_sweep.csv.
+    """Write the report of a run_experiment result under out_dir.
 
-    Layout under out_dir:
-      accuracy_table.csv   k x variant mean accuracies
-      nmi_table.csv        k x variant mean NMI
-      runs.csv             one row per successful run
-      summary.json         aggregate rows
+    Layout, set by aggregate whichever runs failed:
+      accuracy_table.csv   mean accuracy: a row per k, ascending; a column per
+                           aggregate.variants entry, in the spec's order; a
+                           cell with no successful run is empty
+      nmi_table.csv        mean NMI, laid out the same
+      runs.csv             one row per successful run, in records' order
+      summary.json         aggregate.rows, in order
       alpha_sweep.csv      alpha,mean_accuracy; only when aggregate.sweep is non-empty
       traces/<variant>_k<k>_r<repeat>.csv   iteration,objective
     """
     if not records:
         raise DataError("no successful runs to report")
-    os.makedirs(out_dir, exist_ok=True)
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
-    names = list(dict.fromkeys(rec.variant for rec in records))
-    ks = sorted({rec.k for rec in records})
-    lookup = {(row.variant, row.k): row for row in aggregate.rows}
+    ks = sorted({row.k for row in aggregate.rows})
+    for name, attr in (("accuracy_table.csv", "mean_accuracy"), ("nmi_table.csv", "mean_nmi")):
+        cells = {(row.k, row.variant): repr(getattr(row, attr)) for row in aggregate.rows}
+        lines = (",".join([str(k)] + [cells.get((k, variant), "") for variant in aggregate.variants]) for k in ks)
+        _write_csv(os.path.join(out_dir, name), ",".join(["k", *aggregate.variants]), lines)
 
-    def _table(path, attr):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("k," + ",".join(names) + "\n")
-            for k in ks:
-                cells = []
-                for name in names:
-                    row = lookup.get((name, k))
-                    cells.append(repr(getattr(row, attr)) if row is not None else "")
-                fh.write(f"{k}," + ",".join(cells) + "\n")
-
-    _table(os.path.join(out_dir, "accuracy_table.csv"), "mean_accuracy")
-    _table(os.path.join(out_dir, "nmi_table.csv"), "mean_nmi")
-
-    with open(os.path.join(out_dir, "runs.csv"), "w", encoding="utf-8") as fh:
-        fh.write(
-            "variant,k,repeat,accuracy,nmi,iterations,final_objective,converged,init_hash\n"
-        )
-        for rec in records:
-            fh.write(
-                f"{rec.variant},{rec.k},{rec.repeat},{rec.accuracy!r},{rec.nmi!r},"
-                f"{rec.iterations},{rec.final_objective!r},{int(rec.converged)},{rec.init_hash}\n"
-            )
-
+    lines = (
+        f"{rec.variant},{rec.k},{rec.repeat},{rec.accuracy!r},{rec.nmi!r},"
+        f"{rec.iterations},{rec.final_objective!r},{int(rec.converged)},{rec.init_hash}"
+        for rec in records
+    )
+    header = "variant,k,repeat,accuracy,nmi,iterations,final_objective,converged,init_hash"
+    _write_csv(os.path.join(out_dir, "runs.csv"), header, lines)
     for rec in records:
-        name = f"{rec.variant}_k{rec.k}_r{rec.repeat}.csv"
-        write_trace(rec.trace, os.path.join(traces_dir, name))
+        write_trace(rec.trace, os.path.join(traces_dir, f"{rec.variant}_k{rec.k}_r{rec.repeat}.csv"))
 
-    summary = {
-        "aggregates": [
-            {
-                "variant": row.variant,
-                "k": row.k,
-                "mean_accuracy": row.mean_accuracy,
-                "mean_nmi": row.mean_nmi,
-                "std_accuracy": row.std_accuracy,
-                "std_nmi": row.std_nmi,
-                "repeats": row.repeats,
-            }
-            for row in aggregate.rows
-        ]
-    }
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump({"aggregates": [asdict(row) for row in aggregate.rows]}, fh, indent=2)
         fh.write("\n")
     if aggregate.sweep:
-        write_alpha_sweep(aggregate.sweep, os.path.join(out_dir, "alpha_sweep.csv"))
+        lines = (f"{alpha!r},{acc!r}" for alpha, acc in aggregate.sweep)
+        _write_csv(os.path.join(out_dir, "alpha_sweep.csv"), "alpha,mean_accuracy", lines)
 
 
 def make_synthetic(
@@ -467,6 +430,7 @@ def make_synthetic(
         raise DataError(f"unknown noise kind {noise!r}")
     if not 0.0 < corrupt_fraction <= 1.0:
         raise DataError(f"corrupt_fraction must be in (0, 1], got {corrupt_fraction}")
+    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     block = dim // classes

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,16 @@ __all__ = [
     "save_csv",
     "save_labels",
 ]
+
+@contextmanager
+def _open_text(path):
+    """Open path as UTF-8 text; a byte that is not UTF-8 is a DataError naming the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+
 
 def _as_matrix(values, name: str = "matrix") -> np.ndarray:
     m = np.ascontiguousarray(values, dtype=np.float64)
@@ -72,7 +83,7 @@ def read_matrix(path) -> np.ndarray:
     is scanned cell by cell from the start. The path is opened as plain
     text: a name ending in .gz is not decompressed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         if fh.seekable():
             try:
                 # loadtxt warns on input with no rows; the scan below reports it.
@@ -126,9 +137,10 @@ def _scan_cells(fh, path) -> np.ndarray:
 
 
 def load_labels(path) -> np.ndarray:
-    """Read a single-column CSV of integer labels."""
+    """Read a single-column CSV of integer labels, each within int64."""
     values: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    with _open_text(path) as fh:
         for i, line in enumerate(fh):
             line = line.strip()
             if not line:
@@ -136,11 +148,14 @@ def load_labels(path) -> np.ndarray:
             if "," in line:
                 raise DataError(f"{path}: labels must be a single column (row {i + 1})")
             try:
-                values.append(int(line))
+                value = int(line)
             except ValueError:
                 raise DataError(
                     f"{path}: non-integer label at row {i + 1}: {line!r}"
                 ) from None
+            if not low <= value <= high:
+                raise DataError(f"{path}: label at row {i + 1} is outside the int64 range: {line!r}")
+            values.append(value)
     if not values:
         raise DataError(f"{path}: empty label file")
     return np.array(values, dtype=np.int64)

@@ -1,16 +1,24 @@
-"""The files `mccgr experiment` writes on fixed inputs, pinned by SHA-256.
+"""The files the `mccgr` commands write on fixed inputs, pinned by SHA-256.
 
-The inputs are the perfbench `grid` workload's: 10 classes x 30 samples,
-256 features, heavy noise, data seed 0; k 2 to 5, the five variants, 5
-repeats, 60 iterations, an alpha sweep over 1, 10 and 100, at base_seed 3.
-The command writes 105 files. A change that moves any byte of them fails
-here. A change that means to move results rewrites the manifest with
+`tests/manifests/experiment.json` pins `mccgr experiment` on the perfbench
+`grid` workload's inputs: 10 classes x 30 samples, 256 features, heavy
+noise, data seed 0; k 2 to 5, the five variants, 5 repeats, 60
+iterations, an alpha sweep over 1, 10 and 100, at base_seed 3. The
+command writes 105 files.
+
+`tests/manifests/cli.json` pins `graph`, `factorize --trace` and `eval` on
+4 classes x 10 samples, 40 features, heavy noise, data seed 0: for both
+graph modes, the affinity, and for each of the five variants at k 4, the
+factors, the objective trace and the evaluation report.
+
+A change that moves any byte of them fails here. A change that means to
+move results rewrites both manifests with
 
     PYTHONPATH=src python tests/test_artifacts.py
 
-and names the changed files and the reason in CHANGES.md. The manifest also
-records numpy, scipy and the BLAS each was built against: a mismatch under
-another toolchain is reported as such, not as a code change.
+and names the changed files and the reason in CHANGES.md. Each manifest
+also records numpy, scipy and the BLAS each was built against: a mismatch
+under another toolchain is reported as such, not as a code change.
 """
 
 import hashlib
@@ -23,10 +31,11 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from mccgr import make_synthetic, save_csv, save_labels
+from mccgr import VARIANTS, make_synthetic, save_csv, save_labels
 from mccgr.cli import main as cli_main
+from mccgr.graph import MODES
 
-MANIFEST = Path(__file__).resolve().parent / "manifests" / "experiment.json"
+MANIFESTS = Path(__file__).resolve().parent / "manifests"
 
 SPEC = {
     "dataset": {"features": "x.csv", "labels": "y.csv"},
@@ -53,8 +62,19 @@ def toolchain() -> dict:
     return found
 
 
+def digests(out) -> dict:
+    """SHA-256 of every file under out, by relative path."""
+    found = {}
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                found[os.path.relpath(path, out).replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
+    return dict(sorted(found.items()))
+
+
 def experiment_digests(work) -> dict:
-    """SHA-256 of every file `mccgr experiment` writes, by relative path."""
+    """The files `mccgr experiment` writes."""
     x, y = make_synthetic(10, 30, 256, noise="heavy", seed=0)
     save_csv(x, os.path.join(work, "x.csv"))
     save_labels(y, os.path.join(work, "y.csv"))
@@ -63,24 +83,45 @@ def experiment_digests(work) -> dict:
         json.dump(SPEC, fh)
     out = os.path.join(work, "report")
     assert cli_main(["experiment", "--spec", spec_path, "--out-dir", out]) == 0
-    digests = {}
-    for root, _, files in os.walk(out):
-        for name in files:
-            path = os.path.join(root, name)
-            with open(path, "rb") as fh:
-                digests[os.path.relpath(path, out).replace(os.sep, "/")] = hashlib.sha256(fh.read()).hexdigest()
-    return dict(sorted(digests.items()))
+    return digests(out)
 
 
-def test_experiment_artifacts_match_the_manifest(tmp_path, capsys):
-    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    got = experiment_digests(tmp_path)
-    capsys.readouterr()
+def cli_digests(work) -> dict:
+    """The files `graph`, `factorize --trace` and `eval` write, per graph mode."""
+    x, y = make_synthetic(4, 10, 40, noise="heavy", seed=0)
+    xp, yp = os.path.join(work, "x.csv"), os.path.join(work, "y.csv")
+    save_csv(x, xp)
+    save_labels(y, yp)
+    out = os.path.join(work, "cli")
+    for mode in MODES:
+        os.makedirs(os.path.join(out, mode))
+        graph = ["--knn", "5", "--knn-mode", mode]
+        assert cli_main(["graph", "--input", xp, *graph, "--out", os.path.join(out, mode, "affinity.csv")]) == 0
+        for variant in VARIANTS:
+            prefix = os.path.join(out, mode, variant)
+            assert cli_main([
+                "factorize", "--input", xp, "--variant", variant, "--k", "4", *graph,
+                "--max-iter", "60", "--seed", "3", "--out-h", f"{prefix}_h.csv",
+                "--out-w", f"{prefix}_w.csv", "--trace", f"{prefix}_trace.csv",
+            ]) == 0
+            assert cli_main([
+                "eval", "--w", f"{prefix}_w.csv", "--labels", yp, "--k", "4", "--seed", "3",
+                "--out", f"{prefix}_eval.json",
+            ]) == 0
+    return digests(out)
+
+
+PINNED = {"experiment": experiment_digests, "cli": cli_digests}
+
+
+def check(name, got) -> None:
+    """Fail, naming the differing files, unless got equals manifests/<name>.json."""
+    manifest = json.loads((MANIFESTS / f"{name}.json").read_text(encoding="utf-8"))
     want = manifest["files"]
-    changed = sorted(name for name in set(got) | set(want) if got.get(name) != want.get(name))
+    changed = sorted(path for path in set(got) | set(want) if got.get(path) != want.get(path))
     if not changed:
         return
-    summary = f"{len(changed)} of the {len(want)} pinned experiment files differ, first {changed[:3]}"
+    summary = f"{len(changed)} of the {len(want)} pinned {name} files differ, first {changed[:3]}"
     here = toolchain()
     if here != manifest["toolchain"]:
         raise AssertionError(
@@ -89,13 +130,27 @@ def test_experiment_artifacts_match_the_manifest(tmp_path, capsys):
         )
     raise AssertionError(
         f"{summary} on the manifest's own toolchain: results changed. If that is meant, "
-        "rewrite the manifest (PYTHONPATH=src python tests/test_artifacts.py) and say why in CHANGES.md"
+        "rewrite the manifests (PYTHONPATH=src python tests/test_artifacts.py) and say why in CHANGES.md"
     )
 
 
+def test_experiment_artifacts_match_the_manifest(tmp_path, capsys):
+    got = experiment_digests(tmp_path)
+    capsys.readouterr()
+    check("experiment", got)
+
+
+def test_cli_artifacts_match_the_manifest(tmp_path, capsys):
+    got = cli_digests(tmp_path)
+    capsys.readouterr()
+    check("cli", got)
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        files = experiment_digests(work)
-    MANIFEST.parent.mkdir(exist_ok=True)
-    MANIFEST.write_text(json.dumps({"toolchain": toolchain(), "files": files}, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(files)} digests to {MANIFEST}", file=sys.stderr)
+    MANIFESTS.mkdir(exist_ok=True)
+    for name, make in PINNED.items():
+        with tempfile.TemporaryDirectory() as work:
+            files = make(work)
+        path = MANIFESTS / f"{name}.json"
+        path.write_text(json.dumps({"toolchain": toolchain(), "files": files}, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {len(files)} digests to {path}", file=sys.stderr)

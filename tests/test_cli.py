@@ -109,8 +109,6 @@ def test_experiment_command(tmp_path, capsys):
     for name in ("accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json"):
         assert (out_dir / name).is_file()
     assert "report written" in capsys.readouterr().out
-    # no output dir anywhere -> data error
-    assert main(["experiment", "--spec", str(spec_path)]) == 2
 
 
 def test_factorize_defaults_and_choices_are_solver_configs():
@@ -147,6 +145,10 @@ def _epsilon_key(spec):
     spec["variants"][0]["epsilon"] = 1e-9
 
 
+def _output_dir_key(spec):
+    spec["output_dir"] = "report"
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -155,6 +157,7 @@ def _epsilon_key(spec):
         (_bad_alpha, "alpha must be a real number"),
         (_bad_repeats, "'repeats'"),
         (_epsilon_key, "unknown variant keys ['epsilon']"),
+        (_output_dir_key, "unknown spec keys ['output_dir']"),
     ],
 )
 def test_experiment_rejects_bad_spec_values_with_exit_2(tmp_path, capsys, spoil, message):
@@ -183,6 +186,7 @@ def test_usage_errors_exit_1(capsys):
         ["factorize"],
         ["factorize", "--input", "x.csv"],
         ["eval", "--w", "w.csv"],
+        ["experiment", "--spec", "spec.json"],
         ["factorize", "--input", "x.csv", "--variant", "ridge", "--k", "2",
          "--out-h", "h.csv", "--out-w", "w.csv"],
         ["nonsense"],
@@ -218,6 +222,40 @@ def test_mismatched_labels_exit_2(tmp_path, capsys):
         "--out", str(tmp_path / "r.json"),
     ]) == 2
     assert "mccgr:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["factorize", "eval", "synth"])
+def test_a_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
+    xp, yp = write_dataset(tmp_path)
+    out = str(tmp_path / "out")
+    argv = {
+        "factorize": ["factorize", "--input", xp, "--variant", "l2", "--k", "2", "--seed", "-1",
+                      "--out-h", out, "--out-w", str(tmp_path / "w.csv")],
+        "eval": ["eval", "--w", xp, "--labels", yp, "--k", "3", "--seed", "-2", "--out", out],
+        "synth": ["synth", "--classes", "2", "--per-class", "3", "--dim", "4", "--seed", "-3",
+                  "--out", out, "--out-labels", str(tmp_path / "y_out.csv")],
+    }[command]
+    assert main(argv) == 2
+    seed = argv[argv.index("--seed") + 1]
+    assert capsys.readouterr().err == f"mccgr: seed must be >= 0, got {seed}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader", ["graph --input", "eval --labels", "experiment --spec"])
+def test_a_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, reader):
+    xp, _ = write_dataset(tmp_path)
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"0\n1\n0\n\xe9\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "graph --input": ["graph", "--input", str(bad), "--knn", "1", "--out", out],
+        "eval --labels": ["eval", "--w", xp, "--labels", str(bad), "--k", "2", "--out", out],
+        "experiment --spec": ["experiment", "--spec", str(bad), "--out-dir", out],
+    }[reader]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mccgr: {bad}: not UTF-8 text (") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("variant", ["l2", "kl", "grnmf", "mcc", "mccgr"])

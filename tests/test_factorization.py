@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mccgr
 from mccgr import (
     AffinityGraph,
     DataError,
@@ -418,6 +419,27 @@ def test_init_factors_rejects_bad_input():
     for k in (0, -1, 2.0, True):
         with pytest.raises(DataError, match="k must"):
             init_factors(np.ones((3, 4)), k, 0)
+
+
+# Every function that seeds a generator, called on valid data but the seed.
+SEEDED = {
+    "init_factors": lambda seed: init_factors(np.ones((3, 4)), 2, seed),
+    "kmeans": lambda seed: mccgr.kmeans(np.eye(2), 2, seed=seed),
+    "evaluate": lambda seed: mccgr.evaluate(np.eye(2), [0, 1], 2, seed=seed),
+    "make_synthetic": lambda seed: mccgr.make_synthetic(2, 3, 4, seed=seed),
+    "sample_categories": lambda seed: mccgr.sample_categories([0, 1], 2, seed),
+}
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_a_bad_seed_is_a_data_error_naming_the_seed(name):
+    # numpy's own errors are a TypeError for 1.5 and a bare "expected
+    # non-negative integer" for -1.
+    for seed, message in ((-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5")):
+        with pytest.raises(DataError) as caught:
+            SEEDED[name](seed)
+        assert str(caught.value) == message
+    SEEDED[name](np.int64(2))
 
 
 def graph_argument_calls():

@@ -20,7 +20,6 @@ from mccgr import (
     sample_categories,
     save_csv,
     save_labels,
-    write_alpha_sweep,
 )
 from mccgr.cli import main as cli_main
 
@@ -157,7 +156,7 @@ def test_spec_from_json_takes_the_dataclass_defaults(tmp_path):
         ExperimentSpec.from_json(path)
     bad_values = (
         ("alpha_sweep", ["x"]), ("variants", [1]), ("k_range", [2.9]), ("repeats", 1.7),
-        ("knn", True), ("output_dir", 5),
+        ("knn", True),
     )
     for key, value in bad_values:
         path.write_text(json.dumps(dict(payload, **{key: value})))
@@ -175,7 +174,6 @@ def test_spec_rejects_bad_solver_settings_before_any_run(tmp_path):
 BAD_SPEC_VALUES = [
     pytest.param("repeats", 2.5, id="repeats-float"),
     pytest.param("kmeans_restarts", True, id="kmeans_restarts-bool"),
-    pytest.param("output_dir", 5, id="output_dir-int"),
     pytest.param("alpha_sweep", ["x"], id="alpha_sweep-string"),
     pytest.param("alpha_sweep", [-1.0], id="alpha_sweep-negative"),
     pytest.param("alpha_sweep", [float("nan")], id="alpha_sweep-nan"),
@@ -403,12 +401,14 @@ def test_alpha_sweep_table(tmp_path):
 
 
 def test_write_alpha_sweep_format(tmp_path):
-    path = tmp_path / "sweep.csv"
-    write_alpha_sweep([(0.1, 0.5), (1.0, 0.875)], path)
-    lines = path.read_text().splitlines()
+    aggregate, records = run_experiment(small_spec(tmp_path, k_range=(2,)))
+    out = tmp_path / "report"
+    emit_report(replace(aggregate, sweep=((0.1, 0.5), (1.0, 0.875))), records, out)
+    lines = (out / "alpha_sweep.csv").read_text().splitlines()
     assert lines[0] == "alpha,mean_accuracy"
     assert lines[1] == "0.1,0.5"
     assert lines[2] == "1.0,0.875"
+    assert len(lines) == 3
 
 
 def test_emit_report_layout(tmp_path):
@@ -416,6 +416,7 @@ def test_emit_report_layout(tmp_path):
     aggregate, records = run_experiment(spec)
     out = tmp_path / "report"
     emit_report(aggregate, records, out)
+    assert not (out / "alpha_sweep.csv").exists()
 
     acc_lines = (out / "accuracy_table.csv").read_text().splitlines()
     assert acc_lines[0] == "k,l2,mccgr"
@@ -450,6 +451,35 @@ def test_emit_report_layout(tmp_path):
 
     with pytest.raises(DataError, match="no successful runs"):
         emit_report(aggregate, [], tmp_path / "empty")
+
+
+@pytest.mark.parametrize("failing", ["repeat 0", "every run"])
+def test_report_columns_follow_the_spec_whatever_runs_failed(tmp_path, monkeypatch, failing):
+    spec = small_spec(
+        tmp_path, k_range=(3, 2), variants=({"variant": "l2", "max_iter": 40}, {"variant": "mcc", "max_iter": 40})
+    )
+    real_solve = mccgr.harness.solve
+
+    def fail_l2(x, graph, cfg, h0, w0, **kwargs):
+        first = np.array_equal(h0, mccgr.init_factors(x, cfg.k, spec.base_seed)[0])
+        if cfg.variant == "l2" and (first or failing == "every run"):
+            raise mccgr.NumericalError("synthetic failure")
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", fail_l2)
+    with pytest.warns(UserWarning, match="synthetic failure"):
+        aggregate, records = run_experiment(spec)
+    out = tmp_path / "report"
+    emit_report(aggregate, records, out)
+    summary = json.loads((out / "summary.json").read_text())["aggregates"]
+    assert [(row["k"], row["variant"]) for row in summary] == (
+        [(3, "l2"), (3, "mcc"), (2, "l2"), (2, "mcc")] if failing == "repeat 0" else [(3, "mcc"), (2, "mcc")]
+    )
+    for name in ("accuracy_table.csv", "nmi_table.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == "k,l2,mcc"
+        assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
+        assert all((line.split(",")[1] == "") == (failing == "every run") for line in lines[1:])
 
 
 def test_make_synthetic_shapes_and_labels():
@@ -546,7 +576,8 @@ def test_experiment_sweep_shares_the_grid_cells_and_runs(tmp_path, monkeypatch):
     emit_report(aggregate, records, reference)
     for name in ("accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json", "alpha_sweep.csv"):
         assert (out / name).read_bytes() == (reference / name).read_bytes()
-    assert dict(aggregate.sweep)[1.0] == aggregate.cell("mccgr", 2).mean_accuracy
+    (grid_run,) = [row for row in aggregate.rows if (row.variant, row.k) == ("mccgr", 2)]
+    assert dict(aggregate.sweep)[1.0] == grid_run.mean_accuracy
     assert aggregate.sweep == sweep_oracle(spec)
 
 
@@ -560,9 +591,8 @@ def test_experiment_sweep_without_k2_in_the_grid(tmp_path, monkeypatch):
     # 2 grid graphs at k=3 and 2 sweep graphs at k=2, shared by both alphas.
     assert len(graphs) == 4
     assert len(solves) == 4 + 4
-    expect = tmp_path / "expect.csv"
-    write_alpha_sweep(sweep_oracle(spec), expect)
-    assert (out / "alpha_sweep.csv").read_bytes() == expect.read_bytes()
+    lines = (out / "alpha_sweep.csv").read_text().splitlines()
+    assert tuple(tuple(map(float, line.split(","))) for line in lines[1:]) == sweep_oracle(spec)
 
 
 def test_reused_failed_run_warns_again(tmp_path, monkeypatch):
@@ -620,7 +650,8 @@ def sweep_oracle(spec):
     table = []
     for alpha in sorted(spec.alpha_sweep):
         grid = replace(spec, k_range=(2,), variants=(dict(entry, alpha=alpha),), alpha_sweep=())
-        table.append((float(alpha), run_experiment(grid)[0].cell("mccgr", 2).mean_accuracy))
+        (row,) = run_experiment(grid)[0].rows
+        table.append((float(alpha), row.mean_accuracy))
     return tuple(table)
 
 
@@ -647,9 +678,8 @@ def test_experiment_command_equals_the_library_calls(tmp_path, k_range, alphas):
     spec = small_spec(tmp_path, k_range=tuple(k_range), alpha_sweep=tuple(alphas))
     work = tempfile.mkdtemp(dir=tmp_path)
     reference = os.path.join(work, "reference")
-    emit_report(*run_experiment(replace(spec, alpha_sweep=())), reference)
-    if alphas:
-        write_alpha_sweep(sweep_oracle(spec), os.path.join(reference, "alpha_sweep.csv"))
+    aggregate, records = run_experiment(replace(spec, alpha_sweep=()))
+    emit_report(replace(aggregate, sweep=sweep_oracle(spec)), records, reference)
     spec_path = write_spec_file(tmp_path, spec)
     out = os.path.join(work, "out")
     with pytest.MonkeyPatch.context() as patch:

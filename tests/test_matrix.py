@@ -113,6 +113,17 @@ def test_load_labels_rejects_non_integer(tmp_path):
         load_labels(path)
 
 
+def test_load_labels_rejects_values_outside_int64(tmp_path):
+    path = tmp_path / "y.csv"
+    for bad in (2**63, -(2**63) - 1, 99999999999999999999):
+        path.write_text(f"1\n2\n{bad}\n")
+        with pytest.raises(DataError) as caught:
+            load_labels(path)
+        assert str(caught.value) == f"{path}: label at row 3 is outside the int64 range: '{bad}'"
+    path.write_text(f"{2**63 - 1}\n{-(2**63)}\n")
+    assert load_labels(path).tolist() == [2**63 - 1, -(2**63)]
+
+
 def test_load_csv_labeled(tmp_path):
     x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     y = np.array([0, 1, 0], dtype=np.int64)
