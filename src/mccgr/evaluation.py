@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DataError
-from .factorization import _check_seed
+from .errors import DataError, _check_count, _check_labels, _check_matrix, _check_shape
 
 __all__ = [
     "Clustering",
@@ -120,19 +119,13 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = 10) -> Clustering:
     same pairwise row reduction and the same division as
     `points[:, members].mean(axis=1)`, so it equals the mean bit for bit.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise DataError(f"points must be 2-D, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise DataError("points contain NaN or Inf entries")
+    points = _check_matrix(points, "points")
+    _check_count("k", k, 1)
     n = points.shape[1]
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
     if k > n:
         raise DataError(f"k={k} exceeds the number of points {n}")
-    if restarts < 1:
-        raise DataError(f"restarts must be >= 1, got {restarts}")
-    _check_seed(seed)
+    _check_count("restarts", restarts, 1)
+    _check_count("seed", seed, 0)
 
     p2 = np.sum(points * points, axis=0)
     rng = np.random.default_rng(seed)
@@ -155,20 +148,11 @@ def hungarian_match(confusion) -> np.ndarray:
     confusion[i, j] counts points in cluster i with class j; the returned
     array maps cluster index i to its matched class index.
     """
-    c = np.asarray(confusion, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+    c = _check_matrix(confusion, "confusion matrix", nonneg=True)
+    if c.shape[0] != c.shape[1]:
         raise DataError(f"confusion matrix must be square, got shape {c.shape}")
-    if np.any(c < 0):
-        raise DataError("confusion matrix has negative counts")
     _, cols = linear_sum_assignment(-c)
     return cols.astype(np.int64)
-
-
-def _check_labels(a, name):
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    if a.ndim != 1 or a.shape[0] < 1:
-        raise DataError(f"{name} must be a non-empty flat vector")
-    return a
 
 
 def accuracy(pred, true) -> MatchResult:
@@ -233,11 +217,11 @@ def nmi(a, b) -> float:
 def evaluate(w, true_labels, k: int, seed: int = 0, restarts: int = 10) -> EvalReport:
     """Cluster the columns of w and score against the true labels."""
     true_labels = _check_labels(true_labels, "true labels")
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != true_labels.shape[0]:
-        raise DataError(
-            f"coefficient shape {w.shape} does not match {true_labels.shape[0]} labels"
-        )
+    # Only w's shape is read here: kmeans checks its entries, in its one scan.
+    shape = np.shape(w)
+    _check_shape("w", shape)
+    if shape[1] != true_labels.shape[0]:
+        raise DataError(f"coefficient shape {shape} does not match {true_labels.shape[0]} labels")
     clustering = kmeans(w, k, seed=seed, restarts=restarts)
     match = accuracy(clustering.assignments, true_labels)
     value = nmi(clustering.assignments, true_labels)

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .graph import AffinityGraph, _penalty, _times_affinity, graph_penalty
+from .errors import DataError, NumericalError, _check_count, _check_matrix, _check_number, _check_shape
+from .graph import AffinityGraph, _penalty, _times_affinity
 
 __all__ = [
     "EPSILON",
@@ -86,21 +86,17 @@ class SolverConfig:
             raise DataError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
         self.variant = self.variant.lower()
         for name in ("k", "max_iter"):
-            _check_number(name, getattr(self, name), numbers.Integral)
+            _check_count(name, getattr(self, name), 1)
         for name in ("alpha", "theta", "tol"):
             value = getattr(self, name)
             _check_number(name, value, numbers.Real)
             # NaN passes every comparison below.
             if not math.isfinite(value):
                 raise DataError(f"{name} must be finite, got {value!r}")
-        if self.k < 1:
-            raise DataError(f"k must be >= 1, got {self.k}")
         if self.alpha < 0:
             raise DataError(f"alpha must be >= 0, got {self.alpha}")
         if self.theta <= 0:
             raise DataError(f"theta must be > 0, got {self.theta}")
-        if self.max_iter < 1:
-            raise DataError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol < 0:
             raise DataError(f"tol must be >= 0, got {self.tol}")
 
@@ -110,20 +106,6 @@ class SolverConfig:
         return self.alpha if self.variant in ("grnmf", "mccgr") else 0.0
 
 
-def _check_number(name, value, kind):
-    # bool is an Integral, but a true or false setting is a mistake.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        expected = "an integer" if kind is numbers.Integral else "a real number"
-        raise DataError(f"{name} must be {expected}, got {value!r}")
-
-
-def _check_seed(seed) -> None:
-    # Every seeded entry point's check; numpy's own error names no argument.
-    _check_number("seed", seed, numbers.Integral)
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-
-
 def init_factors(x, k: int, seed: int):
     """Seeded starting factors (h0, w0) for a (D, N) data matrix.
 
@@ -131,12 +113,9 @@ def init_factors(x, k: int, seed: int):
     (0, 1], so every entry is strictly positive. Only the shape of x is read.
     """
     shape = np.shape(x)
-    if len(shape) != 2:
-        raise DataError(f"data must be 2-D, got shape {shape}")
-    _check_number("k", k, numbers.Integral)
-    if k < 1:
-        raise DataError(f"k must be >= 1, got {k}")
-    _check_seed(seed)
+    _check_shape("x", shape)
+    _check_count("k", k, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     h0 = 1.0 - rng.random((shape[0], k))
     w0 = 1.0 - rng.random((k, shape[1]))
@@ -148,11 +127,13 @@ class Factorization:
     """Solver output.
 
     `trace` holds the tracked objective per iteration, entry 0 evaluated
-    at the initializers. `rho` and `sigma` are the weights and kernel
-    width the last iteration's M-step used; the solver derives them, like
-    the trace, from one residual pass per iteration. `iterates` is
-    populated only when the solver is asked to record per-iteration
-    copies of H and W.
+    at the initializers. For l2, grnmf, mcc and mccgr, `rho` and `sigma`
+    are the row weights and kernel width of the last iteration's E-step,
+    which derives them, like the trace, from one residual pass: the last
+    M-step of mcc and mccgr used that rho, while l2 and grnmf hold rho at
+    -1 and never read sigma. kl reads neither: its `rho` is -1 and its
+    `sigma` the width at the initializers. `iterates` is populated only
+    when the solver is asked to record per-iteration copies of H and W.
     """
 
     h: np.ndarray
@@ -163,19 +144,6 @@ class Factorization:
     iterations_run: int
     converged: bool
     iterates: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
-
-
-def _check_triplet(x, h, w):
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.ndim != 2 or h.ndim != 2 or w.ndim != 2:
-        raise DataError("x, h, w must all be 2-D")
-    if h.shape[0] != x.shape[0] or w.shape[1] != x.shape[1] or h.shape[1] != w.shape[0]:
-        raise DataError(
-            f"incompatible shapes: x {x.shape}, h {h.shape}, w {w.shape}"
-        )
-    return x, h, w
 
 
 def _kl_divergence(xp, pos, sum_xp, v) -> float:
@@ -224,12 +192,10 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     frozen at -1 and alpha = 0 this is sum((x - h w)^2). Minimized by
     the M-step for fixed rho.
     """
-    x, h, w = _check_triplet(x, h, w)
-    rho = _check_rho(rho, x.shape[0])
-    _check_graph(alpha, graph, x.shape[1])
-    value = _weighted_fit(-rho, _row_sq(x, h, w)[0])
+    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
+    value = _weighted_fit(neg, _row_sq(x, h, w)[0])
     if alpha > 0:
-        value += alpha * graph_penalty(w, graph)
+        value += alpha * _penalty(w, _times_affinity(w, graph), graph.degree)
     return value
 
 
@@ -250,13 +216,23 @@ def _check_graph(alpha, graph, n):
             raise DataError(f"graph size {graph.n} does not match sample count {n}")
 
 
-def _check_rho(rho, d):
+def _check_step(x, h, w, rho, alpha=0.0, graph=None):
+    # The one preamble of the public step functions: x checked as solve
+    # checks it, finite factors whose shapes fit x, strictly negative row
+    # weights and the graph arguments. Returns x, h, w and the weights -rho.
+    x = _check_matrix(x, "x", nonneg=True)
+    h = _check_matrix(h, "h")
+    w = _check_matrix(w, "w")
+    if h.shape[0] != x.shape[0] or w.shape[1] != x.shape[1] or h.shape[1] != w.shape[0]:
+        raise DataError(f"incompatible shapes: x {x.shape}, h {h.shape}, w {w.shape}")
     rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (d,):
-        raise DataError(f"rho must have shape ({d},), got {rho.shape}")
-    if np.any(rho >= 0):
+    if rho.shape != (x.shape[0],):
+        raise DataError(f"rho must have shape ({x.shape[0]},), got {rho.shape}")
+    # Written so that a NaN weight fails too.
+    if not np.all(rho < 0):
         raise DataError("rho entries must be strictly negative")
-    return rho
+    _check_graph(alpha, graph, x.shape[1])
+    return x, h, w, -rho
 
 
 def update_h(x, h, w, rho) -> np.ndarray:
@@ -267,9 +243,7 @@ def update_h(x, h, w, rho) -> np.ndarray:
     Any positive rescaling of rho cancels (up to the EPSILON guard), so
     only the relative feature weights matter. Entries are floored at FLOOR.
     """
-    x, h, w = _check_triplet(x, h, w)
-    neg = -_check_rho(rho, x.shape[0])
-    return _update_h(x, h, w, neg)
+    return _update_h(*_check_step(x, h, w, rho))
 
 
 def _update_h(x, h, w, neg) -> np.ndarray:
@@ -288,9 +262,7 @@ def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = Non
     A is the affinity, U its diagonal degree matrix; both terms drop out
     when alpha == 0. Entries are floored at FLOOR.
     """
-    x, h, w = _check_triplet(x, h, w)
-    neg = -_check_rho(rho, x.shape[0])
-    _check_graph(alpha, graph, x.shape[1])
+    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
     if alpha > 0:
         return _update_w(x, h, w, neg, alpha, _times_affinity(w, graph), graph.degree)
     return _update_w(x, h, w, neg)
@@ -312,16 +284,19 @@ def _update_w(x, h, w, neg, alpha=0.0, wa=None, degree=None) -> np.ndarray:
 
 def dual_gradient_h(x, h, w, rho) -> np.ndarray:
     """Gradient of dual_objective in h (the graph term does not touch h)."""
-    x, h, w = _check_triplet(x, h, w)
-    neg = -_check_rho(rho, x.shape[0])
+    return _gradient_h(*_check_step(x, h, w, rho))
+
+
+def _gradient_h(x, h, w, neg) -> np.ndarray:
     return 2.0 * ((neg[:, None] * (h @ w - x)) @ w.T)
 
 
 def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> np.ndarray:
     """Gradient of dual_objective in w."""
-    x, h, w = _check_triplet(x, h, w)
-    neg = -_check_rho(rho, x.shape[0])
-    _check_graph(alpha, graph, x.shape[1])
+    return _gradient_w(*_check_step(x, h, w, rho, alpha, graph), alpha, graph)
+
+
+def _gradient_w(x, h, w, neg, alpha, graph) -> np.ndarray:
     g = 2.0 * (h.T @ (neg[:, None] * (h @ w - x)))
     if alpha > 0:
         # w L = w diag(degree) - w A, without the N x N Laplacian.
@@ -336,10 +311,9 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     each entry is either at an unconstrained stationary value or pinned
     at the non-negativity boundary.
     """
-    gh = 0.5 * dual_gradient_h(x, h, w, rho)
-    gw = 0.5 * dual_gradient_w(x, h, w, rho, alpha, graph)
-    h = np.asarray(h, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
+    gh = 0.5 * _gradient_h(x, h, w, neg)
+    gw = 0.5 * _gradient_w(x, h, w, neg, alpha, graph)
     return gh * h, gw * w
 
 
@@ -407,16 +381,10 @@ def solve(
     -------
     Factorization
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"data must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("data contains NaN or Inf entries")
-    if np.any(x < 0):
-        raise DataError("data matrix has negative entries")
+    x = _check_matrix(x, "x", nonneg=True)
     d, n = x.shape
-    h = np.ascontiguousarray(h0, dtype=np.float64).copy()
-    w = np.ascontiguousarray(w0, dtype=np.float64).copy()
+    h = _check_matrix(h0, "h0").copy()
+    w = _check_matrix(w0, "w0").copy()
     if h.shape != (d, cfg.k):
         raise DataError(f"h0 shape {h.shape} does not match ({d}, {cfg.k})")
     if w.shape != (cfg.k, n):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError
+from .errors import DataError, _check_count, _check_matrix
 
 __all__ = ["AffinityGraph", "build_knn_affinity", "graph_penalty", "laplacian"]
 
@@ -96,22 +96,17 @@ def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
     of distances and O(N k) entries, never a second N x N array or a dense
     affinity.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DataError(f"expected a 2-D matrix, got shape {x.shape}")
+    # The selection below must not see NaN: its NaN order differs from a sort's.
+    x = _check_matrix(x, "x")
     if mode not in MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {MODES}")
+    _check_count("knn", k, 1)
     n = x.shape[1]
-    if n < 2:
-        raise DataError("need at least two samples to build a graph")
-    if not 1 <= k < n:
+    if k >= n:
         raise DataError(
             f"the neighbor count knn must satisfy 1 <= knn <= n-1, got knn={k} for n={n} samples"
         )
-    # The selection below must not see NaN: its NaN order differs from a sort's.
-    if not np.all(np.isfinite(x)):
-        raise DataError("data contains NaN or Inf entries")
-    limit = _MAX_ENTRY / math.sqrt(max(x.shape[0], 1))
+    limit = _MAX_ENTRY / math.sqrt(x.shape[0])
     if max(np.max(x, initial=0.0), -np.min(x, initial=0.0)) > limit:
         raise DataError("data entries too large: squared distances overflow; rescale the data")
 
@@ -173,8 +168,8 @@ def graph_penalty(w, graph: AffinityGraph) -> float:
     w_n the n-th column of W, so only the K x N product W A is formed and no
     Laplacian; clipped at zero against roundoff.
     """
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[1] != graph.n:
+    w = _check_matrix(w, "w")
+    if w.shape[1] != graph.n:
         raise DataError(
             f"coefficient matrix shape {w.shape} does not match graph size {graph.n}"
         )

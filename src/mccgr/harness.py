@@ -28,9 +28,9 @@ from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _check_count, _check_labels, _check_number
 from .evaluation import evaluate
-from .factorization import SolverConfig, _check_number, _check_seed, init_factors, solve
+from .factorization import SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
 from .matrix import _open_text, load_csv
 
@@ -85,9 +85,7 @@ class ExperimentSpec:
                 raise DataError(f"spec key '{key}' must be a list, got {value!r}")
             object.__setattr__(self, key, tuple(value))
         for key, low in (("repeats", 1), ("base_seed", 0), ("knn", 1), ("kmeans_restarts", 1)):
-            _check_number(f"spec key '{key}'", getattr(self, key), numbers.Integral)
-            if getattr(self, key) < low:
-                raise DataError(f"spec key '{key}' must be >= {low}, got {getattr(self, key)}")
+            _check_count(f"spec key '{key}'", getattr(self, key), low)
         if not self.k_range:
             raise DataError("spec key 'k_range' must not be empty")
         for k in self.k_range:
@@ -203,13 +201,12 @@ def _solver_settings(entry: dict) -> dict:
 
 def sample_categories(labels, k: int, seed: int) -> np.ndarray:
     """Column indices of k distinct label categories, original order kept."""
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise DataError("labels must be a flat vector")
+    labels = _check_labels(labels, "labels")
+    _check_count("k", k, 1)
     classes = np.unique(labels)
-    if k < 1 or k > len(classes):
+    if k > len(classes):
         raise DataError(f"cannot sample {k} categories from {len(classes)}")
-    _check_seed(seed)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     chosen = rng.choice(classes, size=k, replace=False)
     return np.flatnonzero(np.isin(labels, chosen))
@@ -420,17 +417,14 @@ def make_synthetic(
 
     Returns (x, labels) with x of shape (dim, classes * per_class).
     """
-    if classes < 1:
-        raise DataError(f"classes must be >= 1, got {classes}")
-    if per_class < 1:
-        raise DataError(f"per_class must be >= 1, got {per_class}")
-    if dim < classes:
-        raise DataError(f"dim must be >= classes, got dim={dim} classes={classes}")
+    _check_count("classes", classes, 1)
+    _check_count("per_class", per_class, 1)
+    _check_count("dim", dim, classes)
     if noise not in ("gaussian", "heavy"):
         raise DataError(f"unknown noise kind {noise!r}")
     if not 0.0 < corrupt_fraction <= 1.0:
         raise DataError(f"corrupt_fraction must be in (0, 1], got {corrupt_fraction}")
-    _check_seed(seed)
+    _check_count("seed", seed, 0)
 
     rng = np.random.default_rng(seed)
     block = dim // classes

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DataError
+from .errors import DataError, _check_labels, _check_matrix
 
 __all__ = [
     "LabeledDataset",
@@ -36,15 +36,6 @@ def _open_text(path):
             raise DataError(f"{path}: not UTF-8 text ({exc})") from None
 
 
-def _as_matrix(values, name: str = "matrix") -> np.ndarray:
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise DataError(f"{name} must be 2-D with at least one row and one column, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise DataError(f"{name} contains NaN or Inf entries")
-    return m
-
-
 @dataclass(frozen=True)
 class LabeledDataset:
     """Non-negative data matrix with optional per-column integer labels."""
@@ -53,14 +44,10 @@ class LabeledDataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        m = _as_matrix(self.matrix, "data matrix")
-        if np.any(m < 0):
-            raise DataError("data matrix has negative entries")
+        m = _check_matrix(self.matrix, "matrix", nonneg=True)
         object.__setattr__(self, "matrix", m)
         if self.labels is not None:
-            y = np.ascontiguousarray(self.labels, dtype=np.int64)
-            if y.ndim != 1:
-                raise DataError(f"labels must be a flat vector, got shape {y.shape}")
+            y = _check_labels(self.labels, "labels")
             if y.shape[0] != m.shape[1]:
                 raise DataError(
                     f"label count {y.shape[0]} does not match sample count {m.shape[1]}"
@@ -193,14 +180,11 @@ def save_csv(matrix, path) -> None:
                 fh.write(buf)
             return
         matrix = ones.toarray()
-    m = _as_matrix(matrix)
+    m = _check_matrix(matrix, "matrix")
     with open(path, "wb") as fh:
         np.savetxt(fh, m, delimiter=",", fmt="%.17g")
 
 
 def save_labels(labels, path) -> None:
     """Write integer labels, one per line."""
-    y = np.ascontiguousarray(labels, dtype=np.int64)
-    if y.ndim != 1:
-        raise DataError(f"labels must be a flat vector, got shape {y.shape}")
-    np.savetxt(path, y, fmt="%d")
+    np.savetxt(path, _check_labels(labels, "labels"), fmt="%d")

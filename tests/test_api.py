@@ -63,3 +63,32 @@ def test_the_cli_imports_only_public_names():
 @pytest.mark.parametrize("step", [mccgr.update_h, mccgr.update_w])
 def test_update_steps_take_no_epsilon(step):
     assert "epsilon" not in inspect.signature(step).parameters
+
+
+def library_trees():
+    return {name: ast.parse(inspect.getsource(importlib.import_module(f"mccgr.{name}"))) for name in MODULES}
+
+
+def test_each_check_is_defined_in_one_module():
+    # One rule per argument kind: counts, data matrices and label vectors
+    # are checked by errors' helpers, and no module keeps its own copy.
+    defined = {}
+    for name, tree in library_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
+                defined.setdefault(node.name, []).append(name)
+    for check in ("_check_number", "_check_count", "_check_matrix", "_check_labels"):
+        assert defined.get(check) == ["errors"], check
+    assert {check: where for check, where in defined.items() if len(where) > 1} == {}
+
+
+def test_no_module_imports_a_private_name_from_factorization():
+    for name, tree in library_trees().items():
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "factorization"
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == [], name

@@ -480,6 +480,34 @@ def test_graph_arguments_are_checked_alike(name):
         call(-1.0, good)
 
 
+def step_calls(x):
+    # Each public step function, as a call on data x with valid factors.
+    h = np.ones((x.shape[0], 2))
+    w = np.ones((2, x.shape[1]))
+    rho = -np.ones(x.shape[0])
+    return {
+        "update_h": lambda: update_h(x, h, w, rho),
+        "update_w": lambda: update_w(x, h, w, rho),
+        "dual_objective": lambda: dual_objective(x, h, w, rho),
+        "dual_gradient_h": lambda: dual_gradient_h(x, h, w, rho),
+        "dual_gradient_w": lambda: dual_gradient_w(x, h, w, rho),
+        "kkt_products": lambda: kkt_products(x, h, w, rho),
+    }
+
+
+@pytest.mark.parametrize("name", list(step_calls(np.ones((1, 1)))))
+def test_step_functions_reject_bad_data_as_solve_does(name):
+    # Without the check a NaN came back as NaN entries, with no warning.
+    for bad in (np.nan, np.inf, -np.inf, -1.0):
+        x = np.random.default_rng(27).random((6, 8)) + 0.1
+        x[2, 3] = bad
+        with pytest.raises(DataError) as by_solve:
+            solve(x, None, SolverConfig(variant="l2", k=2), np.ones((6, 2)), np.ones((2, 8)))
+        with pytest.raises(DataError) as by_step:
+            step_calls(x)[name]()
+        assert str(by_step.value) == str(by_solve.value), bad
+
+
 def test_solve_input_validation():
     rng = np.random.default_rng(19)
     x = rng.random((6, 8)) + 0.1

@@ -149,6 +149,8 @@ def test_labeled_dataset_validation():
         LabeledDataset(matrix=np.ones((2, 3)), labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(DataError):
         LabeledDataset(matrix=np.ones((2, 3)), labels=np.zeros((1, 3), dtype=np.int64))
+    labels = LabeledDataset(matrix=np.eye(3), labels=[2.0, 0.0, -1.0]).labels
+    assert labels.dtype == np.int64 and labels.tolist() == [2, 0, -1]
 
 
 def reference_read_matrix(path, allow_negative=False):
