@@ -40,7 +40,7 @@ from .harness import (
     run_experiment,
     sample_categories,
 )
-from .matrix import LabeledDataset, load_csv, load_labels, read_matrix, save_csv, save_labels
+from .matrix import load_labels, read_matrix, save_csv, save_labels
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "EvalReport",
     "ExperimentSpec",
     "Factorization",
-    "LabeledDataset",
     "MatchResult",
     "NumericalError",
     "RunRecord",
@@ -71,7 +70,6 @@ __all__ = [
     "kkt_products",
     "kmeans",
     "laplacian",
-    "load_csv",
     "load_labels",
     "make_synthetic",
     "nmi",

@@ -15,7 +15,7 @@ from .evaluation import evaluate
 from .factorization import VARIANTS, SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
 from .harness import ExperimentSpec, emit_report, make_synthetic, run_experiment, write_trace
-from .matrix import load_csv, load_labels, read_matrix, save_csv, save_labels
+from .matrix import load_labels, read_matrix, save_csv, save_labels
 
 
 # SolverConfig's defaults, which the factorize flags share; variant and k
@@ -85,16 +85,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_factorize(args) -> int:
-    dataset = load_csv(args.input)
+    x = read_matrix(args.input)
     cfg = SolverConfig(**{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
     # Checked for every variant, not only those that build a graph.
     if args.knn < 1:
         raise DataError(f"knn must be >= 1, got {args.knn}")
     graph = None
     if cfg.graph_weight > 0:
-        graph = build_knn_affinity(dataset.matrix, args.knn, args.knn_mode)
-    h0, w0 = init_factors(dataset.matrix, cfg.k, args.seed)
-    result = solve(dataset.matrix, graph, cfg, h0, w0)
+        graph = build_knn_affinity(x, args.knn, args.knn_mode)
+    h0, w0 = init_factors(x, cfg.k, args.seed)
+    result = solve(x, graph, cfg, h0, w0)
     save_csv(result.h, args.out_h)
     save_csv(result.w, args.out_w)
     if args.trace:
@@ -119,8 +119,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    dataset = load_csv(args.input)
-    graph = build_knn_affinity(dataset.matrix, args.knn, args.knn_mode)
+    graph = build_knn_affinity(read_matrix(args.input), args.knn, args.knn_mode)
     save_csv(graph.affinity, args.out)
     edges = graph.affinity.nnz // 2
     print(f"{graph.n} samples, {edges} edges ({args.knn_mode})")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DataError, _check_count, _check_labels, _check_matrix, _check_shape
+from .errors import DataError, _check_count, _check_labels, _check_matrix
 
 __all__ = [
     "Clustering",
@@ -155,6 +155,21 @@ def hungarian_match(confusion) -> np.ndarray:
     return cols.astype(np.int64)
 
 
+def _contingency(a, b, a_name, b_name):
+    # Two label vectors of one length: their distinct ids, ascending, and the
+    # int64 count table with a row per id of a and a column per id of b.
+    a = _check_labels(a, a_name)
+    b = _check_labels(b, b_name)
+    if a.shape[0] != b.shape[0]:
+        raise DataError(
+            f"label vectors disagree in length: {a.shape[0]} vs {b.shape[0]}"
+        )
+    aids, ainv = np.unique(a, return_inverse=True)
+    bids, binv = np.unique(b, return_inverse=True)
+    na, nb = len(aids), len(bids)
+    return aids, bids, np.bincount(ainv * nb + binv, minlength=na * nb).reshape(na, nb)
+
+
 def accuracy(pred, true) -> MatchResult:
     """Clustering accuracy under the best cluster-to-class matching.
 
@@ -162,17 +177,10 @@ def accuracy(pred, true) -> MatchResult:
     `matching` maps each real cluster id to its matched real class id
     (padded ids never appear).
     """
-    pred = _check_labels(pred, "predicted labels")
-    true = _check_labels(true, "true labels")
-    if pred.shape[0] != true.shape[0]:
-        raise DataError(
-            f"label vectors disagree in length: {pred.shape[0]} vs {true.shape[0]}"
-        )
-    n = pred.shape[0]
-    pids, pinv = np.unique(pred, return_inverse=True)
-    tids, tinv = np.unique(true, return_inverse=True)
-    size = max(len(pids), len(tids))
-    confusion = np.bincount(pinv * size + tinv, minlength=size * size).reshape(size, size)
+    pids, tids, table = _contingency(pred, true, "predicted labels", "true labels")
+    size = max(table.shape)
+    confusion = np.zeros((size, size), dtype=np.int64)
+    confusion[: len(pids), : len(tids)] = table
     perm = hungarian_match(confusion)
     matched = int(confusion[np.arange(size), perm].sum())
     matching = {
@@ -180,7 +188,7 @@ def accuracy(pred, true) -> MatchResult:
         for i in range(len(pids))
         if perm[i] < len(tids)
     }
-    return MatchResult(accuracy=matched / n, matching=matching, confusion=confusion)
+    return MatchResult(accuracy=matched / int(table.sum()), matching=matching, confusion=confusion)
 
 
 def nmi(a, b) -> float:
@@ -189,18 +197,8 @@ def nmi(a, b) -> float:
     Conventions for degenerate partitions: 1.0 when both sides have a
     single block, 0.0 when exactly one does.
     """
-    a = _check_labels(a, "first labeling")
-    b = _check_labels(b, "second labeling")
-    if a.shape[0] != b.shape[0]:
-        raise DataError(
-            f"label vectors disagree in length: {a.shape[0]} vs {b.shape[0]}"
-        )
-    n = a.shape[0]
-    _, ainv = np.unique(a, return_inverse=True)
-    _, binv = np.unique(b, return_inverse=True)
-    na, nb = ainv.max() + 1, binv.max() + 1
-    joint = np.bincount(ainv * nb + binv, minlength=na * nb).reshape(na, nb).astype(np.float64)
-    p = joint / n
+    _, _, table = _contingency(a, b, "first labeling", "second labeling")
+    p = table.astype(np.float64) / int(table.sum())
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
     ha = -float(np.sum(pa * np.log(pa, where=pa > 0, out=np.zeros_like(pa))))
@@ -217,11 +215,9 @@ def nmi(a, b) -> float:
 def evaluate(w, true_labels, k: int, seed: int = 0, restarts: int = 10) -> EvalReport:
     """Cluster the columns of w and score against the true labels."""
     true_labels = _check_labels(true_labels, "true labels")
-    # Only w's shape is read here: kmeans checks its entries, in its one scan.
-    shape = np.shape(w)
-    _check_shape("w", shape)
-    if shape[1] != true_labels.shape[0]:
-        raise DataError(f"coefficient shape {shape} does not match {true_labels.shape[0]} labels")
+    w = _check_matrix(w, "w")
+    if w.shape[1] != true_labels.shape[0]:
+        raise DataError(f"coefficient shape {w.shape} does not match {true_labels.shape[0]} labels")
     clustering = kmeans(w, k, seed=seed, restarts=restarts)
     match = accuracy(clustering.assignments, true_labels)
     value = nmi(clustering.assignments, true_labels)

@@ -1,9 +1,11 @@
 """Repeatable clustering experiments over factorization variants.
 
-The protocol: for each requested cluster count k and repeat r, sample k
-label categories with seed base_seed + r, restrict the dataset to those
-columns, build one affinity graph, draw one (H0, W0) pair, and run every
-variant from those identical starting conditions. An alpha sweep adds the
+The protocol: read the spec's features with read_matrix and its labels with
+load_labels, and check once that there is a label per sample column; then,
+for each requested cluster count k and repeat r, sample k label categories
+with seed base_seed + r, restrict the data to those columns, build one
+affinity graph, draw one (H0, W0) pair, and run every variant from those
+identical starting conditions. An alpha sweep adds the
 first mccgr entry at each sweep alpha as more runs of the k=2 cells.
 run_experiment is the one way to run a spec: it sets each cell up once and
 solves each distinct run in it once, a run the grid and the sweep share
@@ -32,7 +34,7 @@ from .errors import DataError, NumericalError, _check_count, _check_labels, _che
 from .evaluation import evaluate
 from .factorization import SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
-from .matrix import _open_text, load_csv
+from .matrix import _open_text, load_labels, read_matrix
 
 __all__ = [
     "AggregateReport",
@@ -218,9 +220,11 @@ def run_experiment(spec: ExperimentSpec):
     The grid is every (k, repeat, variant) run. An alpha sweep adds the
     first mccgr entry's settings (not its name; mccgr's defaults when there
     is no such entry) at each spec.alpha_sweep value, as more runs of the
-    k=2 cells. The dataset is loaded once; each cell builds its graph and
-    (H0, W0) once and solves each distinct config once, a run the grid and
-    the sweep share included.
+    k=2 cells. The features are read once, by read_matrix, then the labels,
+    by load_labels; a label count other than the features' column count is
+    a DataError, and this is the one place the two are paired. Each cell
+    builds its graph and (H0, W0) once and solves each distinct config
+    once, a run the grid and the sweep share included.
 
     Returns (AggregateReport, list[RunRecord]). AggregateReport.sweep holds
     (alpha, mean k=2 accuracy) in ascending alpha order, and is empty when
@@ -231,17 +235,18 @@ def run_experiment(spec: ExperimentSpec):
     cell's sample count, is a DataError raised before the first run; a
     sweep alpha with no successful run is one raised after the last.
     """
-    dataset = load_csv(spec.features_path, spec.labels_path)
-    if dataset.labels is None:
-        raise DataError("experiments need labeled data")
-    samples = _samples(spec, dataset)
+    data = read_matrix(spec.features_path)
+    labels = load_labels(spec.labels_path)
+    if labels.shape[0] != data.shape[1]:
+        raise DataError(f"label count {labels.shape[0]} does not match sample count {data.shape[1]}")
+    samples = _samples(spec, labels)
     names = tuple(_variant_name(entry) for entry in spec.variants)
     mccgr_entries = [_solver_settings(entry) for entry in spec.variants if entry["variant"].lower() == "mccgr"]
     base = mccgr_entries[0] if mccgr_entries else {"variant": "mccgr"}
     sweep = {float(alpha): [] for alpha in sorted(spec.alpha_sweep)}
     records: list[RunRecord] = []
     for (k, r), columns in samples.items():
-        x = dataset.matrix[:, columns]
+        x = data[:, columns]
         graph = build_knn_affinity(x, spec.knn, spec.knn_mode)
         h0, w0 = init_factors(x, k, spec.base_seed + r)
         init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
@@ -262,7 +267,7 @@ def run_experiment(spec: ExperimentSpec):
                 try:
                     result = solve(x, graph, cfg, h0, w0)
                     outcomes[key] = result, evaluate(
-                        result.w, dataset.labels[columns], k, seed=spec.base_seed + r, restarts=spec.kmeans_restarts
+                        result.w, labels[columns], k, seed=spec.base_seed + r, restarts=spec.kmeans_restarts
                     )
                 except (DataError, NumericalError) as exc:
                     outcomes[key] = exc
@@ -295,12 +300,12 @@ def run_experiment(spec: ExperimentSpec):
     return AggregateReport(variants=names, rows=_aggregate(records, names, spec.k_range), sweep=table), records
 
 
-def _samples(spec: ExperimentSpec, dataset):
+def _samples(spec: ExperimentSpec, labels):
     # Every cell's sampled columns, keyed by (k, repeat r), in the order
     # run_experiment runs them: the spec's k_range, then, for a sweep, k=2
     # unless k_range has it. They are drawn before the first run, so a spec
     # that asks more of the data than it holds fails before any solve.
-    classes = np.unique(dataset.labels).size
+    classes = np.unique(labels).size
     samples = {}
     asks = [("k_range", k) for k in spec.k_range] + ([("alpha_sweep", 2)] if spec.alpha_sweep else [])
     for key, k in asks:
@@ -308,7 +313,7 @@ def _samples(spec: ExperimentSpec, dataset):
             raise DataError(f"spec key '{key}': cannot sample {k} categories from the {classes} in the labels")
         for r in range(spec.repeats):
             if (k, r) not in samples:
-                samples[k, r] = sample_categories(dataset.labels, k, spec.base_seed + r)
+                samples[k, r] = sample_categories(labels, k, spec.base_seed + r)
             size = samples[k, r].size
             if spec.knn >= size:
                 raise DataError(

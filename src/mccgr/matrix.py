@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -18,8 +17,6 @@ from scipy import sparse
 from .errors import DataError, _check_labels, _check_matrix
 
 __all__ = [
-    "LabeledDataset",
-    "load_csv",
     "load_labels",
     "read_matrix",
     "save_csv",
@@ -34,25 +31,6 @@ def _open_text(path):
             yield fh
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Non-negative data matrix with optional per-column integer labels."""
-
-    matrix: np.ndarray
-    labels: np.ndarray | None = None
-
-    def __post_init__(self):
-        m = _check_matrix(self.matrix, "matrix", nonneg=True)
-        object.__setattr__(self, "matrix", m)
-        if self.labels is not None:
-            y = _check_labels(self.labels, "labels")
-            if y.shape[0] != m.shape[1]:
-                raise DataError(
-                    f"label count {y.shape[0]} does not match sample count {m.shape[1]}"
-                )
-            object.__setattr__(self, "labels", y)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -148,13 +126,6 @@ def load_labels(path) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
-def load_csv(path, labels_path=None) -> LabeledDataset:
-    """Load a features x samples CSV, optionally with a label column file."""
-    matrix = read_matrix(path)
-    labels = load_labels(labels_path) if labels_path is not None else None
-    return LabeledDataset(matrix=matrix, labels=labels)
-
-
 def save_csv(matrix, path) -> None:
     """Write a matrix, dense or scipy.sparse, as headerless CSV.
 
@@ -186,5 +157,7 @@ def save_csv(matrix, path) -> None:
 
 
 def save_labels(labels, path) -> None:
-    """Write integer labels, one per line."""
-    np.savetxt(path, _check_labels(labels, "labels"), fmt="%d")
+    """Write integer labels, one per line, as plain text whatever the path's extension."""
+    y = _check_labels(labels, "labels")
+    with open(path, "wb") as fh:
+        np.savetxt(fh, y, fmt="%d")

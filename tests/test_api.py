@@ -15,9 +15,12 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(mccgr.__path__))
 # Names that nothing but tests read: wrappers around the solver's E-step and
 # objective kernels, which solve runs itself, the sweep-only runner, whose
 # table run_experiment returns as AggregateReport.sweep, and that table's
-# writer, which emit_report's one CSV writer replaced.
+# writer, which emit_report's one CSV writer replaced; and the labelled
+# dataset and its loader, whose callers now call read_matrix and
+# load_labels, with run_experiment pairing the two.
 RETIRED = (
-    "sigma_update", "rho_step", "mcc_objective", "objective_l2", "objective_kl", "alpha_sweep", "write_alpha_sweep"
+    "sigma_update", "rho_step", "mcc_objective", "objective_l2", "objective_kl", "alpha_sweep", "write_alpha_sweep",
+    "LabeledDataset", "load_csv",
 )
 
 
@@ -92,3 +95,18 @@ def test_no_module_imports_a_private_name_from_factorization():
             if alias.name.startswith("_")
         ]
         assert private == [], name
+
+
+def test_input_files_are_read_only_in_matrix():
+    # One reader per input file: read_matrix, load_labels and, through
+    # matrix's text opener, ExperimentSpec.from_json. Elsewhere the library
+    # opens files only to write them and never parses one with np.loadtxt.
+    for name, tree in library_trees().items():
+        if name == "matrix":
+            continue
+        for node in ast.walk(tree):
+            used = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            assert used != "loadtxt", f"{name}:{node.lineno}"
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                mode = (node.args[1:2] or [kw.value for kw in node.keywords if kw.arg == "mode"] or [None])[0]
+                assert isinstance(mode, ast.Constant) and set(mode.value) & set("wax"), f"{name}:{node.lineno}"

@@ -13,7 +13,6 @@ from mccgr import (
     VARIANTS,
     DataError,
     ExperimentSpec,
-    LabeledDataset,
     SolverConfig,
     accuracy,
     build_knn_affinity,
@@ -85,7 +84,6 @@ def test_a_bad_count_is_a_data_error_naming_the_argument(kind):
 # Every public function that takes a label vector, called with given labels
 # on two samples in two classes.
 LABELED = {
-    "LabeledDataset": lambda y, tmp_path: LabeledDataset(np.eye(2), labels=y),
     "save_labels": lambda y, tmp_path: save_labels(y, tmp_path / "y.csv"),
     "sample_categories": lambda y, tmp_path: sample_categories(y, 2, 0),
     "accuracy": lambda y, tmp_path: accuracy(y, [0, 1]),
@@ -159,7 +157,6 @@ def degenerate_calls(x, k, variant):
         "build_knn_affinity": lambda: build_knn_affinity(x, k),
         "kmeans": lambda: kmeans(x, k, restarts=2),
         "evaluate": lambda: evaluate(x, labels, k, restarts=2),
-        "LabeledDataset": lambda: LabeledDataset(x, labels=labels),
         "update_h": lambda: update_h(x, h, w, rho),
         "update_w": lambda: update_w(x, h, w, rho),
         "dual_objective": lambda: dual_objective(x, h, w, rho),

@@ -203,7 +203,7 @@ def test_kmeans_and_evaluate_reject_non_finite_points(bad):
     pts[1, 4] = bad
     with pytest.raises(DataError, match="NaN or Inf"):
         kmeans(pts, 3)
-    with pytest.raises(DataError, match="NaN or Inf"):
+    with pytest.raises(DataError, match="w contains NaN or Inf"):
         evaluate(pts, np.repeat([0, 1, 2], 4), 3)
 
 

@@ -220,13 +220,14 @@ def test_experiment_rejects_a_bad_spec_before_reading_data(tmp_path, capsys, mon
     small_dataset(tmp_path)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(bad_spec_payload(key, value)))
-    loads = counting(monkeypatch, "load_csv")
+    reads = counting(monkeypatch, "read_matrix")
+    label_reads = counting(monkeypatch, "load_labels")
     out = tmp_path / "out"
     assert cli_main(["experiment", "--spec", str(path), "--out-dir", str(out / "report")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("mccgr: ") and f"spec key '{key}'" in err
     assert not out.exists()
-    assert loads == []
+    assert reads == [] and label_reads == []
 
 
 @pytest.mark.parametrize(
@@ -248,6 +249,32 @@ def test_experiment_rejects_a_spec_the_data_cannot_serve_before_any_solve(tmp_pa
     assert err.count("\n") == 1 and err.startswith("mccgr: ") and f"spec key '{key}'" in err
     assert not out.exists()
     assert solves == []
+
+
+def test_experiment_rejects_a_label_file_one_row_short_before_any_solve(tmp_path, capsys, monkeypatch):
+    # k_range asks for 4 of the 3 categories too, and is checked only after
+    # the labels are paired with the feature columns.
+    spec = small_spec(tmp_path, k_range=(2, 4))
+    save_labels(make_synthetic(3, 8, 12, seed=0)[1][:-1], spec.labels_path)
+    spec_path = write_spec_file(tmp_path, spec)
+    solves = counting(monkeypatch, "solve")
+    out = tmp_path / "out"
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out / "report")]) == 2
+    assert capsys.readouterr().err == "mccgr: label count 23 does not match sample count 24\n"
+    assert not out.exists()
+    assert solves == []
+
+
+def test_experiment_reports_the_features_file_then_the_labels_file(tmp_path):
+    spec = small_spec(tmp_path)
+    with open(spec.labels_path, "a") as fh:
+        fh.write("x\n")
+    with pytest.raises(DataError, match="non-integer label"):
+        run_experiment(spec)
+    with open(spec.features_path, "a") as fh:
+        fh.write("-1" + ",0" * 23 + "\n")
+    with pytest.raises(DataError, match="negative entry"):
+        run_experiment(spec)
 
 
 def test_a_sweep_alpha_without_a_successful_run_writes_no_report(tmp_path, capsys, monkeypatch):
@@ -368,21 +395,16 @@ def test_failed_run_warning_names_the_caller(tmp_path, monkeypatch):
 
 def test_dataset_loaded_once_per_grid_and_per_sweep(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, k_range=(2,), repeats=1)
-    real_load = mccgr.harness.load_csv
-    loads = []
-
-    def counting_load(*args, **kwargs):
-        loads.append(args)
-        return real_load(*args, **kwargs)
-
-    monkeypatch.setattr(mccgr.harness, "load_csv", counting_load)
+    reads = counting(monkeypatch, "read_matrix")
+    label_reads = counting(monkeypatch, "load_labels")
     run_experiment(spec)
-    assert len(loads) == 1
+    assert len(reads) == 1 and len(label_reads) == 1
     for alphas in [(1.0,), (0.1, 1.0, 10.0, 100.0)]:
-        loads.clear()
+        reads.clear()
+        label_reads.clear()
         aggregate, _ = run_experiment(replace(spec, alpha_sweep=alphas))
         assert len(aggregate.sweep) == len(alphas)
-        assert len(loads) == 1
+        assert len(reads) == 1 and len(label_reads) == 1
 
 
 def test_alpha_sweep_table(tmp_path):
@@ -562,12 +584,13 @@ def test_experiment_sweep_shares_the_grid_cells_and_runs(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, alpha_sweep=(10.0, 1.0))
     aggregate, records = run_experiment(spec)
     spec_path = write_spec_file(tmp_path, spec)
-    loads = counting(monkeypatch, "load_csv")
+    reads = counting(monkeypatch, "read_matrix")
+    label_reads = counting(monkeypatch, "load_labels")
     graphs = counting(monkeypatch, "build_knn_affinity")
     solves = counting(monkeypatch, "solve")
     out = tmp_path / "report"
     assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)]) == 0
-    assert len(loads) == 1
+    assert len(reads) == 1 and len(label_reads) == 1
     # 2 ks x 2 repeats; before, the sweep built 2 more graphs per alpha.
     assert len(graphs) == 4
     # 8 grid runs plus alpha 10 at k=2; alpha 1 is the grid's own run.

@@ -14,9 +14,7 @@ from scipy import sparse
 
 from mccgr import (
     DataError,
-    LabeledDataset,
     build_knn_affinity,
-    load_csv,
     load_labels,
     read_matrix,
     save_csv,
@@ -97,6 +95,9 @@ def test_load_labels_roundtrip(tmp_path):
     path = tmp_path / "y.csv"
     save_labels(y, path)
     assert np.array_equal(load_labels(path), y)
+    # Whole floats are written as the integers they hold.
+    save_labels([2.0, 0.0, -1.0], path)
+    assert path.read_text() == "2\n0\n-1\n"
 
 
 def test_load_labels_rejects_multi_column(tmp_path):
@@ -122,35 +123,6 @@ def test_load_labels_rejects_values_outside_int64(tmp_path):
         assert str(caught.value) == f"{path}: label at row 3 is outside the int64 range: '{bad}'"
     path.write_text(f"{2**63 - 1}\n{-(2**63)}\n")
     assert load_labels(path).tolist() == [2**63 - 1, -(2**63)]
-
-
-def test_load_csv_labeled(tmp_path):
-    x = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    y = np.array([0, 1, 0], dtype=np.int64)
-    xp, yp = tmp_path / "x.csv", tmp_path / "y.csv"
-    save_csv(x, xp)
-    save_labels(y, yp)
-    ds = load_csv(xp, yp)
-    assert np.array_equal(ds.matrix, x)
-    assert np.array_equal(ds.labels, y)
-
-
-def test_load_csv_rejects_negative_data(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("1,2\n-3,4\n")
-    with pytest.raises(DataError, match="negative"):
-        load_csv(path)
-
-
-def test_labeled_dataset_validation():
-    with pytest.raises(DataError):
-        LabeledDataset(matrix=np.array([[1.0, -1.0]]))
-    with pytest.raises(DataError):
-        LabeledDataset(matrix=np.ones((2, 3)), labels=np.zeros(4, dtype=np.int64))
-    with pytest.raises(DataError):
-        LabeledDataset(matrix=np.ones((2, 3)), labels=np.zeros((1, 3), dtype=np.int64))
-    labels = LabeledDataset(matrix=np.eye(3), labels=[2.0, 0.0, -1.0]).labels
-    assert labels.dtype == np.int64 and labels.tolist() == [2, 0, -1]
 
 
 def reference_read_matrix(path, allow_negative=False):
@@ -362,9 +334,14 @@ def test_save_csv_writes_a_large_graph_without_a_dense_array(tmp_path):
 
 
 def test_gz_name_is_plain_text_both_ways(tmp_path):
-    # save_csv does not compress and read_matrix does not decompress
+    # save_csv and save_labels do not compress, and read_matrix and
+    # load_labels do not decompress
     for m in (np.eye(3), np.full((2, 2), 0.25)):
         path = tmp_path / "m.csv.gz"
         save_csv(m, path)
         assert path.read_bytes() == savetxt_bytes(m, tmp_path)
         assert np.array_equal(read_matrix(path), m)
+    path = tmp_path / "y.csv.gz"
+    save_labels([0, 1, 2], path)
+    assert path.read_bytes() == b"0\n1\n2\n"
+    assert load_labels(path).tolist() == [0, 1, 2]
