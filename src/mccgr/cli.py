@@ -18,8 +18,8 @@ from .harness import ExperimentSpec, emit_report, make_synthetic, run_experiment
 from .matrix import load_labels, read_matrix, save_csv, save_labels
 
 
-# SolverConfig's defaults, which the factorize flags share; variant and k
-# have none, so their flags are required.
+# The factorize flags share SolverConfig's defaults (variant and k have
+# none, so their flags are required); the knn flags share ExperimentSpec's.
 _SOLVER_DEFAULTS = {f.name: f.default for f in fields(SolverConfig) if f.default is not MISSING}
 
 
@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int, help="factorization rank")
     p.add_argument("--alpha", type=float, default=_SOLVER_DEFAULTS["alpha"], help="graph penalty weight")
     p.add_argument("--theta", type=float, default=_SOLVER_DEFAULTS["theta"], help="kernel width scale")
-    p.add_argument("--knn", type=int, default=5, help="neighbors for the affinity graph")
-    p.add_argument("--knn-mode", choices=list(MODES), default="mutual")
+    p.add_argument("--knn", type=int, default=ExperimentSpec.knn, help="neighbors for the affinity graph")
+    p.add_argument("--knn-mode", choices=list(MODES), default=ExperimentSpec.knn_mode)
     p.add_argument("--max-iter", type=int, default=_SOLVER_DEFAULTS["max_iter"])
     p.add_argument("--tol", type=float, default=_SOLVER_DEFAULTS["tol"])
     p.add_argument("--seed", type=int, default=0)
@@ -55,14 +55,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="single-column label CSV")
     p.add_argument("--k", required=True, type=int, help="number of clusters")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--out", required=True, help="JSON report destination")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("graph", help="emit a k-NN affinity matrix")
     p.add_argument("--input", required=True, help="features x samples CSV")
     p.add_argument("--knn", required=True, type=int)
-    p.add_argument("--knn-mode", choices=list(MODES), default="mutual")
+    p.add_argument("--knn-mode", choices=list(MODES), default=ExperimentSpec.knn_mode)
     p.add_argument("--out", required=True, help="affinity CSV destination")
     p.set_defaults(func=_cmd_graph)
 
@@ -110,7 +109,7 @@ def _cmd_factorize(args) -> int:
 def _cmd_eval(args) -> int:
     w = read_matrix(args.w)
     labels = load_labels(args.labels)
-    report = evaluate(w, labels, args.k, seed=args.seed, restarts=args.restarts)
+    report = evaluate(w, labels, args.k, seed=args.seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, indent=2)
         fh.write("\n")

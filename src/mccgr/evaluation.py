@@ -47,7 +47,6 @@ class EvalReport:
     nmi: float
     matching: dict[int, int]
     confusion: np.ndarray
-    assignments: np.ndarray
 
     def as_dict(self) -> dict:
         """JSON-ready form: accuracy, nmi, matching, confusion."""
@@ -212,19 +211,18 @@ def nmi(a, b) -> float:
     return min(max(mi / max(ha, hb), 0.0), 1.0)
 
 
-def evaluate(w, true_labels, k: int, seed: int = 0, restarts: int = 10) -> EvalReport:
-    """Cluster the columns of w and score against the true labels."""
+def evaluate(w, true_labels, k: int, seed: int = 0) -> EvalReport:
+    """Cluster the columns of w with kmeans, at its default restart count,
+    and score the clustering against the true labels."""
     true_labels = _check_labels(true_labels, "true labels")
     w = _check_matrix(w, "w")
     if w.shape[1] != true_labels.shape[0]:
         raise DataError(f"coefficient shape {w.shape} does not match {true_labels.shape[0]} labels")
-    clustering = kmeans(w, k, seed=seed, restarts=restarts)
-    match = accuracy(clustering.assignments, true_labels)
-    value = nmi(clustering.assignments, true_labels)
+    assignments = kmeans(w, k, seed=seed).assignments
+    match = accuracy(assignments, true_labels)
     return EvalReport(
         accuracy=match.accuracy,
-        nmi=value,
+        nmi=nmi(assignments, true_labels),
         matching=match.matching,
         confusion=match.confusion,
-        assignments=clustering.assignments,
     )

@@ -19,6 +19,8 @@ from .errors import DataError, _check_count, _check_matrix
 
 __all__ = ["AffinityGraph", "build_knn_affinity", "graph_penalty", "laplacian"]
 
+# The neighbour rules build_knn_affinity knows; the first is the default of
+# every caller that takes a mode.
 MODES = ("mutual", "symmetrized")
 
 # With every entry of a d-row matrix at most _MAX_ENTRY / sqrt(d) in size, each
@@ -75,7 +77,7 @@ class AffinityGraph:
         return self.affinity.shape[0]
 
 
-def build_knn_affinity(x, k: int, mode: str = "mutual") -> AffinityGraph:
+def build_knn_affinity(x, k: int, mode: str = MODES[0]) -> AffinityGraph:
     """Binary k-NN affinity over the columns of `x`.
 
     Each sample lists its k nearest other columns by Euclidean distance

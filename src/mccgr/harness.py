@@ -73,8 +73,7 @@ class ExperimentSpec:
     base_seed: int = 0
     alpha_sweep: tuple[float, ...] = ()
     knn: int = 5
-    knn_mode: str = "mutual"
-    kmeans_restarts: int = 10
+    knn_mode: str = MODES[0]
 
     def __post_init__(self):
         for key in ("features_path", "labels_path"):
@@ -86,7 +85,7 @@ class ExperimentSpec:
             if not isinstance(value, (list, tuple)):
                 raise DataError(f"spec key '{key}' must be a list, got {value!r}")
             object.__setattr__(self, key, tuple(value))
-        for key, low in (("repeats", 1), ("base_seed", 0), ("knn", 1), ("kmeans_restarts", 1)):
+        for key, low in (("repeats", 1), ("base_seed", 0), ("knn", 1)):
             _check_count(f"spec key '{key}'", getattr(self, key), low)
         if not self.k_range:
             raise DataError("spec key 'k_range' must not be empty")
@@ -128,7 +127,8 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
-        """Parse a spec file; unknown keys are data errors, not typos to ignore.
+        """Parse a spec file; unknown keys, at the top level or in the dataset
+        block, are data errors, not typos to ignore.
 
         The dataset paths resolve against the file's directory. The
         constructor checks the values; its errors are prefixed with the path.
@@ -147,6 +147,9 @@ class ExperimentSpec:
         dataset = raw.get("dataset")
         if not isinstance(dataset, dict) or not all(isinstance(dataset.get(key), str) for key in ("features", "labels")):
             raise DataError(f"{path}: spec needs dataset.features and dataset.labels paths")
+        unknown = set(dataset) - {"features", "labels"}
+        if unknown:
+            raise DataError(f"{path}: unknown dataset keys {sorted(unknown)}")
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name in keys and f.name not in raw]
         if missing:
             raise DataError(f"{path}: spec needs {', '.join(missing)}")
@@ -266,9 +269,7 @@ def run_experiment(spec: ExperimentSpec):
             if key not in outcomes:
                 try:
                     result = solve(x, graph, cfg, h0, w0)
-                    outcomes[key] = result, evaluate(
-                        result.w, labels[columns], k, seed=spec.base_seed + r, restarts=spec.kmeans_restarts
-                    )
+                    outcomes[key] = result, evaluate(result.w, labels[columns], k, seed=spec.base_seed + r)
                 except (DataError, NumericalError) as exc:
                     outcomes[key] = exc
             outcome = outcomes[key]
@@ -357,21 +358,35 @@ def write_trace(trace, path) -> None:
     _write_csv(path, "iteration,objective", (f"{i},{value!r}" for i, value in enumerate(map(float, trace))))
 
 
+def _run_cell(value) -> str:
+    # A runs.csv cell: a float at repr precision, a flag as 0/1, the rest as text.
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
     """Write the report of a run_experiment result under out_dir.
+
+    out_dir must be missing or empty: one that holds any file, such as an
+    earlier report's, is a DataError raised before anything is written, so
+    no report mixes with another's leftovers.
 
     Layout, set by aggregate whichever runs failed:
       accuracy_table.csv   mean accuracy: a row per k, ascending; a column per
                            aggregate.variants entry, in the spec's order; a
                            cell with no successful run is empty
       nmi_table.csv        mean NMI, laid out the same
-      runs.csv             one row per successful run, in records' order
+      runs.csv             one row per successful run, in records' order; a
+                           column per RunRecord field but trace
       summary.json         aggregate.rows, in order
       alpha_sweep.csv      alpha,mean_accuracy; only when aggregate.sweep is non-empty
       traces/<variant>_k<k>_r<repeat>.csv   iteration,objective
     """
     if not records:
         raise DataError("no successful runs to report")
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise DataError(f"report directory {out_dir} is not empty; a report needs a new or empty one")
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
@@ -381,13 +396,9 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
         lines = (",".join([str(k)] + [cells.get((k, variant), "") for variant in aggregate.variants]) for k in ks)
         _write_csv(os.path.join(out_dir, name), ",".join(["k", *aggregate.variants]), lines)
 
-    lines = (
-        f"{rec.variant},{rec.k},{rec.repeat},{rec.accuracy!r},{rec.nmi!r},"
-        f"{rec.iterations},{rec.final_objective!r},{int(rec.converged)},{rec.init_hash}"
-        for rec in records
-    )
-    header = "variant,k,repeat,accuracy,nmi,iterations,final_objective,converged,init_hash"
-    _write_csv(os.path.join(out_dir, "runs.csv"), header, lines)
+    columns = [f.name for f in fields(RunRecord) if f.name != "trace"]
+    lines = (",".join(_run_cell(getattr(rec, name)) for name in columns) for rec in records)
+    _write_csv(os.path.join(out_dir, "runs.csv"), ",".join(columns), lines)
     for rec in records:
         write_trace(rec.trace, os.path.join(traces_dir, f"{rec.variant}_k{rec.k}_r{rec.repeat}.csv"))
 
@@ -420,13 +431,23 @@ def make_synthetic(
     energy instead of being masked by a single extreme draw) across all
     samples, the failure mode squared-error fitting cannot ignore.
 
-    Returns (x, labels) with x of shape (dim, classes * per_class).
+    separation, spread, outlier_scale and corrupt_fraction are finite real
+    numbers; spread and outlier_scale are >= 0 and corrupt_fraction is in
+    (0, 1]. Returns (x, labels) with x of shape (dim, classes * per_class).
     """
     _check_count("classes", classes, 1)
     _check_count("per_class", per_class, 1)
     _check_count("dim", dim, classes)
     if noise not in ("gaussian", "heavy"):
         raise DataError(f"unknown noise kind {noise!r}")
+    reals = dict(corrupt_fraction=corrupt_fraction, separation=separation, spread=spread, outlier_scale=outlier_scale)
+    for name, value in reals.items():
+        _check_number(name, value, numbers.Real)
+        if not math.isfinite(value):
+            raise DataError(f"{name} must be finite, got {value!r}")
+    for name in ("spread", "outlier_scale"):
+        if reals[name] < 0:
+            raise DataError(f"{name} must be >= 0, got {reals[name]!r}")
     if not 0.0 < corrupt_fraction <= 1.0:
         raise DataError(f"corrupt_fraction must be in (0, 1], got {corrupt_fraction}")
     _check_count("seed", seed, 0)

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+from dataclasses import fields
 
 import pytest
 
@@ -61,6 +62,14 @@ def test_the_cli_imports_only_public_names():
     ]
     assert "ExperimentSpec" in imported
     assert [name for name in imported if name.startswith("_")] == []
+
+
+def test_restarts_and_assignments_are_not_passed_along():
+    # The k-means restart count is kmeans's alone; no spec key or evaluate
+    # parameter forwards it, and evaluate keeps no clustering nothing reads.
+    assert "kmeans_restarts" not in {f.name for f in fields(mccgr.ExperimentSpec)}
+    assert "restarts" not in inspect.signature(mccgr.evaluate).parameters
+    assert "assignments" not in {f.name for f in fields(mccgr.EvalReport)}
 
 
 @pytest.mark.parametrize("step", [mccgr.update_h, mccgr.update_w])

@@ -53,7 +53,6 @@ COUNTED = {
     "kmeans(restarts)": (lambda v: kmeans(np.eye(2), 2, restarts=v), 1, "restarts"),
     "evaluate(k)": (lambda v: evaluate(np.eye(2), [0, 1], v), 1, "k"),
     "evaluate(seed)": (lambda v: evaluate(np.eye(2), [0, 1], 2, seed=v), 0, "seed"),
-    "evaluate(restarts)": (lambda v: evaluate(np.eye(2), [0, 1], 2, restarts=v), 1, "restarts"),
     "sample_categories(k)": (lambda v: sample_categories([0, 1], v, 0), 1, "k"),
     "sample_categories(seed)": (lambda v: sample_categories([0, 1], 2, v), 0, "seed"),
     "make_synthetic(classes)": (lambda v: make_synthetic(v, 3, 4), 1, "classes"),
@@ -64,7 +63,6 @@ COUNTED = {
     "ExperimentSpec(repeats)": (lambda v: spec(repeats=v), 1, "spec key 'repeats'"),
     "ExperimentSpec(base_seed)": (lambda v: spec(base_seed=v), 0, "spec key 'base_seed'"),
     "ExperimentSpec(knn)": (lambda v: spec(knn=v), 1, "spec key 'knn'"),
-    "ExperimentSpec(kmeans_restarts)": (lambda v: spec(kmeans_restarts=v), 1, "spec key 'kmeans_restarts'"),
 }
 
 
@@ -156,7 +154,7 @@ def degenerate_calls(x, k, variant):
         "init_factors": lambda: init_factors(x, k, 0),
         "build_knn_affinity": lambda: build_knn_affinity(x, k),
         "kmeans": lambda: kmeans(x, k, restarts=2),
-        "evaluate": lambda: evaluate(x, labels, k, restarts=2),
+        "evaluate": lambda: evaluate(x, labels, k),
         "update_h": lambda: update_h(x, h, w, rho),
         "update_w": lambda: update_w(x, h, w, rho),
         "dual_objective": lambda: dual_objective(x, h, w, rho),

@@ -1,12 +1,23 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
+import inspect
 import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mccgr import VARIANTS, SolverConfig, load_labels, make_synthetic, read_matrix, save_csv, save_labels
+from mccgr import (
+    VARIANTS,
+    ExperimentSpec,
+    SolverConfig,
+    build_knn_affinity,
+    load_labels,
+    make_synthetic,
+    read_matrix,
+    save_csv,
+    save_labels,
+)
 from mccgr.cli import _build_parser, main
 
 
@@ -123,6 +134,13 @@ def test_factorize_defaults_and_choices_are_solver_configs():
     factorize = parser._subparsers._group_actions[0].choices["factorize"]
     (variant,) = [action for action in factorize._actions if action.dest == "variant"]
     assert tuple(variant.choices) == VARIANTS
+    # The neighbour rule's defaults are ExperimentSpec's, whose mode is the
+    # graph builder's own.
+    spec = ExperimentSpec(features_path="x.csv", labels_path="y.csv", k_range=(2,), variants=({"variant": "l2"},))
+    assert (args.knn, args.knn_mode) == (spec.knn, spec.knn_mode)
+    assert spec.knn_mode == inspect.signature(build_knn_affinity).parameters["mode"].default
+    graph = parser.parse_args(["graph", "--input", "x.csv", "--knn", "3", "--out", "a.csv"])
+    assert graph.knn_mode == spec.knn_mode
 
 
 def _bad_k_range(spec):
@@ -149,6 +167,10 @@ def _output_dir_key(spec):
     spec["output_dir"] = "report"
 
 
+def _kmeans_restarts_key(spec):
+    spec["kmeans_restarts"] = 3
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
@@ -158,6 +180,7 @@ def _output_dir_key(spec):
         (_bad_repeats, "'repeats'"),
         (_epsilon_key, "unknown variant keys ['epsilon']"),
         (_output_dir_key, "unknown spec keys ['output_dir']"),
+        (_kmeans_restarts_key, "unknown spec keys ['kmeans_restarts']"),
     ],
 )
 def test_experiment_rejects_bad_spec_values_with_exit_2(tmp_path, capsys, spoil, message):
@@ -186,6 +209,8 @@ def test_usage_errors_exit_1(capsys):
         ["factorize"],
         ["factorize", "--input", "x.csv"],
         ["eval", "--w", "w.csv"],
+        # The restart count is kmeans's own; no flag passes it along.
+        ["eval", "--w", "w.csv", "--labels", "y.csv", "--k", "3", "--restarts", "3", "--out", "r.json"],
         ["experiment", "--spec", "spec.json"],
         ["factorize", "--input", "x.csv", "--variant", "ridge", "--k", "2",
          "--out-h", "h.csv", "--out-w", "w.csv"],

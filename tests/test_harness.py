@@ -130,6 +130,12 @@ def test_spec_from_json_errors(tmp_path):
     )
     with pytest.raises(DataError, match="unknown spec keys"):
         ExperimentSpec.from_json(path)
+    # A misspelt dataset key was ignored, unlike a misspelt top-level one.
+    path.write_text(
+        json.dumps({"dataset": {"features": "x", "labels": "y", "lables": "z"}, "k_range": [2], "variants": []})
+    )
+    with pytest.raises(DataError, match=r"unknown dataset keys \['lables'\]"):
+        ExperimentSpec.from_json(path)
 
 
 def test_spec_from_json_takes_the_dataclass_defaults(tmp_path):
@@ -173,7 +179,6 @@ def test_spec_rejects_bad_solver_settings_before_any_run(tmp_path):
 # with the same message, before any data is read.
 BAD_SPEC_VALUES = [
     pytest.param("repeats", 2.5, id="repeats-float"),
-    pytest.param("kmeans_restarts", True, id="kmeans_restarts-bool"),
     pytest.param("alpha_sweep", ["x"], id="alpha_sweep-string"),
     pytest.param("alpha_sweep", [-1.0], id="alpha_sweep-negative"),
     pytest.param("alpha_sweep", [float("nan")], id="alpha_sweep-nan"),
@@ -433,6 +438,42 @@ def test_write_alpha_sweep_format(tmp_path):
     assert len(lines) == 3
 
 
+def tree(root) -> dict:
+    # Every file under root, by relative path: its bytes and modification time.
+    found = {}
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            found[str(path.relative_to(root))] = (path.read_bytes(), path.stat().st_mtime_ns)
+    return found
+
+
+def test_a_report_goes_only_into_a_new_or_empty_directory(tmp_path, capsys):
+    # Before, a rerun into the directory of a run with a sweep left that
+    # run's alpha_sweep.csv and traces beside a runs.csv that did not list them.
+    specs = {}
+    for name, overrides in (("swept", dict(alpha_sweep=(1.0,))), ("plain", dict(k_range=(2,), repeats=1))):
+        (tmp_path / name).mkdir()
+        specs[name] = write_spec_file(tmp_path / name, small_spec(tmp_path / name, **overrides))
+    out = tmp_path / "report"
+    out.mkdir()
+    assert cli_main(["experiment", "--spec", specs["swept"], "--out-dir", str(out)]) == 0
+    before = tree(out)
+    assert "alpha_sweep.csv" in before
+    capsys.readouterr()
+    assert cli_main(["experiment", "--spec", specs["plain"], "--out-dir", str(out)]) == 2
+    assert f"report directory {out} is not empty" in capsys.readouterr().err
+    assert tree(out) == before
+    # A directory holding any file, not only a report's, is refused as well.
+    aggregate, records = run_experiment(small_spec(tmp_path / "plain", k_range=(2,), repeats=1))
+    stray = tmp_path / "stray"
+    stray.mkdir()
+    (stray / "notes.txt").write_text("kept\n")
+    before = tree(stray)
+    with pytest.raises(DataError, match="is not empty"):
+        emit_report(aggregate, records, stray)
+    assert tree(stray) == before
+
+
 def test_emit_report_layout(tmp_path):
     spec = small_spec(tmp_path, k_range=(2,), repeats=2)
     aggregate, records = run_experiment(spec)
@@ -546,6 +587,21 @@ def test_make_synthetic_validation():
         make_synthetic(3, 5, 10, "heavy", corrupt_fraction=0.0)
     with pytest.raises(DataError):
         make_synthetic(3, 5, 10, "heavy", corrupt_fraction=1.5)
+    # Before, nan and inf settings gave non-finite data, a string fraction a
+    # TypeError and a negative spread numpy's bare ValueError.
+    for name, value, message in (
+        ("separation", float("nan"), "must be finite"),
+        ("separation", "4", "must be a real number"),
+        ("spread", -1.0, "must be >= 0"),
+        ("spread", float("inf"), "must be finite"),
+        ("outlier_scale", float("inf"), "must be finite"),
+        ("outlier_scale", -0.5, "must be >= 0"),
+        ("corrupt_fraction", "0.5", "must be a real number"),
+        ("corrupt_fraction", float("nan"), "must be finite"),
+        ("corrupt_fraction", True, "must be a real number"),
+    ):
+        with pytest.raises(DataError, match=f"^{name} {message}"):
+            make_synthetic(3, 5, 10, "heavy", **{name: value})
 
 
 def write_spec_file(tmp_path, spec):
