@@ -14,7 +14,7 @@ from .errors import DataError, NumericalError
 from .evaluation import evaluate
 from .factorization import VARIANTS, SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
-from .harness import ExperimentSpec, emit_report, make_synthetic, run_experiment, write_trace
+from .harness import ExperimentSpec, check_report_dir, emit_report, make_synthetic, run_experiment, write_trace
 from .matrix import load_labels, read_matrix, save_csv, save_labels
 
 
@@ -126,7 +126,10 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    aggregate, records = run_experiment(ExperimentSpec.from_json(args.spec))
+    spec = ExperimentSpec.from_json(args.spec)
+    # A directory that cannot take the report fails before the runs.
+    check_report_dir(args.out_dir)
+    aggregate, records = run_experiment(spec)
     emit_report(aggregate, records, args.out_dir)
     for row in aggregate.rows:
         print(

@@ -1,11 +1,12 @@
 """Exception types shared across the library, and the one check per kind of
-argument: a count, a data matrix, a label vector.
+argument: a count, a finite real setting, a data matrix, a label vector.
 
 Every public entry point checks its arguments through these helpers, so each
 rule and its message are written once and a bad argument is a DataError that
 names it.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -34,6 +35,14 @@ def _check_count(name, value, low):
     _check_number(name, value, numbers.Integral)
     if value < low:
         raise DataError(f"{name} must be >= {low}, got {value}")
+
+
+def _check_real(name, value):
+    # A real-valued setting (numpy's included) that is finite: NaN passes
+    # every bound check a caller makes next, and no setting is infinite.
+    _check_number(name, value, numbers.Real)
+    if not math.isfinite(value):
+        raise DataError(f"{name} must be finite, got {value!r}")
 
 
 def _check_shape(name, shape):

@@ -26,13 +26,11 @@ sparse affinity; no Laplacian is built.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError, _check_count, _check_matrix, _check_number, _check_shape
+from .errors import DataError, NumericalError, _check_count, _check_matrix, _check_real, _check_shape
 from .graph import AffinityGraph, _penalty, _times_affinity
 
 __all__ = [
@@ -88,11 +86,7 @@ class SolverConfig:
         for name in ("k", "max_iter"):
             _check_count(name, getattr(self, name), 1)
         for name in ("alpha", "theta", "tol"):
-            value = getattr(self, name)
-            _check_number(name, value, numbers.Real)
-            # NaN passes every comparison below.
-            if not math.isfinite(value):
-                raise DataError(f"{name} must be finite, got {value!r}")
+            _check_real(name, getattr(self, name))
         if self.alpha < 0:
             raise DataError(f"alpha must be >= 0, got {self.alpha}")
         if self.theta <= 0:

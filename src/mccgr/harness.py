@@ -9,7 +9,11 @@ identical starting conditions. An alpha sweep adds the
 first mccgr entry at each sweep alpha as more runs of the k=2 cells.
 run_experiment is the one way to run a spec: it sets each cell up once and
 solves each distinct run in it once, a run the grid and the sweep share
-included. Per-run metrics land in RunRecords; the spec's variant order,
+included. The cells run in worker processes, one per CPU the process may
+use, when the process has no other thread; their results, and their
+warnings, are consumed in cell order, so every output is the same as with
+one CPU, where the cells run in-process.
+Per-run metrics land in RunRecords; the spec's variant order,
 per-(variant, k) means and deviations, and the sweep's mean accuracy per
 alpha in an AggregateReport, which alone sets the layout emit_report writes.
 
@@ -19,18 +23,23 @@ dataset; no wall-clock time is recorded.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import functools
 import hashlib
 import json
-import math
+import multiprocessing
 import numbers
 import os
 import re
+import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .errors import DataError, NumericalError, _check_count, _check_labels, _check_number
+from .errors import DataError, NumericalError, _check_count, _check_labels, _check_number, _check_real
 from .evaluation import evaluate
 from .factorization import SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
@@ -41,6 +50,7 @@ __all__ = [
     "AggregateRow",
     "ExperimentSpec",
     "RunRecord",
+    "check_report_dir",
     "emit_report",
     "make_synthetic",
     "run_experiment",
@@ -94,9 +104,9 @@ class ExperimentSpec:
             if k < 2:
                 raise DataError(f"spec key 'k_range': clustering experiments need k >= 2, got {k}")
         for alpha in self.alpha_sweep:
-            _check_number("spec key 'alpha_sweep'", alpha, numbers.Real)
-            if not math.isfinite(alpha) or alpha < 0:
-                raise DataError(f"spec key 'alpha_sweep' values must be finite and >= 0, got {alpha!r}")
+            _check_real("spec key 'alpha_sweep'", alpha)
+            if alpha < 0:
+                raise DataError(f"spec key 'alpha_sweep' values must be >= 0, got {alpha!r}")
         for key in ("k_range", "alpha_sweep"):
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise DataError(f"spec key '{key}' lists a value twice: {getattr(self, key)}")
@@ -229,12 +239,27 @@ def run_experiment(spec: ExperimentSpec):
     builds its graph and (H0, W0) once and solves each distinct config
     once, a run the grid and the sweep share included.
 
+    The cells are independent, so they run in forked worker processes, one
+    per CPU this process may use (os.sched_getaffinity; a cgroup CPU quota
+    is not read) and at most one per cell. Results come back, and are
+    consumed, in cell order, so the returned values, and the warnings, are
+    the same whatever the worker count. Every cell runs in this process
+    when it may use one CPU, on a platform without sched_getaffinity, and
+    when it already has more than one thread, since forking then risks a
+    deadlock; numpy's default OpenBLAS starts a thread per CPU at import
+    unless OPENBLAS_NUM_THREADS=1. A warning a cell raises in a worker is
+    re-emitted here, in cell order, before that cell's failed-run warnings,
+    under its module's name and with one registry per call, so under the
+    default filter a warning every cell raises shows once, as it does in
+    this process. No worker outlives the call.
+
     Returns (AggregateReport, list[RunRecord]). AggregateReport.sweep holds
     (alpha, mean k=2 accuracy) in ascending alpha order, and is empty when
     the spec lists no sweep values. A run that fails with DataError or
     NumericalError is warned about and left out of aggregation; it never
     aborts the other runs. Any other exception is a programming error and
-    propagates. A k above the labels' category count, or a knn not below a
+    propagates, from a worker too, and the cells not yet started are
+    dropped. A k above the labels' category count, or a knn not below a
     cell's sample count, is a DataError raised before the first run; a
     sweep alpha with no successful run is one raised after the last.
     """
@@ -247,58 +272,148 @@ def run_experiment(spec: ExperimentSpec):
     mccgr_entries = [_solver_settings(entry) for entry in spec.variants if entry["variant"].lower() == "mccgr"]
     base = mccgr_entries[0] if mccgr_entries else {"variant": "mccgr"}
     sweep = {float(alpha): [] for alpha in sorted(spec.alpha_sweep)}
-    records: list[RunRecord] = []
-    for (k, r), columns in samples.items():
-        x = data[:, columns]
-        graph = build_knn_affinity(x, spec.knn, spec.knn_mode)
-        h0, w0 = init_factors(x, k, spec.base_seed + r)
-        init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
-        # The cell's runs in order, as (name, config, sweep alpha or None).
-        runs = []
+    # Each cell's runs in order, as (name, config, sweep alpha or None).
+    runs = {}
+    for k, r in samples:
+        cell = []
         if k in spec.k_range:
-            runs += [(name, SolverConfig(k=k, **_solver_settings(e)), None) for name, e in zip(names, spec.variants)]
+            cell += [(name, SolverConfig(k=k, **_solver_settings(e)), None) for name, e in zip(names, spec.variants)]
         if k == 2:
-            runs += [(_variant_name(base), SolverConfig(k=2, **dict(base, alpha=a)), a) for a in sweep]
-        # Outcomes keyed by config fields; a DataError or NumericalError is
-        # the outcome of a failed run. A config asked for twice in a cell is
-        # solved once; a failed one is warned about once per request. Nothing
-        # of a cell outlives it.
-        outcomes = {}
-        for name, cfg, alpha in runs:
-            key = astuple(cfg)
-            if key not in outcomes:
-                try:
-                    result = solve(x, graph, cfg, h0, w0)
-                    outcomes[key] = result, evaluate(result.w, labels[columns], k, seed=spec.base_seed + r)
-                except (DataError, NumericalError) as exc:
-                    outcomes[key] = exc
-            outcome = outcomes[key]
-            if isinstance(outcome, Exception):
-                # Names the caller of run_experiment.
-                warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {outcome}", stacklevel=2)
-            elif alpha is not None:
-                sweep[alpha].append(outcome[1].accuracy)
-            else:
-                result, report = outcome
-                records.append(
-                    RunRecord(
-                        variant=name,
-                        k=k,
-                        repeat=r,
-                        accuracy=report.accuracy,
-                        nmi=report.nmi,
-                        iterations=result.iterations_run,
-                        final_objective=float(result.trace[-1]),
-                        converged=result.converged,
-                        init_hash=init_hash,
-                        trace=result.trace,
-                    )
-                )
+            cell += [(_variant_name(base), SolverConfig(k=2, **dict(base, alpha=a)), a) for a in sweep]
+        runs[k, r] = cell
+    solve_cell = functools.partial(_solve_cell, knn=spec.knn, mode=spec.knn_mode)
+    # Generators: each cell's data is sliced when the cell is sent to run.
+    xs = (data[:, columns] for columns in samples.values())
+    ys = (labels[columns] for columns in samples.values())
+    configs = ([cfg for _, cfg, _ in cell] for cell in runs.values())
+    records: list[RunRecord] = []
+    # One registry for the call, so that a warning every worker's cell
+    # raises shows once under the default filter.
+    registry = {}
+    with _cell_map(len(runs)) as cell_map:
+        results = cell_map(solve_cell, xs, ys, (k for k, _ in runs), (spec.base_seed + r for _, r in runs), configs)
+        for ((k, r), cell), ((init_hash, outcomes), caught) in zip(runs.items(), results):
+            for message, category, filename, lineno in caught:
+                module, module_globals = _module_of(filename)
+                warnings.warn_explicit(message, category, filename, lineno, module, registry, module_globals)
+            for (name, cfg, alpha), outcome in zip(cell, outcomes):
+                if isinstance(outcome, Exception):
+                    # Names the caller of run_experiment.
+                    warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {outcome}", stacklevel=2)
+                elif alpha is not None:
+                    sweep[alpha].append(outcome["accuracy"])
+                else:
+                    records.append(RunRecord(variant=name, k=k, repeat=r, init_hash=init_hash, **outcome))
     for alpha, accuracies in sweep.items():
         if not accuracies:
             raise DataError(f"alpha sweep produced no successful runs at alpha={alpha}")
     table = tuple((alpha, float(np.array(accuracies).mean())) for alpha, accuracies in sweep.items())
     return AggregateReport(variants=names, rows=_aggregate(records, names, spec.k_range), sweep=table), records
+
+
+def _solve_cell(x, labels, k, seed, configs, knn, mode):
+    # One cell's work, on its own columns x and their labels: the graph,
+    # (H0, W0) from seed, then a solve and an evaluation per config. Returns
+    # (init_hash, outcomes). outcomes[i] is configs[i]'s RunRecord fields
+    # from accuracy to trace, but init_hash, or the DataError or
+    # NumericalError it failed with; a config listed twice is solved once.
+    # Only those fields go back from a worker, not the factors.
+    graph = build_knn_affinity(x, knn, mode)
+    h0, w0 = init_factors(x, k, seed)
+    solved = {}
+    for cfg in configs:
+        key = astuple(cfg)
+        if key not in solved:
+            try:
+                result = solve(x, graph, cfg, h0, w0)
+                report = evaluate(result.w, labels, k, seed=seed)
+            except (DataError, NumericalError) as exc:
+                solved[key] = exc
+                continue
+            solved[key] = {
+                "accuracy": report.accuracy,
+                "nmi": report.nmi,
+                "iterations": result.iterations_run,
+                "final_objective": float(result.trace[-1]),
+                "converged": result.converged,
+                "trace": result.trace,
+            }
+    init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
+    return init_hash, [solved[astuple(cfg)] for cfg in configs]
+
+
+def _recording(fn, *args):
+    # fn(*args) in a worker, and each warning it raised, as warn_explicit's
+    # (message, category, filename, lineno), for the parent to re-emit: a
+    # worker's own warnings go nowhere the caller sees.
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(*args)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _module_of(filename):
+    # The loaded module whose file a re-emitted warning names, as (name,
+    # globals), so that filters match it by its name as where it was
+    # raised; (None, None) when no loaded module has that file.
+    for module in list(sys.modules.values()):
+        if getattr(module, "__file__", None) == filename:
+            return module.__name__, vars(module)
+    return None, None
+
+
+def _workers(cells: int) -> int:
+    # One worker per CPU this process may run on, and no more than there
+    # are cells; one where the platform cannot tell which CPUs those are.
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), cells)
+
+
+def _single_threaded() -> bool:
+    # Whether this process runs one OS thread, counted as the kernel lists
+    # them, so a BLAS library's pool counts as much as a Python thread. A
+    # process that has threads must not fork (CPython 3.12 and later warn
+    # that it may deadlock); False where the list cannot be read.
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+@contextlib.contextmanager
+def _cell_map(cells: int):
+    # The map run_experiment sends its cells through. It yields, in order,
+    # each cell's result and the warnings the cell raised in a worker; in
+    # this process they are raised as they happen, and none are listed.
+    # The cells run in this process for one worker, or when the process
+    # has more than one thread (numpy's default OpenBLAS starts its own at
+    # import; with OPENBLAS_NUM_THREADS=1 it does not); else in a process
+    # pool. The pool forks, so workers start with numpy and the library
+    # already imported; spawned workers import them afresh, which made a
+    # grid pass slower than in one process. Cells are submitted two per
+    # worker ahead of the one consumed, so the parent holds that many
+    # cells' data, not the whole grid's. The pool is shut down and its
+    # workers joined on the way out; on an error the cells submitted but
+    # not started are dropped, not waited for.
+    workers = _workers(cells)
+    if workers == 1 or not _single_threaded():
+        yield lambda fn, *iterables: ((result, ()) for result in map(fn, *iterables))
+        return
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+    def pool_map(fn, *iterables):
+        pending = collections.deque()
+        for args in zip(*iterables):
+            pending.append(pool.submit(_recording, fn, *args))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    try:
+        yield pool_map
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _samples(spec: ExperimentSpec, labels):
@@ -365,12 +480,23 @@ def _run_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def check_report_dir(out_dir) -> None:
+    """Raise DataError unless out_dir is missing or empty.
+
+    emit_report makes this check before it writes anything; a caller makes
+    it too before run_experiment, so a directory that cannot take the
+    report fails before the runs, not after them.
+    """
+    if os.path.isdir(out_dir) and os.listdir(out_dir):
+        raise DataError(f"report directory {out_dir} is not empty; a report needs a new or empty one")
+
+
 def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
     """Write the report of a run_experiment result under out_dir.
 
-    out_dir must be missing or empty: one that holds any file, such as an
-    earlier report's, is a DataError raised before anything is written, so
-    no report mixes with another's leftovers.
+    out_dir must be missing or empty (check_report_dir): one that holds any
+    file, such as an earlier report's, is a DataError raised before
+    anything is written, so no report mixes with another's leftovers.
 
     Layout, set by aggregate whichever runs failed:
       accuracy_table.csv   mean accuracy: a row per k, ascending; a column per
@@ -385,8 +511,7 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
     """
     if not records:
         raise DataError("no successful runs to report")
-    if os.path.isdir(out_dir) and os.listdir(out_dir):
-        raise DataError(f"report directory {out_dir} is not empty; a report needs a new or empty one")
+    check_report_dir(out_dir)
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
@@ -442,9 +567,7 @@ def make_synthetic(
         raise DataError(f"unknown noise kind {noise!r}")
     reals = dict(corrupt_fraction=corrupt_fraction, separation=separation, spread=spread, outlier_scale=outlier_scale)
     for name, value in reals.items():
-        _check_number(name, value, numbers.Real)
-        if not math.isfinite(value):
-            raise DataError(f"{name} must be finite, got {value!r}")
+        _check_real(name, value)
     for name in ("spread", "outlier_scale"):
         if reals[name] < 0:
             raise DataError(f"{name} must be >= 0, got {reals[name]!r}")

@@ -89,7 +89,7 @@ def test_each_check_is_defined_in_one_module():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
                 defined.setdefault(node.name, []).append(name)
-    for check in ("_check_number", "_check_count", "_check_matrix", "_check_labels"):
+    for check in ("_check_number", "_check_count", "_check_real", "_check_matrix", "_check_labels"):
         assert defined.get(check) == ["errors"], check
     assert {check: where for check, where in defined.items() if len(where) > 1} == {}
 

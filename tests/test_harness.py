@@ -1,8 +1,13 @@
 """Experiment protocol: sampling, spec parsing, the grid runner, reports."""
 
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import tempfile
+import threading
+import warnings
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -474,6 +479,19 @@ def test_a_report_goes_only_into_a_new_or_empty_directory(tmp_path, capsys):
     assert tree(stray) == before
 
 
+def test_a_rerun_into_a_report_directory_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    spec_path = write_spec_file(tmp_path, small_spec(tmp_path, k_range=(2,), repeats=1))
+    out = tmp_path / "report"
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)]) == 0
+    before = tree(out)
+    capsys.readouterr()
+    solves = counting(monkeypatch, "solve")
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"mccgr: report directory {out} is not empty; a report needs a new or empty one\n"
+    assert solves == []
+    assert tree(out) == before
+
+
 def test_emit_report_layout(tmp_path):
     spec = small_spec(tmp_path, k_range=(2,), repeats=2)
     aggregate, records = run_experiment(spec)
@@ -622,7 +640,14 @@ def write_spec_file(tmp_path, spec):
     return str(path)
 
 
+def in_process(monkeypatch):
+    # Runs every cell in this process, so that state a test keeps in a
+    # patched function, such as a call count, sees the cells' calls.
+    monkeypatch.setattr(mccgr.harness, "_workers", lambda cells: 1)
+
+
 def counting(monkeypatch, name):
+    in_process(monkeypatch)
     real = getattr(mccgr.harness, name)
     calls = []
 
@@ -686,6 +711,7 @@ def test_reused_failed_run_warns_again(tmp_path, monkeypatch):
         return real_solve(x, graph, cfg, h0, w0, **kwargs)
 
     monkeypatch.setattr(mccgr.harness, "solve", fail_first_mccgr)
+    in_process(monkeypatch)
     spec_path = write_spec_file(tmp_path, spec)
     with pytest.warns(UserWarning, match="synthetic failure") as caught:
         code = cli_main(["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / "out")])
@@ -716,6 +742,7 @@ def test_each_cell_runs_all_its_solves_before_the_next_graph(tmp_path, monkeypat
 
     monkeypatch.setattr(mccgr.harness, "build_knn_affinity", build)
     monkeypatch.setattr(mccgr.harness, "solve", solve)
+    in_process(monkeypatch)
     spec_path = write_spec_file(tmp_path, spec)
     assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / "out")]) == 0
     # k=3 cells run l2 and mccgr; k=2 cells also run mccgr at alpha 10.
@@ -774,3 +801,176 @@ def test_experiment_command_equals_the_library_calls(tmp_path, k_range, alphas):
             continue
         with open(path, "rb") as want, open(os.path.join(out, name), "rb") as got:
             assert got.read() == want.read(), name
+
+
+# The cells in worker processes. Each test pins the worker count to 2, so
+# that the pool runs on a host of any size, and checks that it ran.
+
+
+def two_workers(monkeypatch):
+    # Returns the list of pools run_experiment starts from here on. The
+    # suite's process has numpy's OpenBLAS threads (pytest imports scipy
+    # for its warning filters, before any test code can pin BLAS), so
+    # run_experiment would not fork; it is told the process has one
+    # thread. OpenBLAS joins its threads before a fork, so the fork itself
+    # sees one.
+    monkeypatch.setattr(mccgr.harness, "_workers", lambda cells: min(2, cells))
+    monkeypatch.setattr(mccgr.harness, "_single_threaded", lambda: True)
+    real = mccgr.harness.ProcessPoolExecutor
+    pools = []
+
+    def pool(*args, **kwargs):
+        pools.append(real(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(mccgr.harness, "ProcessPoolExecutor", pool)
+    return pools
+
+
+def report_bytes(root) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_a_pooled_report_equals_the_in_process_one(tmp_path):
+    spec_path = write_spec_file(tmp_path, small_spec(tmp_path, alpha_sweep=(10.0, 1.0)))
+    reports = {}
+    for name, pin in (("in_process", in_process), ("pooled", two_workers)):
+        with pytest.MonkeyPatch.context() as patch:
+            pools = pin(patch)
+            assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / name)]) == 0
+        reports[name] = report_bytes(tmp_path / name)
+    assert len(pools) == 1
+    # Five tables and a trace per grid run.
+    assert len(reports["pooled"]) == 5 + 8
+    assert reports["pooled"] == reports["in_process"]
+
+
+def test_pooled_warnings_match_the_in_process_ones(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, repeats=3, alpha_sweep=(10.0, 1.0))
+    real_solve = mccgr.harness.solve
+
+    def flaky(x, graph, cfg, h0, w0, **kwargs):
+        # Warns at every solve; fails every mccgr run but those of repeat 0.
+        warnings.warn(f"cell warning k={cfg.k} {cfg.variant}", RuntimeWarning)
+        if cfg.variant == "mccgr" and not np.array_equal(h0, mccgr.init_factors(x, cfg.k, spec.base_seed)[0]):
+            raise mccgr.NumericalError("synthetic failure")
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", flaky)
+    seen = {}
+    for name, pin in (("in_process", in_process), ("pooled", two_workers)):
+        with pytest.MonkeyPatch.context() as patch:
+            pools = pin(patch)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_experiment(spec)
+        seen[name] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+    assert len(pools) == 1
+    assert seen["pooled"] == seen["in_process"]
+    # The first cell, k=2 repeat 0: a warning per distinct solve, none failed.
+    assert [message for _, message, _, _ in seen["pooled"][:3]] == [
+        "cell warning k=2 l2",
+        "cell warning k=2 mccgr",
+        "cell warning k=2 mccgr",
+    ]
+    assert {filename for category, _, filename, _ in seen["pooled"] if category is RuntimeWarning} == {__file__}
+    failed = [(message, filename) for category, message, filename, _ in seen["pooled"] if category is UserWarning]
+    # mccgr at repeats 1 and 2 of both ks, and both sweep alphas at k=2
+    # (alpha 1.0 reusing the grid's failed run), in cell order.
+    assert [message.split(":")[0] for message, _ in failed] == (
+        ["variant 'mccgr' failed at k=2 repeat 1"] * 3
+        + ["variant 'mccgr' failed at k=2 repeat 2"] * 3
+        + ["variant 'mccgr' failed at k=3 repeat 1", "variant 'mccgr' failed at k=3 repeat 2"]
+    )
+    assert {filename for _, filename in failed} == {__file__}
+
+
+@pytest.mark.parametrize("pin", [in_process, two_workers], ids=["in_process", "pooled"])
+def test_a_warning_every_cell_raises_shows_once_per_run(tmp_path, monkeypatch, pin):
+    real_solve = mccgr.harness.solve
+
+    def noisy(*args, **kwargs):
+        warnings.warn("the same warning at every solve", RuntimeWarning)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", noisy)
+    pin(monkeypatch)
+    spec = small_spec(tmp_path)
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            # Re-emitted under this module's name, not one made of its path,
+            # so the second filter matches it where it is raised and where
+            # it is re-emitted.
+            warnings.simplefilter("error")
+            warnings.filterwarnings("default", category=RuntimeWarning, module=__name__)
+            run_experiment(spec)
+        assert [str(w.message) for w in caught] == ["the same warning at every solve"]
+
+
+def test_a_programming_error_in_a_worker_propagates(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, repeats=3)
+
+    def broken(x, graph, cfg, h0, w0, **kwargs):
+        raise TypeError("synthetic bug")
+
+    monkeypatch.setattr(mccgr.harness, "solve", broken)
+    pools = two_workers(monkeypatch)
+    with pytest.raises(TypeError, match="^synthetic bug$"):
+        run_experiment(spec)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_no_worker_outlives_a_run(tmp_path, monkeypatch):
+    pools = two_workers(monkeypatch)
+    _, records = run_experiment(small_spec(tmp_path))
+    assert len(records) == 8
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_process_with_a_second_thread_runs_its_cells_in_process(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path)
+    want = run_experiment(spec)
+    real = mccgr.harness._single_threaded
+    pools = two_workers(monkeypatch)
+    monkeypatch.setattr(mccgr.harness, "_single_threaded", real)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        # Under the suite's filters, CPython 3.12's fork-with-threads
+        # DeprecationWarning would fail this call.
+        got = run_experiment(spec)
+    finally:
+        release.set()
+        thread.join()
+    assert pools == []
+    assert multiprocessing.active_children() == []
+    assert got[0] == want[0]
+    assert [astuple(replace(rec, trace=None)) for rec in got[1]] == [astuple(replace(rec, trace=None)) for rec in want[1]]
+
+
+def test_a_process_with_threads_is_not_single_threaded():
+    pinned = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    pinned["PYTHONPATH"] = os.pathsep.join([os.path.dirname(mccgr.__path__[0]), pinned.get("PYTHONPATH", "")])
+    script = "import mccgr.harness as h; print(h._single_threaded())"
+    proc = subprocess.run([sys.executable, "-c", script], env=pinned, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "True\n", proc.stderr
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not mccgr.harness._single_threaded()
+    finally:
+        release.set()
+        thread.join()
+
+
+def test_one_worker_per_allowed_cpu_and_at_most_one_per_cell(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert [mccgr.harness._workers(cells) for cells in (1, 2, 3, 40)] == [1, 2, 3, 3]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert mccgr.harness._workers(40) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert mccgr.harness._workers(40) == 1
