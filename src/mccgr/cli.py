@@ -14,7 +14,7 @@ from .errors import DataError, NumericalError
 from .evaluation import evaluate
 from .factorization import VARIANTS, SolverConfig, init_factors, solve
 from .graph import MODES, build_knn_affinity
-from .harness import ExperimentSpec, check_report_dir, emit_report, make_synthetic, run_experiment, write_trace
+from .harness import NOISES, ExperimentSpec, check_report_dir, emit_report, make_synthetic, run_experiment, write_trace
 from .matrix import load_labels, read_matrix, save_csv, save_labels
 
 
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", required=True, type=int)
     p.add_argument("--per-class", required=True, type=int)
     p.add_argument("--dim", required=True, type=int)
-    p.add_argument("--noise", choices=["gaussian", "heavy"], default="gaussian")
+    p.add_argument("--noise", choices=list(NOISES), default=NOISES[0])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="features CSV destination")
     p.add_argument("--out-labels", required=True, help="labels CSV destination")

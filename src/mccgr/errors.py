@@ -11,6 +11,8 @@ import numbers
 
 import numpy as np
 
+__all__ = ["DataError", "NumericalError"]
+
 
 class DataError(ValueError):
     """Malformed or inconsistent input: bad CSV cells, ragged rows,

@@ -26,6 +26,9 @@ __all__ = [
     "nmi",
 ]
 
+# The most Lloyd rounds a k-means restart runs; kmeans documents the cap.
+_MAX_ROUNDS = 300
+
 
 @dataclass
 class Clustering:
@@ -66,12 +69,12 @@ def _sq_dist(points, p2, centroids):
     return np.maximum(d2, 0.0)
 
 
-def _lloyd(points, p2, init_idx, max_rounds=300):
+def _lloyd(points, p2, init_idx):
     n = points.shape[1]
     k = len(init_idx)
     centroids = points[:, init_idx].copy()
     assign = None
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         d2 = _sq_dist(points, p2, centroids)
         new_assign = np.argmin(d2, axis=0)  # ties go to the lower cluster index
         counts = np.bincount(new_assign, minlength=k)

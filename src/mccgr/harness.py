@@ -65,6 +65,10 @@ _VARIANT_KEYS = {"name"} | {f.name for f in fields(SolverConfig)} - {"k"}
 # A variant name becomes part of a trace file name and a runs.csv cell.
 _VARIANT_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
+# The noise kinds make_synthetic knows; the first is the default of every
+# caller that takes a kind.
+NOISES = ("gaussian", "heavy")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -246,12 +250,14 @@ def run_experiment(spec: ExperimentSpec):
     the same whatever the worker count. Every cell runs in this process
     when it may use one CPU, on a platform without sched_getaffinity, and
     when it already has more than one thread, since forking then risks a
-    deadlock; numpy's default OpenBLAS starts a thread per CPU at import
-    unless OPENBLAS_NUM_THREADS=1. A warning a cell raises in a worker is
-    re-emitted here, in cell order, before that cell's failed-run warnings,
-    under its module's name and with one registry per call, so under the
-    default filter a warning every cell raises shows once, as it does in
-    this process. No worker outlives the call.
+    deadlock; numpy's default OpenBLAS starts a thread per CPU at import,
+    and again at its first large product after a fork, which the thread
+    count runs first, unless OPENBLAS_NUM_THREADS=1. A warning a cell
+    raises in a worker is re-emitted here, in cell order, before that
+    cell's failed-run warnings, under its module's name and with one
+    registry per call, so under the default filter a warning every cell
+    raises shows once, as it does in this process. No worker outlives the
+    call.
 
     Returns (AggregateReport, list[RunRecord]). AggregateReport.sweep holds
     (alpha, mean k=2 accuracy) in ascending alpha order, and is empty when
@@ -373,7 +379,13 @@ def _single_threaded() -> bool:
     # Whether this process runs one OS thread, counted as the kernel lists
     # them, so a BLAS library's pool counts as much as a Python thread. A
     # process that has threads must not fork (CPython 3.12 and later warn
-    # that it may deadlock); False where the list cannot be read.
+    # that it may deadlock); False where the list cannot be read. OpenBLAS
+    # joins its threads at a fork and starts them again only at the next
+    # product large enough to use them, so such a product (256 x 256, under
+    # a millisecond) runs first: after an earlier fork, the pool of a BLAS
+    # not set to one thread is counted too.
+    square = np.ones((256, 256))
+    np.dot(square, square)
     try:
         return len(os.listdir("/proc/self/task")) == 1
     except OSError:
@@ -387,10 +399,11 @@ def _cell_map(cells: int):
     # this process they are raised as they happen, and none are listed.
     # The cells run in this process for one worker, or when the process
     # has more than one thread (numpy's default OpenBLAS starts its own at
-    # import; with OPENBLAS_NUM_THREADS=1 it does not); else in a process
-    # pool. The pool forks, so workers start with numpy and the library
-    # already imported; spawned workers import them afresh, which made a
-    # grid pass slower than in one process. Cells are submitted two per
+    # import, and after a fork at _single_threaded's product; with
+    # OPENBLAS_NUM_THREADS=1 it does not); else in a process pool. The
+    # pool forks, so workers start with numpy and the library already
+    # imported; spawned workers import them afresh, which made a grid pass
+    # slower than in one process. Cells are submitted two per
     # worker ahead of the one consumed, so the parent holds that many
     # cells' data, not the whole grid's. The pool is shut down and its
     # workers joined on the way out; on an error the cells submitted but
@@ -539,7 +552,7 @@ def make_synthetic(
     classes: int,
     per_class: int,
     dim: int,
-    noise: str = "gaussian",
+    noise: str = NOISES[0],
     seed: int = 0,
     corrupt_fraction: float = 0.1,
     separation: float = 4.0,
@@ -563,7 +576,7 @@ def make_synthetic(
     _check_count("classes", classes, 1)
     _check_count("per_class", per_class, 1)
     _check_count("dim", dim, classes)
-    if noise not in ("gaussian", "heavy"):
+    if noise not in NOISES:
         raise DataError(f"unknown noise kind {noise!r}")
     reals = dict(corrupt_fraction=corrupt_fraction, separation=separation, spread=spread, outlier_scale=outlier_scale)
     for name, value in reals.items():

@@ -25,6 +25,32 @@ RETIRED = (
 )
 
 
+# The modules the package re-exports, in the order of its __all__.
+EXPORTING = ("errors", "evaluation", "factorization", "graph", "harness", "matrix")
+
+# Names callers import from the package; none may leave it.
+EXPORTED = (
+    "AffinityGraph", "AggregateReport", "Clustering", "DataError", "EvalReport", "ExperimentSpec", "Factorization",
+    "MatchResult", "NumericalError", "RunRecord", "SolverConfig", "VARIANTS", "accuracy", "build_knn_affinity",
+    "dual_gradient_h", "dual_gradient_w", "dual_objective", "emit_report", "evaluate", "graph_penalty",
+    "hungarian_match", "init_factors", "kkt_products", "kmeans", "laplacian", "load_labels", "make_synthetic", "nmi",
+    "read_matrix", "run_experiment", "sample_categories", "save_csv", "save_labels", "solve", "update_h", "update_w",
+)
+
+
+def test_the_package_exports_exactly_its_modules_lists():
+    listed = [name for module in EXPORTING for name in importlib.import_module(f"mccgr.{module}").__all__]
+    assert mccgr.__all__ == listed
+    assert len(set(listed)) == len(listed)
+    assert set(EXPORTED) <= set(listed)
+    # __init__ names no public name itself: it imports the modules and
+    # star-imports each, and builds __all__ from theirs.
+    for node in ast.walk(ast.parse(inspect.getsource(mccgr))):
+        if isinstance(node, ast.ImportFrom):
+            assert [alias.name for alias in node.names] in (["*"], list(EXPORTING))
+        assert not (isinstance(node, ast.Constant) and node.value in listed)
+
+
 def test_star_import_gives_every_listed_name():
     namespace = {}
     exec("from mccgr import *", namespace)

@@ -19,6 +19,7 @@ from mccgr import (
     save_labels,
 )
 from mccgr.cli import _build_parser, main
+from mccgr.harness import NOISES
 
 
 def write_dataset(tmp_path, classes=3, per_class=8, dim=12):
@@ -141,6 +142,19 @@ def test_factorize_defaults_and_choices_are_solver_configs():
     assert spec.knn_mode == inspect.signature(build_knn_affinity).parameters["mode"].default
     graph = parser.parse_args(["graph", "--input", "x.csv", "--knn", "3", "--out", "a.csv"])
     assert graph.knn_mode == spec.knn_mode
+
+
+def test_synth_noise_default_and_choices_are_the_noise_kinds():
+    parser = _build_parser()
+    args = parser.parse_args([
+        "synth", "--classes", "2", "--per-class", "3", "--dim", "4", "--out", "x.csv", "--out-labels", "y.csv",
+    ])
+    assert args.noise == NOISES[0] == inspect.signature(make_synthetic).parameters["noise"].default
+    synth = parser._subparsers._group_actions[0].choices["synth"]
+    (noise,) = [action for action in synth._actions if action.dest == "noise"]
+    assert tuple(noise.choices) == NOISES
+    for kind in NOISES:
+        make_synthetic(2, 3, 4, noise=kind)
 
 
 def _bad_k_range(spec):

@@ -929,6 +929,41 @@ def test_no_worker_outlives_a_run(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_at_most_two_cells_per_worker_wait_beyond_the_one_consumed(tmp_path, monkeypatch):
+    pools = two_workers(monkeypatch)
+    make_pool = mccgr.harness.ProcessPoolExecutor
+    submitted = []
+
+    def counting_pool(*args, **kwargs):
+        pool = make_pool(*args, **kwargs)
+        submit = pool.submit
+
+        def counted(*args, **kwargs):
+            submitted.append(None)
+            return submit(*args, **kwargs)
+
+        pool.submit = counted
+        return pool
+
+    # Cells submitted and not yet consumed, the one being consumed included,
+    # when the parent builds that cell's first record.
+    waiting, cells = [], []
+    real_record = mccgr.harness.RunRecord
+
+    def record(**kwargs):
+        if (kwargs["k"], kwargs["repeat"]) not in cells:
+            cells.append((kwargs["k"], kwargs["repeat"]))
+            waiting.append(len(submitted) - (len(cells) - 1))
+        return real_record(**kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(mccgr.harness, "RunRecord", record)
+    _, records = run_experiment(small_spec(tmp_path, repeats=5))
+    assert len(pools) == 1
+    assert len(records) == 20 and len(cells) == len(submitted) == 10
+    assert max(waiting) == 2 * 2 + 1
+
+
 def test_a_process_with_a_second_thread_runs_its_cells_in_process(tmp_path, monkeypatch):
     spec = small_spec(tmp_path)
     want = run_experiment(spec)
@@ -965,6 +1000,17 @@ def test_a_process_with_threads_is_not_single_threaded():
     finally:
         release.set()
         thread.join()
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two allowed CPUs")
+def test_a_process_whose_blas_threads_a_fork_joined_is_not_single_threaded():
+    # OpenBLAS, not set to one thread, joins its threads at a fork and starts
+    # them again only at its next large product.
+    unpinned = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    unpinned["PYTHONPATH"] = os.pathsep.join([os.path.dirname(mccgr.__path__[0]), unpinned.get("PYTHONPATH", "")])
+    script = "import os, mccgr.harness as h\nif os.fork() == 0:\n    os._exit(0)\nos.wait()\nprint(h._single_threaded())"
+    proc = subprocess.run([sys.executable, "-c", script], env=unpinned, capture_output=True, text=True, timeout=120)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_one_worker_per_allowed_cpu_and_at_most_one_per_cell(tmp_path, monkeypatch):
