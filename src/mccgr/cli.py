@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"mccgr: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, OSError, ValueError) as exc:
+    except (DataError, OSError) as exc:
         print(f"mccgr: {exc}", file=sys.stderr)
         return 2
 

@@ -187,20 +187,30 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     the M-step for fixed rho.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    value = _weighted_fit(neg, _row_sq(x, h, w)[0])
+    return _objective(neg, _row_sq(x, h, w)[0], w, alpha, graph, _affinity_product(w, alpha, graph))
+
+
+def _affinity_product(w, alpha, graph):
+    # w @ A when the graph term is on, else None: the solver shares it
+    # between the penalty on w and the next W step's numerator.
+    return _times_affinity(w, graph) if alpha > 0 else None
+
+
+def _objective(neg, r2, w, alpha, graph, wa) -> float:
+    # sum_d neg_d r2_d, plus alpha times the penalty from wa = w @ A: the
+    # weights scale the D row sums, not a D x N copy.
+    value = float(neg @ r2)
     if alpha > 0:
-        value += alpha * _penalty(w, _times_affinity(w, graph), graph.degree)
+        value += alpha * _penalty(w, wa, graph.degree)
     return value
 
 
-def _weighted_fit(neg, r2) -> float:
-    # sum_d neg_d r2_d: the weights scale the D row sums, not a D x N copy.
-    return float(neg @ r2)
-
-
 def _check_graph(alpha, graph, n):
-    # The graph arguments of every function with a penalty term: the graph
-    # is read only when alpha > 0, and then it must span the n samples.
+    # The graph arguments of every function with a penalty term: alpha is a
+    # finite real (NaN > 0 is False, so a NaN alpha would skip the graph),
+    # the graph is read only when alpha > 0, and then it must span the n
+    # samples.
+    _check_real("alpha", alpha)
     if alpha < 0:
         raise DataError(f"alpha must be >= 0, got {alpha}")
     if alpha > 0:
@@ -257,12 +267,10 @@ def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = Non
     when alpha == 0. Entries are floored at FLOOR.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    if alpha > 0:
-        return _update_w(x, h, w, neg, alpha, _times_affinity(w, graph), graph.degree)
-    return _update_w(x, h, w, neg)
+    return _update_w(x, h, w, neg, alpha, graph, _affinity_product(w, alpha, graph))
 
 
-def _update_w(x, h, w, neg, alpha=0.0, wa=None, degree=None) -> np.ndarray:
+def _update_w(x, h, w, neg, alpha, graph, wa) -> np.ndarray:
     # h^T diag(neg) x as (diag(neg) h)^T x. hn is a new buffer even for unit
     # weights: h.T @ h on one buffer would go to BLAS syrk, which rounds
     # differently from gemm for larger D, and hn.T @ x is then the same gemm
@@ -272,25 +280,19 @@ def _update_w(x, h, w, neg, alpha=0.0, wa=None, degree=None) -> np.ndarray:
     denom = (h.T @ hn) @ w
     if alpha > 0:
         numer = numer + alpha * wa
-        denom = denom + alpha * (w * degree[None, :])
+        denom = denom + alpha * (w * graph.degree[None, :])
     return np.maximum(w * numer / (denom + EPSILON), FLOOR)
 
 
 def dual_gradient_h(x, h, w, rho) -> np.ndarray:
     """Gradient of dual_objective in h (the graph term does not touch h)."""
-    return _gradient_h(*_check_step(x, h, w, rho))
-
-
-def _gradient_h(x, h, w, neg) -> np.ndarray:
+    x, h, w, neg = _check_step(x, h, w, rho)
     return 2.0 * ((neg[:, None] * (h @ w - x)) @ w.T)
 
 
 def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> np.ndarray:
     """Gradient of dual_objective in w."""
-    return _gradient_w(*_check_step(x, h, w, rho, alpha, graph), alpha, graph)
-
-
-def _gradient_w(x, h, w, neg, alpha, graph) -> np.ndarray:
+    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
     g = 2.0 * (h.T @ (neg[:, None] * (h @ w - x)))
     if alpha > 0:
         # w L = w diag(degree) - w A, without the N x N Laplacian.
@@ -305,10 +307,8 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     each entry is either at an unconstrained stationary value or pinned
     at the non-negativity boundary.
     """
-    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    gh = 0.5 * _gradient_h(x, h, w, neg)
-    gw = 0.5 * _gradient_w(x, h, w, neg, alpha, graph)
-    return gh * h, gw * w
+    x, h, w, _ = _check_step(x, h, w, rho, alpha, graph)
+    return 0.5 * dual_gradient_h(x, h, w, rho) * h, 0.5 * dual_gradient_w(x, h, w, rho, alpha, graph) * w
 
 
 def _kl_ratio(x, v):
@@ -390,17 +390,6 @@ def solve(
     _check_graph(alpha, graph, n)
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
-    degree = graph.degree if alpha > 0 else None
-
-    def products(w_):
-        # w_ @ A, shared by the penalty on w_ and the next W step's numerator.
-        return _times_affinity(w_, graph) if alpha > 0 else None
-
-    def fit(neg_, r2_, w_, wa_):
-        value = _weighted_fit(neg_, r2_)
-        if alpha > 0:
-            value += alpha * _penalty(w_, wa_, degree)
-        return value
 
     r2, total = _row_sq(x, h, w)
     sigma = _sigma(total, d, cfg.theta)
@@ -413,8 +402,8 @@ def solve(
         v = h @ w
         trace = [_kl_divergence(xp, pos, sum_xp, v)]
     else:
-        wa = products(w)
-        trace = [fit(neg, r2, w, wa)]
+        wa = _affinity_product(w, alpha, graph)
+        trace = [_objective(neg, r2, w, alpha, graph, wa)]
     # Per-iteration change is judged against the starting objective, not the
     # current one: objectives with a zero infimum shrink geometrically
     # forever, so a change relative to the previous value would never settle
@@ -437,10 +426,10 @@ def solve(
                 rho = _rho(r2, sigma)
                 neg = -rho
             h = _update_h(x, h, w, neg)
-            w = _update_w(x, h, w, neg, alpha, wa, degree)
-            wa = products(w)
+            w = _update_w(x, h, w, neg, alpha, graph, wa)
+            wa = _affinity_product(w, alpha, graph)
             r2, total = _row_sq(x, h, w)
-            value = fit(neg, r2, w, wa)
+            value = _objective(neg, r2, w, alpha, graph, wa)
         if not np.isfinite(value):
             raise NumericalError(
                 f"objective became non-finite at iteration {iterations}"

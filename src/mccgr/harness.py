@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import functools
 import hashlib
 import json
 import multiprocessing
@@ -261,9 +260,10 @@ def run_experiment(spec: ExperimentSpec):
 
     Returns (AggregateReport, list[RunRecord]). AggregateReport.sweep holds
     (alpha, mean k=2 accuracy) in ascending alpha order, and is empty when
-    the spec lists no sweep values. A run that fails with DataError or
-    NumericalError is warned about and left out of aggregation; it never
-    aborts the other runs. Any other exception is a programming error and
+    the spec lists no sweep values. A run that fails with NumericalError
+    is warned about and left out of aggregation; it never aborts the other
+    runs. Every input of a cell is checked before the first run, so any
+    other exception, a DataError included, is a programming error and
     propagates, from a worker too, and the cells not yet started are
     dropped. A k above the labels' category count, or a knn not below a
     cell's sample count, is a DataError raised before the first run; a
@@ -273,36 +273,49 @@ def run_experiment(spec: ExperimentSpec):
     labels = load_labels(spec.labels_path)
     if labels.shape[0] != data.shape[1]:
         raise DataError(f"label count {labels.shape[0]} does not match sample count {data.shape[1]}")
-    samples = _samples(spec, labels)
+    classes = np.unique(labels).size
     names = tuple(_variant_name(entry) for entry in spec.variants)
     mccgr_entries = [_solver_settings(entry) for entry in spec.variants if entry["variant"].lower() == "mccgr"]
     base = mccgr_entries[0] if mccgr_entries else {"variant": "mccgr"}
     sweep = {float(alpha): [] for alpha in sorted(spec.alpha_sweep)}
-    # Each cell's runs in order, as (name, config, sweep alpha or None).
-    runs = {}
-    for k, r in samples:
-        cell = []
+    # Every cell as (k, repeat r, its sampled columns, its runs in order as
+    # (name, config, sweep alpha or None)), in run order: the spec's
+    # k_range, then, for a sweep, k=2 unless k_range has it. All are drawn
+    # before the first run, so a spec that asks more of the data than it
+    # holds fails before any solve.
+    cells = []
+    for k in dict.fromkeys(spec.k_range + ((2,) if spec.alpha_sweep else ())):
+        if k > classes:
+            key = "k_range" if k in spec.k_range else "alpha_sweep"
+            raise DataError(f"spec key '{key}': cannot sample {k} categories from the {classes} in the labels")
+        runs = []
         if k in spec.k_range:
-            cell += [(name, SolverConfig(k=k, **_solver_settings(e)), None) for name, e in zip(names, spec.variants)]
+            runs += [(name, SolverConfig(k=k, **_solver_settings(e)), None) for name, e in zip(names, spec.variants)]
         if k == 2:
-            cell += [(_variant_name(base), SolverConfig(k=2, **dict(base, alpha=a)), a) for a in sweep]
-        runs[k, r] = cell
-    solve_cell = functools.partial(_solve_cell, knn=spec.knn, mode=spec.knn_mode)
-    # Generators: each cell's data is sliced when the cell is sent to run.
-    xs = (data[:, columns] for columns in samples.values())
-    ys = (labels[columns] for columns in samples.values())
-    configs = ([cfg for _, cfg, _ in cell] for cell in runs.values())
+            runs += [(_variant_name(base), SolverConfig(k=2, **dict(base, alpha=a)), a) for a in sweep]
+        for r in range(spec.repeats):
+            columns = sample_categories(labels, k, spec.base_seed + r)
+            if spec.knn >= columns.size:
+                raise DataError(
+                    f"spec key 'knn' must be below every cell's sample count, got {spec.knn} "
+                    f"for the {columns.size} samples at k={k} repeat {r}"
+                )
+            cells.append((k, r, columns, runs))
+    # A generator: each cell's data is sliced when the cell is sent to run.
+    args = (
+        (data[:, columns], labels[columns], k, spec.base_seed + r, [cfg for _, cfg, _ in runs], spec.knn, spec.knn_mode)
+        for k, r, columns, runs in cells
+    )
     records: list[RunRecord] = []
     # One registry for the call, so that a warning every worker's cell
     # raises shows once under the default filter.
     registry = {}
-    with _cell_map(len(runs)) as cell_map:
-        results = cell_map(solve_cell, xs, ys, (k for k, _ in runs), (spec.base_seed + r for _, r in runs), configs)
-        for ((k, r), cell), ((init_hash, outcomes), caught) in zip(runs.items(), results):
+    with _cell_map(len(cells)) as cell_map:
+        for (k, r, _, runs), ((init_hash, outcomes), caught) in zip(cells, cell_map(_solve_cell, args)):
             for message, category, filename, lineno in caught:
                 module, module_globals = _module_of(filename)
                 warnings.warn_explicit(message, category, filename, lineno, module, registry, module_globals)
-            for (name, cfg, alpha), outcome in zip(cell, outcomes):
+            for (name, cfg, alpha), outcome in zip(runs, outcomes):
                 if isinstance(outcome, Exception):
                     # Names the caller of run_experiment.
                     warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {outcome}", stacklevel=2)
@@ -317,13 +330,16 @@ def run_experiment(spec: ExperimentSpec):
     return AggregateReport(variants=names, rows=_aggregate(records, names, spec.k_range), sweep=table), records
 
 
-def _solve_cell(x, labels, k, seed, configs, knn, mode):
-    # One cell's work, on its own columns x and their labels: the graph,
-    # (H0, W0) from seed, then a solve and an evaluation per config. Returns
-    # (init_hash, outcomes). outcomes[i] is configs[i]'s RunRecord fields
-    # from accuracy to trace, but init_hash, or the DataError or
-    # NumericalError it failed with; a config listed twice is solved once.
-    # Only those fields go back from a worker, not the factors.
+def _solve_cell(cell):
+    # One cell's work, given as (x, labels, k, seed, configs, knn, mode) on
+    # its own columns x and their labels: the graph, (H0, W0) from seed,
+    # then a solve and an evaluation per config. Returns (init_hash,
+    # outcomes). outcomes[i] is configs[i]'s RunRecord fields from accuracy
+    # to trace, but init_hash, or the NumericalError it failed with; a
+    # config listed twice is solved once. run_experiment checked the cell's
+    # inputs before the first run, so any other error is a bug and
+    # propagates. Only those fields go back from a worker, not the factors.
+    x, labels, k, seed, configs, knn, mode = cell
     graph = build_knn_affinity(x, knn, mode)
     h0, w0 = init_factors(x, k, seed)
     solved = {}
@@ -333,7 +349,7 @@ def _solve_cell(x, labels, k, seed, configs, knn, mode):
             try:
                 result = solve(x, graph, cfg, h0, w0)
                 report = evaluate(result.w, labels, k, seed=seed)
-            except (DataError, NumericalError) as exc:
+            except NumericalError as exc:
                 solved[key] = exc
                 continue
             solved[key] = {
@@ -429,29 +445,6 @@ def _cell_map(cells: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _samples(spec: ExperimentSpec, labels):
-    # Every cell's sampled columns, keyed by (k, repeat r), in the order
-    # run_experiment runs them: the spec's k_range, then, for a sweep, k=2
-    # unless k_range has it. They are drawn before the first run, so a spec
-    # that asks more of the data than it holds fails before any solve.
-    classes = np.unique(labels).size
-    samples = {}
-    asks = [("k_range", k) for k in spec.k_range] + ([("alpha_sweep", 2)] if spec.alpha_sweep else [])
-    for key, k in asks:
-        if k > classes:
-            raise DataError(f"spec key '{key}': cannot sample {k} categories from the {classes} in the labels")
-        for r in range(spec.repeats):
-            if (k, r) not in samples:
-                samples[k, r] = sample_categories(labels, k, spec.base_seed + r)
-            size = samples[k, r].size
-            if spec.knn >= size:
-                raise DataError(
-                    f"spec key 'knn' must be below every cell's sample count, got {spec.knn} "
-                    f"for the {size} samples at k={k} repeat {r}"
-                )
-    return samples
-
-
 def _aggregate(records, names, k_range) -> tuple[AggregateRow, ...]:
     rows = []
     for k in k_range:
@@ -494,12 +487,15 @@ def _run_cell(value) -> str:
 
 
 def check_report_dir(out_dir) -> None:
-    """Raise DataError unless out_dir is missing or empty.
+    """Raise DataError unless out_dir is missing or an empty directory.
 
     emit_report makes this check before it writes anything; a caller makes
-    it too before run_experiment, so a directory that cannot take the
-    report fails before the runs, not after them.
+    it too before run_experiment, so a path that cannot take the report,
+    a directory that holds a file or a path that is not a directory, fails
+    before the runs, not after them.
     """
+    if os.path.lexists(out_dir) and not os.path.isdir(out_dir):
+        raise DataError(f"report directory {out_dir} is not a directory")
     if os.path.isdir(out_dir) and os.listdir(out_dir):
         raise DataError(f"report directory {out_dir} is not empty; a report needs a new or empty one")
 
@@ -507,9 +503,9 @@ def check_report_dir(out_dir) -> None:
 def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
     """Write the report of a run_experiment result under out_dir.
 
-    out_dir must be missing or empty (check_report_dir): one that holds any
-    file, such as an earlier report's, is a DataError raised before
-    anything is written, so no report mixes with another's leftovers.
+    out_dir must be missing or an empty directory (check_report_dir): one
+    that holds any file, such as an earlier report's, is a DataError raised
+    before anything is written, so no report mixes with another's leftovers.
 
     Layout, set by aggregate whichever runs failed:
       accuracy_table.csv   mean accuracy: a row per k, ascending; a column per

@@ -25,8 +25,13 @@ __all__ = [
 
 @contextmanager
 def _open_text(path):
-    """Open path as UTF-8 text; a byte that is not UTF-8 is a DataError naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Open path as UTF-8 text; a path open() refuses as a value (one with a
+    NUL character) or a byte that is not UTF-8 is a DataError naming the path."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except ValueError as exc:
+        raise DataError(f"{path!r}: not a usable path ({exc})") from None
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -145,3 +145,28 @@ def test_input_files_are_read_only_in_matrix():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
                 mode = (node.args[1:2] or [kw.value for kw in node.keywords if kw.arg == "mode"] or [None])[0]
                 assert isinstance(mode, ast.Constant) and set(mode.value) & set("wax"), f"{name}:{node.lineno}"
+
+
+def test_solve_runs_every_private_kernel_and_nests_no_function():
+    # One statement per solver formula: solve defines no function of its
+    # own, and every private function of factorization but the argument
+    # checks is one that solve reaches through module-level calls, so no
+    # kernel is kept for tests alone. The kernels a per-layer trace of
+    # solve names keep their names.
+    tree = library_trees()["factorization"]
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    solve = defined["solve"]
+    assert [node for node in ast.walk(solve) if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not solve] == []
+    reached, pending = set(), ["solve"]
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        if name in defined:
+            calls = (node for node in ast.walk(defined[name]) if isinstance(node, ast.Call))
+            pending += [call.func.id for call in calls if isinstance(call.func, ast.Name)]
+    private = {name for name in defined if name.startswith("_") and not name.startswith("_check_")}
+    assert sorted(private - reached) == []
+    traced = {"_row_sq", "_update_h", "_update_w", "_times_affinity", "_penalty", "_kl_step", "_kl_divergence"}
+    assert traced <= reached

@@ -350,3 +350,34 @@ def test_factorize_labels_option_is_gone(tmp_path, capsys):
     assert exc.value.code == 1
     assert "--labels" in capsys.readouterr().err
     assert not h_path.exists()
+
+
+def test_a_programming_error_propagates_out_of_main(tmp_path, monkeypatch):
+    # Before, any ValueError, a bug's included, was reported as a data error.
+    xp, _ = write_dataset(tmp_path)
+
+    def broken(*args, **kwargs):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr("mccgr.cli.solve", broken)
+    argv = ["factorize", "--input", xp, "--variant", "l2", "--k", "2",
+            "--out-h", str(tmp_path / "h.csv"), "--out-w", str(tmp_path / "w.csv")]
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(argv)
+
+
+def test_a_dataset_path_with_a_nul_exits_2_naming_the_path(tmp_path, capsys):
+    write_dataset(tmp_path)
+    spec = {
+        "dataset": {"features": "x\u0000.csv", "labels": "y.csv"},
+        "k_range": [2],
+        "variants": [{"variant": "l2", "max_iter": 5}],
+        "repeats": 1,
+        "knn": 3,
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["experiment", "--spec", str(spec_path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert repr(str(tmp_path / "x\0.csv")) in err and "null byte" in err
+    assert not (tmp_path / "out").exists()

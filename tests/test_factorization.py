@@ -480,6 +480,19 @@ def test_graph_arguments_are_checked_alike(name):
         call(-1.0, good)
 
 
+
+@pytest.mark.parametrize("name", ["update_w", "dual_objective", "dual_gradient_w", "kkt_products", "solve"])
+def test_an_alpha_that_is_not_a_finite_real_is_a_data_error(name):
+    # Before, NaN > 0 was False, so a NaN alpha dropped the graph term
+    # without a word, True was taken as 1, and "1" and None raised a bare
+    # TypeError.
+    x, calls = graph_argument_calls()
+    good = build_knn_affinity(x, 2, "mutual")
+    for alpha in (float("nan"), float("inf"), True, "1", None):
+        with pytest.raises(DataError, match="^alpha "):
+            calls[name](alpha, good)
+
+
 def step_calls(x):
     # Each public step function, as a call on data x with valid factors.
     h = np.ones((x.shape[0], 2))

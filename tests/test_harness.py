@@ -492,6 +492,18 @@ def test_a_rerun_into_a_report_directory_fails_before_any_solve(tmp_path, capsys
     assert tree(out) == before
 
 
+def test_an_out_dir_naming_a_file_fails_before_any_solve(tmp_path, capsys, monkeypatch):
+    # Before, the whole grid ran and then the traces directory could not be made.
+    spec_path = write_spec_file(tmp_path, small_spec(tmp_path, k_range=(2,), repeats=1))
+    out = tmp_path / "report"
+    out.write_text("kept\n")
+    solves = counting(monkeypatch, "solve")
+    assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"mccgr: report directory {out} is not a directory\n"
+    assert solves == []
+    assert out.read_text() == "kept\n"
+
+
 def test_emit_report_layout(tmp_path):
     spec = small_spec(tmp_path, k_range=(2,), repeats=2)
     aggregate, records = run_experiment(spec)
@@ -1020,3 +1032,24 @@ def test_one_worker_per_allowed_cpu_and_at_most_one_per_cell(tmp_path, monkeypat
     assert mccgr.harness._workers(40) == 1
     monkeypatch.delattr(os, "sched_getaffinity")
     assert mccgr.harness._workers(40) == 1
+
+
+@pytest.mark.parametrize("pin", [in_process, two_workers], ids=["in_process", "pooled"])
+def test_a_data_error_inside_a_cell_propagates_and_warns_nothing(tmp_path, monkeypatch, pin):
+    # Every input of a cell is checked before the first run, so a DataError
+    # in one is a bug. Before, it became a warning and a smaller average.
+    real_solve = mccgr.harness.solve
+
+    def broken_mccgr(x, graph, cfg, h0, w0, **kwargs):
+        if cfg.variant == "mccgr":
+            raise DataError("synthetic bug")
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", broken_mccgr)
+    pin(monkeypatch)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="^synthetic bug$"):
+            run_experiment(small_spec(tmp_path))
+    assert caught == []
+    assert multiprocessing.active_children() == []
