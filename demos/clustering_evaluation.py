@@ -18,6 +18,7 @@ from mccgr import (
     build_knn_affinity,
     evaluate,
     hungarian_match,
+    init_factors,
     kmeans,
     nmi,
     solve,
@@ -72,8 +73,7 @@ print()
 # End to end: factorize, cluster the coefficient columns, score.
 x, labels = make_synthetic(3, 20, 50, seed=42, separation=6.0, spread=0.2)
 graph = build_knn_affinity(x, 5, mode="mutual")
-h0 = 1.0 - rng.random((50, 3))
-w0 = 1.0 - rng.random((3, 60))
+h0, w0 = init_factors(x, 3, 0)
 cfg = SolverConfig(variant="mccgr", k=3, alpha=10.0, theta=3.0, max_iter=300)
 res = solve(x, graph, cfg, h0, w0)
 report = evaluate(res.w, labels, 3)

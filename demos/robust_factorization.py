@@ -11,7 +11,7 @@ mechanism is visible rather than taken on faith.
 
 import numpy as np
 
-from mccgr import SolverConfig, build_knn_affinity, evaluate, solve
+from mccgr import SolverConfig, build_knn_affinity, evaluate, init_factors, solve
 from mccgr.harness import make_synthetic
 
 # Three separated classes, 20 samples each, 50 features. The heavy copy
@@ -26,9 +26,7 @@ print(f"dataset: {heavy_x.shape[0]} features x {heavy_x.shape[1]} samples")
 print(f"corrupted feature rows: {corrupted.tolist()}")
 print()
 
-rng = np.random.default_rng(0)
-h0 = 1.0 - rng.random((50, 3))
-w0 = 1.0 - rng.random((3, 60))
+h0, w0 = init_factors(heavy_x, 3, 0)
 graph = build_knn_affinity(heavy_x, 5, mode="mutual")
 
 # Plain least squares on the corrupted data.

@@ -10,14 +10,12 @@ this script checks iterate by iterate.
 
 import numpy as np
 
-from mccgr import SolverConfig, build_knn_affinity, evaluate, solve, update_h, update_w
+from mccgr import SolverConfig, build_knn_affinity, evaluate, init_factors, solve, update_h, update_w
 from mccgr.harness import make_synthetic
 
 x, labels = make_synthetic(3, 20, 50, seed=42, separation=6.0, spread=0.2)
 graph = build_knn_affinity(x, 5, mode="mutual")
-rng = np.random.default_rng(1)
-h0 = 1.0 - rng.random((50, 3))
-w0 = 1.0 - rng.random((3, 60))
+h0, w0 = init_factors(x, 3, 1)
 
 settings = (
     ("l2", {}),

@@ -39,12 +39,14 @@ def _check_count(name, value, low):
         raise DataError(f"{name} must be >= {low}, got {value}")
 
 
-def _check_real(name, value):
-    # A real-valued setting (numpy's included) that is finite: NaN passes
-    # every bound check a caller makes next, and no setting is infinite.
+def _check_real(name, value, low=None):
+    # A real-valued setting (numpy's included) that is finite, checked
+    # first since NaN passes every bound, and no smaller than low if given.
     _check_number(name, value, numbers.Real)
     if not math.isfinite(value):
         raise DataError(f"{name} must be finite, got {value!r}")
+    if low is not None and value < low:
+        raise DataError(f"{name} must be >= {low}, got {value!r}")
 
 
 def _check_shape(name, shape):

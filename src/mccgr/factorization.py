@@ -85,14 +85,10 @@ class SolverConfig:
         self.variant = self.variant.lower()
         for name in ("k", "max_iter"):
             _check_count(name, getattr(self, name), 1)
-        for name in ("alpha", "theta", "tol"):
-            _check_real(name, getattr(self, name))
-        if self.alpha < 0:
-            raise DataError(f"alpha must be >= 0, got {self.alpha}")
+        for name, low in (("alpha", 0), ("theta", None), ("tol", 0)):
+            _check_real(name, getattr(self, name), low)
         if self.theta <= 0:
             raise DataError(f"theta must be > 0, got {self.theta}")
-        if self.tol < 0:
-            raise DataError(f"tol must be >= 0, got {self.tol}")
 
     @property
     def graph_weight(self) -> float:
@@ -207,12 +203,10 @@ def _objective(neg, r2, w, alpha, graph, wa) -> float:
 
 def _check_graph(alpha, graph, n):
     # The graph arguments of every function with a penalty term: alpha is a
-    # finite real (NaN > 0 is False, so a NaN alpha would skip the graph),
+    # finite real >= 0 (NaN > 0 is False, so a NaN alpha would skip the graph),
     # the graph is read only when alpha > 0, and then it must span the n
     # samples.
-    _check_real("alpha", alpha)
-    if alpha < 0:
-        raise DataError(f"alpha must be >= 0, got {alpha}")
+    _check_real("alpha", alpha, 0)
     if alpha > 0:
         if graph is None:
             raise DataError("alpha > 0 requires an affinity graph")

@@ -4,9 +4,9 @@ The protocol: read the spec's features with read_matrix and its labels with
 load_labels, and check once that there is a label per sample column; then,
 for each requested cluster count k and repeat r, sample k label categories
 with seed base_seed + r, restrict the data to those columns, build one
-affinity graph, draw one (H0, W0) pair, and run every variant from those
-identical starting conditions. An alpha sweep adds the
-first mccgr entry at each sweep alpha as more runs of the k=2 cells.
+affinity graph if a run there reads one, draw one (H0, W0) pair, and run
+every variant from those identical starting conditions. An alpha sweep adds
+the first mccgr entry at each sweep alpha as more runs of the k=2 cells.
 run_experiment is the one way to run a spec: it sets each cell up once and
 solves each distinct run in it once, a run the grid and the sweep share
 included. The cells run in worker processes, one per CPU the process may
@@ -107,9 +107,7 @@ class ExperimentSpec:
             if k < 2:
                 raise DataError(f"spec key 'k_range': clustering experiments need k >= 2, got {k}")
         for alpha in self.alpha_sweep:
-            _check_real("spec key 'alpha_sweep'", alpha)
-            if alpha < 0:
-                raise DataError(f"spec key 'alpha_sweep' values must be >= 0, got {alpha!r}")
+            _check_real("spec key 'alpha_sweep'", alpha, 0)
         for key in ("k_range", "alpha_sweep"):
             if len(set(getattr(self, key))) != len(getattr(self, key)):
                 raise DataError(f"spec key '{key}' lists a value twice: {getattr(self, key)}")
@@ -118,7 +116,7 @@ class ExperimentSpec:
 
         if not self.variants:
             raise DataError("spec key 'variants' must not be empty")
-        seen = set()
+        seen = {}
         for entry in self.variants:
             if not isinstance(entry, dict) or "variant" not in entry:
                 raise DataError(f"spec key 'variants': each entry must be an object with a 'variant' key, got {entry!r}")
@@ -135,8 +133,9 @@ class ExperimentSpec:
                 raise DataError(f"spec key 'variants': variant {name!r}: {exc}") from None
             name = _variant_name(entry)
             if name in seen:
-                raise DataError(f"spec key 'variants': duplicate variant name {name!r}; add a 'name' key")
-            seen.add(name)
+                advice = "" if "name" in entry and "name" in seen[name] else "; add a 'name' key"
+                raise DataError(f"spec key 'variants': duplicate variant name {name!r} (names are case-insensitive){advice}")
+            seen[name] = entry
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -239,8 +238,9 @@ def run_experiment(spec: ExperimentSpec):
     k=2 cells. The features are read once, by read_matrix, then the labels,
     by load_labels; a label count other than the features' column count is
     a DataError, and this is the one place the two are paired. Each cell
-    builds its graph and (H0, W0) once and solves each distinct config
-    once, a run the grid and the sweep share included.
+    builds (H0, W0) once, and its graph once if a run there reads one
+    (SolverConfig.graph_weight > 0), and solves each distinct config once,
+    a run the grid and the sweep share included.
 
     The cells are independent, so they run in forked worker processes, one
     per CPU this process may use (os.sched_getaffinity; a cgroup CPU quota
@@ -265,9 +265,10 @@ def run_experiment(spec: ExperimentSpec):
     runs. Every input of a cell is checked before the first run, so any
     other exception, a DataError included, is a programming error and
     propagates, from a worker too, and the cells not yet started are
-    dropped. A k above the labels' category count, or a knn not below a
-    cell's sample count, is a DataError raised before the first run; a
-    sweep alpha with no successful run is one raised after the last.
+    dropped. A k above the labels' category count, or a knn not below the
+    sample count of a cell that builds a graph, is a DataError raised
+    before the first run; a sweep alpha with no successful run is one
+    raised after the last.
     """
     data = read_matrix(spec.features_path)
     labels = load_labels(spec.labels_path)
@@ -293,25 +294,28 @@ def run_experiment(spec: ExperimentSpec):
             runs += [(name, SolverConfig(k=k, **_solver_settings(e)), None) for name, e in zip(names, spec.variants)]
         if k == 2:
             runs += [(_variant_name(base), SolverConfig(k=2, **dict(base, alpha=a)), a) for a in sweep]
+        # Only a run with a graph weight reads a graph: a k with none builds
+        # none (knn None), and its cells' sample counts need not exceed knn.
+        knn = spec.knn if any(cfg.graph_weight > 0 for _, cfg, _ in runs) else None
         for r in range(spec.repeats):
             columns = sample_categories(labels, k, spec.base_seed + r)
-            if spec.knn >= columns.size:
+            if knn is not None and knn >= columns.size:
                 raise DataError(
-                    f"spec key 'knn' must be below every cell's sample count, got {spec.knn} "
+                    f"spec key 'knn' must be below the sample count of every cell with a graph run, got {knn} "
                     f"for the {columns.size} samples at k={k} repeat {r}"
                 )
-            cells.append((k, r, columns, runs))
+            cells.append((k, r, columns, runs, knn))
     # A generator: each cell's data is sliced when the cell is sent to run.
     args = (
-        (data[:, columns], labels[columns], k, spec.base_seed + r, [cfg for _, cfg, _ in runs], spec.knn, spec.knn_mode)
-        for k, r, columns, runs in cells
+        (data[:, columns], labels[columns], k, spec.base_seed + r, [cfg for _, cfg, _ in runs], knn, spec.knn_mode)
+        for k, r, columns, runs, knn in cells
     )
     records: list[RunRecord] = []
     # One registry for the call, so that a warning every worker's cell
     # raises shows once under the default filter.
     registry = {}
     with _cell_map(len(cells)) as cell_map:
-        for (k, r, _, runs), ((init_hash, outcomes), caught) in zip(cells, cell_map(_solve_cell, args)):
+        for (k, r, _, runs, _), ((init_hash, outcomes), caught) in zip(cells, cell_map(_solve_cell, args)):
             for message, category, filename, lineno in caught:
                 module, module_globals = _module_of(filename)
                 warnings.warn_explicit(message, category, filename, lineno, module, registry, module_globals)
@@ -332,15 +336,16 @@ def run_experiment(spec: ExperimentSpec):
 
 def _solve_cell(cell):
     # One cell's work, given as (x, labels, k, seed, configs, knn, mode) on
-    # its own columns x and their labels: the graph, (H0, W0) from seed,
-    # then a solve and an evaluation per config. Returns (init_hash,
-    # outcomes). outcomes[i] is configs[i]'s RunRecord fields from accuracy
-    # to trace, but init_hash, or the NumericalError it failed with; a
-    # config listed twice is solved once. run_experiment checked the cell's
-    # inputs before the first run, so any other error is a bug and
-    # propagates. Only those fields go back from a worker, not the factors.
+    # its own columns x and their labels: the graph (None when knn is, as no
+    # config has a graph weight), (H0, W0) from seed, then a solve and an
+    # evaluation per config. Returns (init_hash, outcomes). outcomes[i] is
+    # configs[i]'s RunRecord fields from accuracy to trace, but init_hash,
+    # or the NumericalError it failed with; a config listed twice is solved
+    # once. run_experiment checked the cell's inputs before the first run,
+    # so any other error is a bug and propagates. Only those fields go back
+    # from a worker, not the factors.
     x, labels, k, seed, configs, knn, mode = cell
-    graph = build_knn_affinity(x, knn, mode)
+    graph = None if knn is None else build_knn_affinity(x, knn, mode)
     h0, w0 = init_factors(x, k, seed)
     solved = {}
     for cfg in configs:
@@ -574,12 +579,10 @@ def make_synthetic(
     _check_count("dim", dim, classes)
     if noise not in NOISES:
         raise DataError(f"unknown noise kind {noise!r}")
-    reals = dict(corrupt_fraction=corrupt_fraction, separation=separation, spread=spread, outlier_scale=outlier_scale)
-    for name, value in reals.items():
-        _check_real(name, value)
-    for name in ("spread", "outlier_scale"):
-        if reals[name] < 0:
-            raise DataError(f"{name} must be >= 0, got {reals[name]!r}")
+    _check_real("separation", separation)
+    _check_real("spread", spread, 0)
+    _check_real("outlier_scale", outlier_scale, 0)
+    _check_real("corrupt_fraction", corrupt_fraction)
     if not 0.0 < corrupt_fraction <= 1.0:
         raise DataError(f"corrupt_fraction must be in (0, 1], got {corrupt_fraction}")
     _check_count("seed", seed, 0)

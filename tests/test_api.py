@@ -120,6 +120,21 @@ def test_each_check_is_defined_in_one_module():
     assert {check: where for check, where in defined.items() if len(where) > 1} == {}
 
 
+def test_each_floor_is_worded_only_in_errors():
+    # A count's or a real setting's floor is checked by errors' helpers, so
+    # no other module words it. cli may import only public names, so its
+    # --knn check keeps its own message.
+    for name, tree in library_trees().items():
+        if name in ("errors", "cli"):
+            continue
+        worded = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be >=" in node.value
+        ]
+        assert worded == [], name
+
+
 def test_no_module_imports_a_private_name_from_factorization():
     for name, tree in library_trees().items():
         private = [

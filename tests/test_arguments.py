@@ -79,6 +79,50 @@ def test_a_bad_count_is_a_data_error_naming_the_argument(kind):
         call(np.int64(2))
 
 
+def with_alpha(alpha):
+    # An mccgr config whose alpha is set past __post_init__, so that solve's
+    # own check is the one reached.
+    cfg = SolverConfig(variant="mccgr", k=2, max_iter=2)
+    cfg.alpha = alpha
+    return cfg
+
+
+def floored_calls():
+    # Every real argument with a floor, as (call on an otherwise valid
+    # problem, the floor, the name its message starts with). Each call is
+    # valid at the floor and at the floor plus one.
+    x, h, w, rho = np.ones((3, 4)), np.ones((3, 2)), np.ones((2, 4)), -np.ones(3)
+    graph = build_knn_affinity(np.arange(8.0).reshape(2, 4), 1)
+    return {
+        "SolverConfig(alpha)": (lambda v: SolverConfig(variant="l2", k=2, alpha=v), 0, "alpha"),
+        "SolverConfig(tol)": (lambda v: SolverConfig(variant="l2", k=2, tol=v), 0, "tol"),
+        "update_w(alpha)": (lambda v: update_w(x, h, w, rho, v, graph), 0, "alpha"),
+        "dual_objective(alpha)": (lambda v: dual_objective(x, h, w, rho, v, graph), 0, "alpha"),
+        "dual_gradient_w(alpha)": (lambda v: dual_gradient_w(x, h, w, rho, v, graph), 0, "alpha"),
+        "kkt_products(alpha)": (lambda v: kkt_products(x, h, w, rho, v, graph), 0, "alpha"),
+        "solve(cfg.alpha)": (lambda v: solve(x, graph, with_alpha(v), h, w), 0, "alpha"),
+        "ExperimentSpec(alpha_sweep)": (lambda v: spec(alpha_sweep=(v,)), 0, "spec key 'alpha_sweep'"),
+        "make_synthetic(spread)": (lambda v: make_synthetic(2, 3, 4, spread=v), 0, "spread"),
+        "make_synthetic(outlier_scale)": (
+            lambda v: make_synthetic(2, 3, 4, "heavy", outlier_scale=v), 0, "outlier_scale"
+        ),
+    }
+
+
+@pytest.mark.parametrize("where", list(floored_calls()))
+def test_a_bad_floored_real_is_a_data_error_naming_the_argument(where):
+    call, low, name = floored_calls()[where]
+    for value in (float("nan"), float("inf"), True, "1", None):
+        with pytest.raises(DataError) as caught:
+            call(value)
+        assert re.match(rf"{re.escape(name)}(?!\w)", str(caught.value)), (value, str(caught.value))
+    # Below the floor: one message for every floor, as a count's floor words it.
+    with pytest.raises(DataError, match=rf"^{re.escape(name)} must be >= {low}, got -1$"):
+        call(low - 1)
+    call(low)
+    call(np.float64(low + 1))
+
+
 # Every public function that takes a label vector, called with given labels
 # on two samples in two classes.
 LABELED = {

@@ -287,6 +287,42 @@ def test_nmi_identical_and_permuted_labels():
         assert nmi(a, shuffled) == pytest.approx(1.0, abs=1e-12)
 
 
+# Two labellings of one length, with ids 0 to 4.
+labeling_pairs = st.integers(1, 30).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(0, 4), min_size=n, max_size=n).map(np.array)] * 2)
+)
+
+
+def renamed(data, labels, ordered):
+    # labels with each id replaced by a distinct new one drawn from data, in
+    # the ids' own order when ordered.
+    ids = np.unique(labels)
+    new = data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=ids.size, max_size=ids.size, unique=True))
+    return np.array(sorted(new) if ordered else new)[np.searchsorted(ids, labels)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeling_pairs, st.data())
+def test_accuracy_does_not_depend_on_label_names(pair, data):
+    pred, true = pair
+    value = accuracy(pred, true).accuracy
+    assert accuracy(renamed(data, pred, False), true).accuracy == value
+    assert accuracy(pred, renamed(data, true, False)).accuracy == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeling_pairs, st.data())
+def test_nmi_does_not_depend_on_label_names(pair, data):
+    # An order-preserving renaming leaves the contingency table as it was,
+    # so the value is the same bit for bit; any other permutes its rows or
+    # columns, which changes only the order of the sums.
+    a, b = pair
+    value = nmi(a, b)
+    assert nmi(renamed(data, a, True), renamed(data, b, True)) == value
+    assert nmi(renamed(data, a, False), b) == pytest.approx(value, rel=1e-12)
+    assert nmi(a, renamed(data, b, False)) == pytest.approx(value, rel=1e-12)
+
+
 def test_nmi_symmetry_and_range():
     rng = np.random.default_rng(6)
     for _ in range(20):

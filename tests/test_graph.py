@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
@@ -217,6 +217,31 @@ def test_selection_matches_stable_argsort_on_real_valued_data(x):
         for mode in ("mutual", "symmetrized"):
             got = build_knn_affinity(x, k, mode).affinity.toarray()
             assert np.array_equal(got, argsort_affinity(x, k, mode)), (k, mode)
+
+
+@st.composite
+def integer_data_and_order(draw):
+    # Small integer entries, so every squared distance is exact; a sample
+    # order p and a neighbour count.
+    d = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 9))
+    x = draw(arrays(np.int64, (d, n), elements=st.integers(0, 50))).astype(np.float64)
+    return x, np.array(draw(st.permutations(range(n)))), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_data_and_order())
+def test_the_affinity_does_not_depend_on_sample_order(problem):
+    # With distinct distances in each row there is no tie for the column
+    # order to break, so permuting the samples only permutes the graph.
+    x, p, knn = problem
+    d2 = ((x[:, :, None] - x[:, None, :]) ** 2).sum(axis=0)
+    for row in range(x.shape[1]):
+        others = np.delete(d2[row], row)
+        assume(np.unique(others).size == others.size)
+    for mode in ("mutual", "symmetrized"):
+        expected = build_knn_affinity(x, knn, mode).affinity.toarray()[np.ix_(p, p)]
+        assert np.array_equal(build_knn_affinity(x[:, p], knn, mode).affinity.toarray(), expected), mode
 
 
 def test_build_rejects_non_finite_data():

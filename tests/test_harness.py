@@ -175,6 +175,25 @@ def test_spec_from_json_takes_the_dataclass_defaults(tmp_path):
             ExperimentSpec.from_json(path)
 
 
+@pytest.mark.parametrize(
+    "variants, advice",
+    [
+        # Both entries have a name, so another name key cannot help.
+        (({"variant": "l2", "name": "A"}, {"variant": "mcc", "name": "a"}), ""),
+        (({"variant": "l2"}, {"variant": "L2"}), "; add a 'name' key"),
+        (({"variant": "mcc"}, {"variant": "l2", "name": "MCC"}), "; add a 'name' key"),
+    ],
+)
+def test_a_duplicate_variant_name_says_names_ignore_case(variants, advice):
+    # Before, "A" and "a" were told to add the name key they both had.
+    with pytest.raises(DataError) as caught:
+        ExperimentSpec(features_path="x.csv", labels_path="y.csv", k_range=(2,), variants=variants)
+    name = variants[1].get("name", variants[1]["variant"]).lower()
+    assert str(caught.value) == (
+        f"spec key 'variants': duplicate variant name {name!r} (names are case-insensitive){advice}"
+    )
+
+
 def test_spec_rejects_bad_solver_settings_before_any_run(tmp_path):
     with pytest.raises(DataError, match="variant 'fast': alpha must be >= 0"):
         small_spec(tmp_path, variants=({"name": "fast", "variant": "grnmf", "alpha": -1.0},))
@@ -735,6 +754,31 @@ def test_reused_failed_run_warns_again(tmp_path, monkeypatch):
     assert len(failures) == 1
     lines = (tmp_path / "out" / "alpha_sweep.csv").read_text().splitlines()
     assert len(lines) == 2
+
+
+def test_a_spec_without_a_graph_run_builds_no_graph(tmp_path, monkeypatch):
+    # Its 4-sample cells cannot hold the default knn of 5 neighbours, and no
+    # run reads a graph: the mccgr sweep run has alpha 0. Before, every cell
+    # built a graph, and the spec failed on a knn it never set.
+    x, y = make_synthetic(3, 2, 12)
+    save_csv(x, tmp_path / "x.csv")
+    save_labels(y, tmp_path / "y.csv")
+    spec = ExperimentSpec(
+        features_path=str(tmp_path / "x.csv"),
+        labels_path=str(tmp_path / "y.csv"),
+        k_range=(2,),
+        variants=({"variant": "l2", "max_iter": 20},),
+        repeats=1,
+        alpha_sweep=(0.0,),
+    )
+    graphs = counting(monkeypatch, "build_knn_affinity")
+    aggregate, records = run_experiment(spec)
+    assert graphs == []
+    assert len(records) == 1 and len(aggregate.sweep) == 1
+    # A graph run in the same cells still needs more samples than knn.
+    with pytest.raises(DataError, match="spec key 'knn' must be below the sample count of every cell with a graph run"):
+        run_experiment(replace(spec, alpha_sweep=(1.0,)))
+    assert graphs == []
 
 
 def test_each_cell_runs_all_its_solves_before_the_next_graph(tmp_path, monkeypatch):
