@@ -238,8 +238,10 @@ def update_h(x, h, w, rho) -> np.ndarray:
 
         h <- h * (diag(-rho) x w^T) / (diag(-rho) h w w^T + EPSILON)
 
-    Any positive rescaling of rho cancels (up to the EPSILON guard), so
-    only the relative feature weights matter. Entries are floored at FLOOR.
+    Row d of h sees only row d of x, so -rho_d cancels but in the guard:
+    the step is the unweighted one with row d's guard EPSILON / -rho_d,
+    which drives a row whose weight is tiny next to EPSILON / (h w w^T)_d
+    toward FLOOR. Entries are floored at FLOOR.
     """
     return _update_h(*_check_step(x, h, w, rho))
 
@@ -301,7 +303,7 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     each entry is either at an unconstrained stationary value or pinned
     at the non-negativity boundary.
     """
-    x, h, w, _ = _check_step(x, h, w, rho, alpha, graph)
+    # The gradients check every argument; numpy promotes h and w as the checks do.
     return 0.5 * dual_gradient_h(x, h, w, rho) * h, 0.5 * dual_gradient_w(x, h, w, rho, alpha, graph) * w
 
 
@@ -341,8 +343,10 @@ def solve(
     sum(x log(x / v) - x + v) with v = h @ w, where entries with x == 0
     contribute v. Iteration stops when the objective's per-iteration
     change, relative to its value at the initializers, falls below
-    cfg.tol, or when cfg.max_iter is reached. EPSILON guards every update
-    denominator and floors sigma.
+    cfg.tol, or when cfg.max_iter is reached. Entry 0 of the trace, the
+    objective at the initializers, is checked like every later entry, so a
+    start whose objective is not finite is a NumericalError. EPSILON guards
+    every update denominator and floors sigma.
 
     Each iteration forms the residual x - h @ w once, after the M-step, and
     reduces it in one pass to its per-row squared sums r2. The tracked fit
@@ -385,67 +389,60 @@ def solve(
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
 
-    r2, total = _row_sq(x, h, w)
-    sigma = _sigma(total, d, cfg.theta)
-    rho = _rho(r2, sigma) if live_rho else -np.ones(d)
-    neg = -rho
     if kl:
         pos = np.flatnonzero(x > 0)
         xp = x.take(pos)
         sum_xp = np.sum(xp)
-        v = h @ w
-        trace = [_kl_divergence(xp, pos, sum_xp, v)]
-    else:
-        wa = _affinity_product(w, alpha, graph)
-        trace = [_objective(neg, r2, w, alpha, graph, wa)]
-    # Per-iteration change is judged against the starting objective, not the
-    # current one: objectives with a zero infimum shrink geometrically
-    # forever, so a change relative to the previous value would never settle
-    # even at machine-precision reconstructions.
-    scale = abs(trace[0])
+    r2, total = _row_sq(x, h, w)
+    neg = np.ones(d)
+    trace: list[float] = []
     iterates: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_iterates else None
     converged = False
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    # Iteration 0 evaluates the initializers: its E-step is the one the first
+    # M-step uses, and its objective is the scale of every later change.
+    for iterations in range(cfg.max_iter + 1):
+        # kl never updates total, so its sigma stays the width at the start.
+        sigma = _sigma(total, d, cfg.theta)
+        if live_rho:
+            neg = -_rho(r2, sigma)
+        if iterations:
+            if kl:
+                h, w = _kl_step(x, h, w, v)
+            else:
+                h = _update_h(x, h, w, neg)
+                w = _update_w(x, h, w, neg, alpha, graph, wa)
+                r2, total = _row_sq(x, h, w)
         if kl:
-            h, w = _kl_step(x, h, w, v)
             v = h @ w
             value = _kl_divergence(xp, pos, sum_xp, v)
         else:
-            # On the first iteration this repeats the E-step at the
-            # initializers, which keeps sigma and rho at the values the last
-            # M-step used when the loop ends.
-            sigma = _sigma(total, d, cfg.theta)
-            if live_rho:
-                rho = _rho(r2, sigma)
-                neg = -rho
-            h = _update_h(x, h, w, neg)
-            w = _update_w(x, h, w, neg, alpha, graph, wa)
             wa = _affinity_product(w, alpha, graph)
-            r2, total = _row_sq(x, h, w)
             value = _objective(neg, r2, w, alpha, graph, wa)
         if not np.isfinite(value):
-            raise NumericalError(
-                f"objective became non-finite at iteration {iterations}"
-            )
-        previous = trace[-1]
+            raise NumericalError(f"objective became non-finite at iteration {iterations}")
         trace.append(value)
+        if not iterations:
+            continue
         if iterates is not None:
             iterates.append((h.copy(), w.copy()))
-        diff = abs(value - previous)
+        # Per-iteration change is judged against the starting objective, not
+        # the current one: objectives with a zero infimum shrink geometrically
+        # forever, so a change relative to the previous value would never
+        # settle even at machine-precision reconstructions.
+        diff = abs(value - trace[-2])
         if diff == 0.0:
             rel = 0.0
-        elif scale == 0.0:
+        elif trace[0] == 0.0:
             rel = np.inf
         else:
-            rel = diff / scale
+            rel = diff / abs(trace[0])
         if rel < cfg.tol:
             converged = True
             break
     return Factorization(
         h=h,
         w=w,
-        rho=rho.copy(),
+        rho=-neg,
         sigma=sigma,
         trace=np.array(trace),
         iterations_run=iterations,

@@ -185,3 +185,13 @@ def test_solve_runs_every_private_kernel_and_nests_no_function():
     assert sorted(private - reached) == []
     traced = {"_row_sq", "_update_h", "_update_w", "_times_affinity", "_penalty", "_kl_step", "_kl_divergence"}
     assert traced <= reached
+
+
+def test_solve_calls_each_e_step_and_objective_formula_once():
+    # The start is iteration 0 of solve's one loop, so the E-step, w A, the
+    # objective and the KL divergence each have one call site in it.
+    tree = library_trees()["factorization"]
+    solve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve")
+    called = [node.func.id for node in ast.walk(solve) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    for kernel in ("_sigma", "_rho", "_affinity_product", "_objective", "_kl_divergence"):
+        assert called.count(kernel) == 1, kernel

@@ -252,6 +252,25 @@ def test_data_errors_exit_2(tmp_path, capsys):
     assert "mccgr:" in err
 
 
+def test_a_numerical_failure_exits_3_and_writes_no_factors(tmp_path, capsys):
+    # The start objective of this data overflows; before, l2 took its
+    # infinite value as the scale of every change and exited 0, "converged
+    # after 2 iterations".
+    xp = tmp_path / "x.csv"
+    save_csv(np.random.default_rng(0).random((20, 30)) * 1e153, xp)
+    out_h, out_w = tmp_path / "h.csv", tmp_path / "w.csv"
+    with pytest.warns(RuntimeWarning):
+        code = main([
+            "factorize", "--input", str(xp), "--variant", "l2", "--k", "3",
+            "--seed", "0", "--out-h", str(out_h), "--out-w", str(out_w),
+        ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mccgr: numerical failure:")
+    assert "at iteration 0" in err
+    assert not out_h.exists() and not out_w.exists()
+
+
 def test_mismatched_labels_exit_2(tmp_path, capsys):
     xp, _ = write_dataset(tmp_path)
     short = tmp_path / "short.csv"

@@ -348,6 +348,22 @@ def test_kkt_products_vanish_at_fixed_point():
     assert np.max(np.abs(pw)) < gate
 
 
+def test_kkt_products_checks_its_arguments_once_per_gradient(monkeypatch):
+    # The two public gradients check every argument; kkt_products adds no
+    # third check of its own.
+    calls = []
+    check = mccgr.factorization._check_step
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(mccgr.factorization, "_check_step", counted)
+    x, h, w = random_instance(np.random.default_rng(18))
+    kkt_products(x, h, w, -np.ones(8))
+    assert len(calls) == 2
+
+
 def test_solver_config_validation():
     with pytest.raises(DataError):
         SolverConfig(variant="frobenius", k=3)
@@ -560,6 +576,18 @@ def test_solve_trace_and_flags():
     # a generous tolerance stops immediately
     loose = solve(x, None, SolverConfig(variant="l2", k=2, max_iter=40, tol=0.9), h0, w0)
     assert loose.converged and loose.iterations_run == 1
+
+
+@pytest.mark.parametrize("variant", ["l2", "mcc"])
+def test_a_start_whose_objective_overflows_is_a_numerical_error(variant):
+    # The start objective overflows to inf. Checked only from iteration 1,
+    # it became the scale of every change, so the second iteration's change
+    # read as 0 and the run "converged" after 2 iterations; the same data
+    # scaled by 1e152 runs hundreds.
+    x = np.random.default_rng(0).random((20, 30)) * 1e153
+    h0, w0 = init_factors(x, 3, 0)
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericalError, match="at iteration 0$"):
+        solve(x, None, SolverConfig(variant=variant, k=3), h0, w0)
 
 
 def test_solve_deterministic():
@@ -864,3 +892,35 @@ def test_graph_solve_allocates_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+def assert_close_to_scale(got, expect):
+    # Within 1e-9 of the array's largest entry: reordering changes only the
+    # order of floating-point sums.
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-9 * float(np.max(np.abs(expect))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 12), st.integers(4, 12), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_solve_does_not_depend_on_feature_or_sample_order(d, n, k, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.random((d, n))
+    x[rng.random((d, n)) < 0.2] = 0.0
+    h0, w0 = init_factors(x, k, seed)
+    graph = weighted_graph(rng, n)
+    p, q = rng.permutation(d), rng.permutation(n)
+    a = graph.affinity.toarray()
+    graph_q = AffinityGraph(affinity=a[q][:, q])
+    for variant in mccgr.VARIANTS:
+        cfg = SolverConfig(variant=variant, k=k, alpha=10.0, max_iter=20, tol=0.0)
+        g, g_q = (graph, graph_q) if cfg.graph_weight > 0 else (None, None)
+        base = solve(x, g, cfg, h0, w0)
+        rows = solve(x[p], g, cfg, h0[p], w0)
+        assert_close_to_scale(rows.h, base.h[p])
+        assert_close_to_scale(rows.w, base.w)
+        assert_close_to_scale(rows.rho, base.rho[p])
+        assert_close_to_scale(rows.trace, base.trace)
+        cols = solve(x[:, q], g_q, cfg, h0, w0[:, q])
+        assert_close_to_scale(cols.h, base.h)
+        assert_close_to_scale(cols.w, base.w[:, q])
+        assert_close_to_scale(cols.trace, base.trace)
