@@ -18,10 +18,11 @@ effectively dropped from the fit, which is what buys robustness to
 grossly corrupted features.
 
 The squared-error kernels never form a weighted copy of the data or of
-the squared residual: the row weights scale the D x K and K x K products
-of the updates, and the fit is the weighted sum of the per-row squared
-residuals r2. The graph terms come from the K x N product W A with the
-sparse affinity; no Laplacian is built.
+the squared residual: the row weights scale the D x K product diag(neg) h
+of the W step, and the fit is the weighted sum of the per-row squared
+residuals r2. The H step needs no weights: row d of H sees only row d of
+X, so its weight cancels. The graph terms come from the K x N product
+W A with the sparse affinity; no Laplacian is built.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class Factorization:
     at the initializers. For l2, grnmf, mcc and mccgr, `rho` and `sigma`
     are the row weights and kernel width of the last iteration's E-step,
     which derives them, like the trace, from one residual pass: the last
-    M-step of mcc and mccgr used that rho, while l2 and grnmf hold rho at
+    W step of mcc and mccgr used that rho, while l2 and grnmf hold rho at
     -1 and never read sigma. kl reads neither: its `rho` is -1 and its
     `sigma` the width at the initializers. `iterates` is populated only
     when the solver is asked to record per-iteration copies of H and W.
@@ -236,22 +237,19 @@ def _check_step(x, h, w, rho, alpha=0.0, graph=None):
 def update_h(x, h, w, rho) -> np.ndarray:
     """One multiplicative step on the basis:
 
-        h <- h * (diag(-rho) x w^T) / (diag(-rho) h w w^T + EPSILON)
+        h <- h * (x w^T) / (h w w^T + EPSILON)
 
-    Row d of h sees only row d of x, so -rho_d cancels but in the guard:
-    the step is the unweighted one with row d's guard EPSILON / -rho_d,
-    which drives a row whose weight is tiny next to EPSILON / (h w w^T)_d
-    toward FLOOR. Entries are floored at FLOOR.
+    It is the weighted step h * (diag(-rho) x w^T) / (diag(-rho) h w w^T)
+    on dual_objective: row d of h sees only row d of x, so -rho_d cancels
+    row by row. rho is checked like every step's weights, then not read.
+    Entries are floored at FLOOR.
     """
-    return _update_h(*_check_step(x, h, w, rho))
+    x, h, w, _ = _check_step(x, h, w, rho)
+    return _update_h(x, h, w)
 
 
-def _update_h(x, h, w, neg) -> np.ndarray:
-    # diag(neg) x w^T as neg * (x w^T): the weights scale a D x K product.
-    # Multiplying by unit weights is exact, so l2 and grnmf get x @ w.T.
-    numer = neg[:, None] * (x @ w.T)
-    denom = (neg[:, None] * h) @ (w @ w.T) + EPSILON
-    return np.maximum(h * numer / denom, FLOOR)
+def _update_h(x, h, w) -> np.ndarray:
+    return np.maximum(h * (x @ w.T) / (h @ (w @ w.T) + EPSILON), FLOOR)
 
 
 def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> np.ndarray:
@@ -351,15 +349,15 @@ def solve(
     Each iteration forms the residual x - h @ w once, after the M-step, and
     reduces it in one pass to its per-row squared sums r2. The tracked fit
     is the weighted sum of r2, and the next iteration's sigma and rho follow
-    from r2 and its total. The row weights scale the small products of the
-    M-step, never x itself, so no step forms a weighted D x N copy. With a
-    graph, w @ A is formed once after each W step: it gives that
-    iteration's penalty and the next W step's numerator, and no Laplacian
-    is built. kl reuses the reconstruction h @ w of its objective in its
-    next step. Inputs are validated here once. The results equal bit for
-    bit a loop that calls the public update_h, update_w and dual_objective
-    and recomputes sigma, rho and the KL divergence from a fresh residual
-    with plain numpy at every step.
+    from r2 and its total. The row weights scale the D x K product of the W
+    step, never x itself, so no step forms a weighted D x N copy; the H
+    step reads none. With a graph, w @ A is formed once after each W step:
+    it gives that iteration's penalty and the next W step's numerator, and
+    no Laplacian is built. kl reuses the reconstruction h @ w of its
+    objective in its next step. Inputs are validated here once. The results
+    equal bit for bit a loop that calls the public update_h, update_w and
+    dual_objective and recomputes sigma, rho and the KL divergence from a
+    fresh residual with plain numpy at every step.
 
     Parameters
     ----------
@@ -409,7 +407,7 @@ def solve(
             if kl:
                 h, w = _kl_step(x, h, w, v)
             else:
-                h = _update_h(x, h, w, neg)
+                h = _update_h(x, h, w)
                 w = _update_w(x, h, w, neg, alpha, graph, wa)
                 r2, total = _row_sq(x, h, w)
         if kl:

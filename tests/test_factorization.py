@@ -17,10 +17,12 @@ from mccgr import (
     dual_gradient_h,
     dual_gradient_w,
     dual_objective,
+    evaluate,
     graph_penalty,
     init_factors,
     kkt_products,
     laplacian,
+    make_synthetic,
     solve,
     update_h,
     update_w,
@@ -239,14 +241,18 @@ def test_rho_validation():
 
 
 def test_update_h_scaling_invariance_in_rho():
-    # only relative weights matter: scaling rho by c > 0 cancels up to the
-    # EPSILON guard, which is far below the denominators here
+    # Row d of h sees only row d of x, so its weight cancels: the step is the
+    # unit-weight one bit for bit, down to a weight of the smallest normal
+    # double and under a rescale of every weight.
     rng = np.random.default_rng(13)
     x, h, w = random_instance(rng)
-    rho = -rng.random(x.shape[0]) - 0.1
-    a = update_h(x, h, w, rho)
-    b = update_h(x, h, w, 7.0 * rho)
-    assert np.allclose(a, b, rtol=1e-12)
+    d = x.shape[0]
+    tiny = np.finfo(np.float64).tiny
+    rho = -rng.uniform(tiny, 1.0, size=d)
+    rho[0] = -tiny
+    expect = update_h(x, h, w, -np.ones(d)).tobytes()
+    assert update_h(x, h, w, rho).tobytes() == expect
+    assert update_h(x, h, w, 7.0 * rho).tobytes() == expect
 
 
 def test_updates_match_lee_seung_at_unit_weights():
@@ -690,6 +696,27 @@ def test_planted_recovery_all_variants():
             assert rel <= 1e-3, f"{variant} seed {seed} rel resid {rel}"
 
 
+def test_correntropy_beats_l2_on_heavy_noise_at_low_separation():
+    # The paper's mechanism where it matters: at separation 1 the corrupted
+    # feature rows swamp the class blocks for l2, while the correntropy
+    # weights drop them. Paired by seed over the data, the start and k-means.
+    gains = {"mcc": [], "mccgr": []}
+    for seed in range(8):
+        x, y = make_synthetic(5, 30, 200, noise="heavy", seed=seed, separation=1.0)
+        graph = build_knn_affinity(x, 5, "mutual")
+        h0, w0 = init_factors(x, 5, seed)
+        acc = {}
+        for variant in ("l2", "mcc", "mccgr"):
+            cfg = SolverConfig(variant=variant, k=5, alpha=10.0, max_iter=200)
+            res = solve(x, graph if cfg.graph_weight > 0 else None, cfg, h0, w0)
+            acc[variant] = evaluate(res.w, y, 5, seed=seed).accuracy
+        for variant in gains:
+            gains[variant].append(acc[variant] - acc["l2"])
+    for variant, gain in gains.items():
+        assert np.mean(gain) >= 0.25, f"{variant} mean gain {np.mean(gain):.3f}"
+        assert sum(g > 0 for g in gain) >= 6, f"{variant} wins {gain}"
+
+
 def reference_solve(x, graph, cfg, h0, w0):
     # The solver loop over the public update_h, update_w and dual_objective,
     # with the E-step and the KL divergence written out in numpy and every
@@ -830,7 +857,8 @@ def test_squared_error_kernels_agree_with_the_weighted_copy_forms(problem):
     graph = weighted_graph(rng, n)
     nx = neg[:, None] * x
 
-    expect = reference_update_h(nx, h, w, neg, EPSILON)
+    # The H step's weights cancel row by row, so its reference has unit weights.
+    expect = reference_update_h(x, h, w, np.ones(d), EPSILON)
     np.testing.assert_allclose(update_h(x, h, w, rho), expect, rtol=1e-12, atol=0)
     for a, g in ((0.0, None), (alpha, graph)):
         expect = reference_update_w(nx, h, w, neg, a, g, EPSILON)
