@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--k", required=True, type=int, help="factorization rank")
     p.add_argument("--alpha", type=float, default=_SOLVER_DEFAULTS["alpha"], help="graph penalty weight")
-    p.add_argument("--theta", type=float, default=_SOLVER_DEFAULTS["theta"], help="kernel width scale")
+    p.add_argument("--theta", type=float, default=_SOLVER_DEFAULTS["theta"], help="kernel width scale, read only by mcc and mccgr")
     p.add_argument("--knn", type=int, default=ExperimentSpec.knn, help="neighbors for the affinity graph")
     p.add_argument("--knn-mode", choices=list(MODES), default=ExperimentSpec.knn_mode)
     p.add_argument("--max-iter", type=int, default=_SOLVER_DEFAULTS["max_iter"])

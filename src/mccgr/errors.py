@@ -20,8 +20,8 @@ class DataError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A computation left the representable regime: non-finite objective,
-    undefined divergence, or a collapsed kernel width."""
+    """A computation left the representable regime: a non-finite objective
+    or an undefined divergence."""
 
 
 def _check_number(name, value, kind):

@@ -69,6 +69,8 @@ _KERNEL_TINY = np.finfo(np.float64).tiny
 class SolverConfig:
     """Solver settings; `variant` is one of VARIANTS (case-insensitive).
 
+    `theta` scales the E-step's kernel width, so only mcc and mccgr read it.
+
     These fields and their defaults are the one list of solver settings:
     the CLI flags and the experiment spec's variant keys are read from it.
     """
@@ -118,12 +120,11 @@ class Factorization:
     """Solver output.
 
     `trace` holds the tracked objective per iteration, entry 0 evaluated
-    at the initializers. For l2, grnmf, mcc and mccgr, `rho` and `sigma`
-    are the row weights and kernel width of the last iteration's E-step,
-    which derives them, like the trace, from one residual pass: the last
-    W step of mcc and mccgr used that rho, while l2 and grnmf hold rho at
-    -1 and never read sigma. kl reads neither: its `rho` is -1 and its
-    `sigma` the width at the initializers. `iterates` is populated only
+    at the initializers. For mcc and mccgr, `rho` and `sigma` are the row
+    weights and kernel width of the last iteration's E-step, the rho the
+    last W step used. l2, grnmf and kl run no E-step: their `rho` is -1
+    and their `sigma` inf, the width at which every kernel value
+    exp(-r2_d / (2 sigma^2)) is exactly 1. `iterates` is populated only
     when the solver is asked to record per-iteration copies of H and W.
     """
 
@@ -333,22 +334,22 @@ def solve(
 ) -> Factorization:
     """Run the configured variant from strictly positive initializers.
 
-    Per iteration the half-quadratic variants refresh sigma and rho from
-    the current residuals, then update h (using the current w) and w
-    (using the fresh h). l2/grnmf keep rho frozen at -1; kl runs the
-    divergence updates. The tracked objective is dual_objective for the
-    squared-error family and, for kl, the generalized KL divergence
-    sum(x log(x / v) - x + v) with v = h @ w, where entries with x == 0
-    contribute v. Iteration stops when the objective's per-iteration
-    change, relative to its value at the initializers, falls below
-    cfg.tol, or when cfg.max_iter is reached. Entry 0 of the trace, the
-    objective at the initializers, is checked like every later entry, so a
-    start whose objective is not finite is a NumericalError. EPSILON guards
-    every update denominator and floors sigma.
+    Per iteration only mcc and mccgr run the E-step, which refreshes sigma
+    and rho from the current residuals; then h is updated (using the current
+    w) and w (using the fresh h). l2 and grnmf keep rho at -1 and sigma at
+    inf; kl runs the divergence updates and forms no squared residual. The
+    tracked objective is dual_objective for the squared-error family and,
+    for kl, the generalized KL divergence sum(x log(x / v) - x + v) with
+    v = h @ w, where entries with x == 0 contribute v. Iteration stops when
+    the objective's per-iteration change, relative to its value at the
+    initializers, falls below cfg.tol, or when cfg.max_iter is reached.
+    Entry 0 of the trace, the objective at the initializers, is checked like
+    every later entry, so a start whose objective is not finite is a
+    NumericalError. EPSILON guards every denominator and floors sigma.
 
     Each iteration forms the residual x - h @ w once, after the M-step, and
     reduces it in one pass to its per-row squared sums r2. The tracked fit
-    is the weighted sum of r2, and the next iteration's sigma and rho follow
+    is the weighted sum of r2; mcc's and mccgr's next sigma and rho follow
     from r2 and its total. The row weights scale the D x K product of the W
     step, never x itself, so no step forms a weighted D x N copy; the H
     step reads none. With a graph, w @ A is formed once after each W step:
@@ -356,8 +357,8 @@ def solve(
     no Laplacian is built. kl reuses the reconstruction h @ w of its
     objective in its next step. Inputs are validated here once. The results
     equal bit for bit a loop that calls the public update_h, update_w and
-    dual_objective and recomputes sigma, rho and the KL divergence from a
-    fresh residual with plain numpy at every step.
+    dual_objective and recomputes mcc's and mccgr's sigma and rho and the
+    KL divergence from a fresh residual with plain numpy at every step.
 
     Parameters
     ----------
@@ -391,17 +392,18 @@ def solve(
         pos = np.flatnonzero(x > 0)
         xp = x.take(pos)
         sum_xp = np.sum(xp)
-    r2, total = _row_sq(x, h, w)
+    else:
+        r2, total = _row_sq(x, h, w)
     neg = np.ones(d)
+    sigma = np.inf
     trace: list[float] = []
     iterates: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_iterates else None
     converged = False
     # Iteration 0 evaluates the initializers: its E-step is the one the first
     # M-step uses, and its objective is the scale of every later change.
     for iterations in range(cfg.max_iter + 1):
-        # kl never updates total, so its sigma stays the width at the start.
-        sigma = _sigma(total, d, cfg.theta)
         if live_rho:
+            sigma = _sigma(total, d, cfg.theta)
             neg = -_rho(r2, sigma)
         if iterations:
             if kl:

@@ -27,7 +27,7 @@ from mccgr import (
     update_h,
     update_w,
 )
-from mccgr.factorization import EPSILON, _kl_divergence, _rho, _row_sq
+from mccgr.factorization import EPSILON, FLOOR, _kl_divergence, _rho, _row_sq
 
 
 def random_instance(rng, d=8, n=10, k=3):
@@ -596,6 +596,43 @@ def test_a_start_whose_objective_overflows_is_a_numerical_error(variant):
         solve(x, None, SolverConfig(variant=variant, k=3), h0, w0)
 
 
+def test_kl_runs_clean_where_the_squared_residual_overflows():
+    # The data of the test above, whose squared residual overflows: kl reads
+    # no squared residual, so it runs with no RuntimeWarning and converges.
+    x = np.random.default_rng(0).random((20, 30)) * 1e153
+    h0, w0 = init_factors(x, 3, 0)
+    res = solve(x, None, SolverConfig(variant="kl", k=3), h0, w0)
+    assert res.converged
+    assert res.sigma == np.inf
+
+
+def refuse(name):
+    def kernel(*args):
+        raise AssertionError(f"{name} called")
+
+    return kernel
+
+
+@pytest.mark.parametrize("variant", mccgr.VARIANTS)
+def test_only_mcc_and_mccgr_run_the_e_step(variant, monkeypatch):
+    rng = np.random.default_rng(26)
+    x = rng.random((8, 10)) + 0.1
+    h0, w0 = init_factors(x, 2, 26)
+    graph = build_knn_affinity(x, 3, "mutual")
+    cfg = SolverConfig(variant=variant, k=2, alpha=1.0, max_iter=20, tol=0.0)
+    live = variant in ("mcc", "mccgr")
+    if not live:
+        for name in ("_sigma", "_rho") + (("_row_sq",) if variant == "kl" else ()):
+            monkeypatch.setattr(mccgr.factorization, name, refuse(name))
+    res = solve(x, graph if cfg.graph_weight > 0 else None, cfg, h0, w0)
+    if live:
+        assert np.isfinite(res.sigma) and res.sigma >= EPSILON
+    else:
+        # The width at which every kernel value is exactly 1, as rho = -1 is.
+        assert res.sigma == np.inf
+        assert np.all(res.rho == -1.0)
+
+
 def test_solve_deterministic():
     rng = np.random.default_rng(21)
     x = rng.random((8, 10)) + 0.1
@@ -729,11 +766,14 @@ def reference_solve(x, graph, cfg, h0, w0):
     eps = EPSILON
 
     def e_step(h_, w_):
+        # Only mcc and mccgr have a kernel; the others report its unit limit.
+        if not live_rho:
+            return np.inf, -np.ones(d)
         r = x - h_ @ w_
         r2 = np.einsum("ij,ij->i", r, r)
         sigma_ = max(float(np.sqrt(cfg.theta * float(r2.sum()) / (2.0 * d))), eps)
         rho_ = -np.maximum(np.exp(-r2 / (2.0 * sigma_ * sigma_)), np.finfo(np.float64).tiny)
-        return sigma_, rho_ if live_rho else -np.ones(d)
+        return sigma_, rho_
 
     def tracked(h_, w_, rho_):
         if kl:
@@ -832,9 +872,9 @@ def weighted_graph(rng, n):
 
 
 @st.composite
-def kernel_problems(draw):
-    d = draw(st.integers(1, 12))
-    n = draw(st.integers(2, 12))
+def kernel_problems(draw, max_d=12, max_n=12):
+    d = draw(st.integers(1, max_d))
+    n = draw(st.integers(2, max_n))
     k = draw(st.integers(1, min(d, n)))
     return d, n, k, draw(st.integers(0, 2**32 - 1))
 
@@ -952,3 +992,29 @@ def test_solve_does_not_depend_on_feature_or_sample_order(d, n, k, seed):
         assert_close_to_scale(cols.h, base.h)
         assert_close_to_scale(cols.w, base.w[:, q])
         assert_close_to_scale(cols.trace, base.trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kernel_problems(max_d=4, max_n=6),
+    st.sampled_from([0.0, 0.3, 0.7]),
+)
+def test_every_variant_survives_degenerate_shapes_and_sparse_data(problem, zeroed):
+    # One feature, two samples, k = min(D, N), data mostly or wholly zero:
+    # every variant keeps finite factors at or above FLOOR and a finite
+    # trace, and the variants without an E-step descend monotonically.
+    d, n, k, seed = problem
+    rng = np.random.default_rng(seed)
+    x = rng.random((d, n))
+    x[rng.random((d, n)) < zeroed] = 0.0
+    h0, w0 = init_factors(x, k, seed)
+    graph = build_knn_affinity(x, 1)
+    for variant in mccgr.VARIANTS:
+        cfg = SolverConfig(variant=variant, k=k, alpha=10.0, max_iter=50, tol=0.0)
+        res = solve(x, graph if cfg.graph_weight > 0 else None, cfg, h0, w0)
+        for factor in (res.h, res.w):
+            assert np.all(np.isfinite(factor)) and np.all(factor >= FLOOR), variant
+        assert len(res.trace) == 51 and np.all(np.isfinite(res.trace)), variant
+        if variant in ("l2", "grnmf", "kl"):
+            slack = 1e-10 * abs(res.trace[0])
+            assert np.all(np.diff(res.trace) <= slack), (variant, res.trace)
