@@ -137,6 +137,10 @@ def _cmd_experiment(args) -> int:
             f"(+/- {row.std_accuracy:.4f}), nmi {row.mean_nmi:.4f}"
         )
     print(f"report written to {args.out_dir}")
+    if aggregate.failed:
+        message = f"{aggregate.failed} of the runs failed; see the status column of runs.csv"
+        print(f"mccgr: numerical failure: {message}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -179,7 +179,11 @@ def accuracy(pred, true) -> MatchResult:
     `matching` maps each real cluster id to its matched real class id
     (padded ids never appear).
     """
-    pids, tids, table = _contingency(pred, true, "predicted labels", "true labels")
+    return _accuracy(*_contingency(pred, true, "predicted labels", "true labels"))
+
+
+def _accuracy(pids, tids, table) -> MatchResult:
+    # accuracy's score of a _contingency result.
     size = max(table.shape)
     confusion = np.zeros((size, size), dtype=np.int64)
     confusion[: len(pids), : len(tids)] = table
@@ -199,7 +203,11 @@ def nmi(a, b) -> float:
     Conventions for degenerate partitions: 1.0 when both sides have a
     single block, 0.0 when exactly one does.
     """
-    _, _, table = _contingency(a, b, "first labeling", "second labeling")
+    return _nmi(_contingency(a, b, "first labeling", "second labeling")[2])
+
+
+def _nmi(table) -> float:
+    # nmi's score of a _contingency count table.
     p = table.astype(np.float64) / int(table.sum())
     pa = p.sum(axis=1)
     pb = p.sum(axis=0)
@@ -222,10 +230,11 @@ def evaluate(w, true_labels, k: int, seed: int = 0) -> EvalReport:
     if w.shape[1] != true_labels.shape[0]:
         raise DataError(f"coefficient shape {w.shape} does not match {true_labels.shape[0]} labels")
     assignments = kmeans(w, k, seed=seed).assignments
-    match = accuracy(assignments, true_labels)
+    pids, tids, table = _contingency(assignments, true_labels, "predicted labels", "true labels")
+    match = _accuracy(pids, tids, table)
     return EvalReport(
         accuracy=match.accuracy,
-        nmi=nmi(assignments, true_labels),
+        nmi=_nmi(table),
         matching=match.matching,
         confusion=match.confusion,
     )

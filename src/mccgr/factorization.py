@@ -154,20 +154,19 @@ def _kl_divergence(xp, pos, sum_xp, v) -> float:
 
 
 def _row_sq(x, h, w):
-    # Per-row sums r2 of the squared residual r = x - h @ w, and their total.
-    # r is formed in the buffer of h @ w, so one D x N array is allocated.
+    # Per-row sums r2 of the squared residual r = x - h @ w. r is formed in
+    # the buffer of h @ w, so one D x N array is allocated.
     r = h @ w
     np.subtract(x, r, out=r)
-    r2 = np.einsum("ij,ij->i", r, r)
-    return r2, float(r2.sum())
+    return np.einsum("ij,ij->i", r, r)
 
 
-def _sigma(total, d, theta) -> float:
+def _sigma(r2, theta) -> float:
     # Self-tuned kernel width: sigma^2 = theta * total squared residual / (2 D).
     # The floor at EPSILON keeps a (near-)exact fit from giving a zero width,
     # and it caps every kernel exponent r2_d / (2 sigma^2) at D / theta, so rho
     # cannot underflow en masse when a fit becomes nearly exact.
-    return max(float(np.sqrt(theta * total / (2.0 * d))), EPSILON)
+    return max(float(np.sqrt(theta * float(r2.sum()) / (2.0 * r2.size))), EPSILON)
 
 
 def _rho(r2, sigma) -> np.ndarray:
@@ -185,7 +184,7 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     the M-step for fixed rho.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    return _objective(neg, _row_sq(x, h, w)[0], w, alpha, graph, _affinity_product(w, alpha, graph))
+    return _objective(neg, _row_sq(x, h, w), w, alpha, graph, _affinity_product(w, alpha, graph))
 
 
 def _affinity_product(w, alpha, graph):
@@ -350,7 +349,7 @@ def solve(
     Each iteration forms the residual x - h @ w once, after the M-step, and
     reduces it in one pass to its per-row squared sums r2. The tracked fit
     is the weighted sum of r2; mcc's and mccgr's next sigma and rho follow
-    from r2 and its total. The row weights scale the D x K product of the W
+    from r2. The row weights scale the D x K product of the W
     step, never x itself, so no step forms a weighted D x N copy; the H
     step reads none. With a graph, w @ A is formed once after each W step:
     it gives that iteration's penalty and the next W step's numerator, and
@@ -393,7 +392,7 @@ def solve(
         xp = x.take(pos)
         sum_xp = np.sum(xp)
     else:
-        r2, total = _row_sq(x, h, w)
+        r2 = _row_sq(x, h, w)
     neg = np.ones(d)
     sigma = np.inf
     trace: list[float] = []
@@ -403,7 +402,7 @@ def solve(
     # M-step uses, and its objective is the scale of every later change.
     for iterations in range(cfg.max_iter + 1):
         if live_rho:
-            sigma = _sigma(total, d, cfg.theta)
+            sigma = _sigma(r2, cfg.theta)
             neg = -_rho(r2, sigma)
         if iterations:
             if kl:
@@ -411,7 +410,7 @@ def solve(
             else:
                 h = _update_h(x, h, w)
                 w = _update_w(x, h, w, neg, alpha, graph, wa)
-                r2, total = _row_sq(x, h, w)
+                r2 = _row_sq(x, h, w)
         if kl:
             v = h @ w
             value = _kl_divergence(xp, pos, sum_xp, v)

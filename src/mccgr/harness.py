@@ -13,9 +13,11 @@ included. The cells run in worker processes, one per CPU the process may
 use, when the process has no other thread; their results, and their
 warnings, are consumed in cell order, so every output is the same as with
 one CPU, where the cells run in-process.
-Per-run metrics land in RunRecords; the spec's variant order,
-per-(variant, k) means and deviations, and the sweep's mean accuracy per
-alpha in an AggregateReport, which alone sets the layout emit_report writes.
+Each run's outcome, a failed run's included, lands in a RunRecord; the
+spec's variant order, per-(variant, k) means and deviations and the
+sweep's mean accuracy per alpha over the runs that succeeded, and the
+failed-run count in an AggregateReport, which with the records' ks sets
+the layout emit_report writes.
 
 All emitted artifacts are deterministic functions of the spec file and the
 dataset; no wall-clock time is recorded.
@@ -184,6 +186,9 @@ class RunRecord:
     final_objective: float
     converged: bool
     init_hash: str
+    # "ok", or the class name of the error the run failed with; a failed run
+    # has nan scores and objective, 0 iterations and an empty trace.
+    status: str
     trace: np.ndarray = field(repr=False, default=None)
 
 
@@ -203,8 +208,11 @@ class AggregateReport:
     # The spec's variant names in spec order, failed ones included.
     variants: tuple[str, ...]
     rows: tuple[AggregateRow, ...]
-    # (alpha, mean k=2 accuracy) per sweep alpha, ascending; () for no sweep.
-    sweep: tuple[tuple[float, float], ...]
+    # (alpha, mean k=2 accuracy or None if no run succeeded) per sweep alpha,
+    # ascending; () for no sweep.
+    sweep: tuple[tuple[float, float | None], ...]
+    # Failed runs, grid and sweep; a sweep run that is a grid run counts in each.
+    failed: int
 
 
 def _variant_name(entry: dict) -> str:
@@ -252,23 +260,23 @@ def run_experiment(spec: ExperimentSpec):
     deadlock; numpy's default OpenBLAS starts a thread per CPU at import,
     and again at its first large product after a fork, which the thread
     count runs first, unless OPENBLAS_NUM_THREADS=1. A warning a cell
-    raises in a worker is re-emitted here, in cell order, before that
-    cell's failed-run warnings, under its module's name and with one
-    registry per call, so under the default filter a warning every cell
-    raises shows once, as it does in this process. No worker outlives the
-    call.
+    raises in a worker is re-emitted here, in cell order, under its
+    module's name and with one registry per call, so under the default
+    filter a warning every cell raises shows once, as it does in this
+    process. No worker outlives the call.
 
-    Returns (AggregateReport, list[RunRecord]). AggregateReport.sweep holds
-    (alpha, mean k=2 accuracy) in ascending alpha order, and is empty when
-    the spec lists no sweep values. A run that fails with NumericalError
-    is warned about and left out of aggregation; it never aborts the other
-    runs. Every input of a cell is checked before the first run, so any
-    other exception, a DataError included, is a programming error and
-    propagates, from a worker too, and the cells not yet started are
-    dropped. A k above the labels' category count, or a knn not below the
-    sample count of a cell that builds a graph, is a DataError raised
-    before the first run; a sweep alpha with no successful run is one
-    raised after the last.
+    Returns (AggregateReport, list[RunRecord]), a record per grid run in
+    cell order. AggregateReport.sweep holds (alpha, mean k=2 accuracy) in
+    ascending alpha order, and is empty when the spec lists no sweep
+    values. A run that fails with NumericalError is a record with that
+    status, and the other runs go on: the means read only the records
+    whose status is "ok", a sweep alpha with none has mean None, and
+    AggregateReport.failed counts the rest. Every input of a cell is
+    checked before the first run, so any other exception, a DataError
+    included, is a programming error and propagates, from a worker too,
+    and the cells not yet started are dropped. A k above the labels'
+    category count, or a knn not below the sample count of a cell that
+    builds a graph, is a DataError raised before the first run.
     """
     data = read_matrix(spec.features_path)
     labels = load_labels(spec.labels_path)
@@ -307,7 +315,7 @@ def run_experiment(spec: ExperimentSpec):
             cells.append((k, r, columns, runs, knn))
     # A generator: each cell's data is sliced when the cell is sent to run.
     args = (
-        (data[:, columns], labels[columns], k, spec.base_seed + r, [cfg for _, cfg, _ in runs], knn, spec.knn_mode)
+        (data[:, columns], labels[columns], k, r, spec.base_seed + r, [run[:2] for run in runs], knn, spec.knn_mode)
         for k, r, columns, runs, knn in cells
     )
     records: list[RunRecord] = []
@@ -315,58 +323,48 @@ def run_experiment(spec: ExperimentSpec):
     # raises shows once under the default filter.
     registry = {}
     with _cell_map(len(cells)) as cell_map:
-        for (k, r, _, runs, _), ((init_hash, outcomes), caught) in zip(cells, cell_map(_solve_cell, args)):
+        for (_, _, _, runs, _), (outcomes, caught) in zip(cells, cell_map(_solve_cell, args)):
             for message, category, filename, lineno in caught:
                 module, module_globals = _module_of(filename)
                 warnings.warn_explicit(message, category, filename, lineno, module, registry, module_globals)
-            for (name, cfg, alpha), outcome in zip(runs, outcomes):
-                if isinstance(outcome, Exception):
-                    # Names the caller of run_experiment.
-                    warnings.warn(f"variant {name!r} failed at k={k} repeat {r}: {outcome}", stacklevel=2)
-                elif alpha is not None:
-                    sweep[alpha].append(outcome["accuracy"])
-                else:
-                    records.append(RunRecord(variant=name, k=k, repeat=r, init_hash=init_hash, **outcome))
-    for alpha, accuracies in sweep.items():
-        if not accuracies:
-            raise DataError(f"alpha sweep produced no successful runs at alpha={alpha}")
-    table = tuple((alpha, float(np.array(accuracies).mean())) for alpha, accuracies in sweep.items())
-    return AggregateReport(variants=names, rows=_aggregate(records, names, spec.k_range), sweep=table), records
+            for (_, _, alpha), record in zip(runs, outcomes):
+                (records if alpha is None else sweep[alpha]).append(record)
+    accuracies = {alpha: [rec.accuracy for rec in runs if rec.status == "ok"] for alpha, runs in sweep.items()}
+    table = tuple((alpha, float(np.mean(accs)) if accs else None) for alpha, accs in accuracies.items())
+    failed = sum(rec.status != "ok" for runs in (records, *sweep.values()) for rec in runs)
+    rows = _aggregate(records, names, spec.k_range)
+    return AggregateReport(variants=names, rows=rows, sweep=table, failed=failed), records
 
 
 def _solve_cell(cell):
-    # One cell's work, given as (x, labels, k, seed, configs, knn, mode) on
-    # its own columns x and their labels: the graph (None when knn is, as no
-    # config has a graph weight), (H0, W0) from seed, then a solve and an
-    # evaluation per config. Returns (init_hash, outcomes). outcomes[i] is
-    # configs[i]'s RunRecord fields from accuracy to trace, but init_hash,
-    # or the NumericalError it failed with; a config listed twice is solved
-    # once. run_experiment checked the cell's inputs before the first run,
-    # so any other error is a bug and propagates. Only those fields go back
-    # from a worker, not the factors.
-    x, labels, k, seed, configs, knn, mode = cell
+    # One cell's work, given as (x, labels, k, repeat, seed, runs, knn, mode)
+    # on its own columns x and their labels, with runs as (name, config)
+    # pairs: the graph (None when knn is, as no config has a graph weight),
+    # (H0, W0) from seed, then a solve and an evaluation per config. Returns
+    # a RunRecord per run, in order; a config listed twice is solved once,
+    # and its records share the outcome. A run that fails with
+    # NumericalError is a record with that status. run_experiment checked
+    # the cell's inputs before the first run, so any other error is a bug
+    # and propagates. Only the records go back from a worker, not the factors.
+    x, labels, k, repeat, seed, runs, knn, mode = cell
     graph = None if knn is None else build_knn_affinity(x, knn, mode)
     h0, w0 = init_factors(x, k, seed)
+    init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
     solved = {}
-    for cfg in configs:
+    for _, cfg in runs:
         key = astuple(cfg)
         if key not in solved:
             try:
                 result = solve(x, graph, cfg, h0, w0)
                 report = evaluate(result.w, labels, k, seed=seed)
             except NumericalError as exc:
-                solved[key] = exc
-                continue
-            solved[key] = {
-                "accuracy": report.accuracy,
-                "nmi": report.nmi,
-                "iterations": result.iterations_run,
-                "final_objective": float(result.trace[-1]),
-                "converged": result.converged,
-                "trace": result.trace,
-            }
-    init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
-    return init_hash, [solved[astuple(cfg)] for cfg in configs]
+                solved[key] = dict(accuracy=np.nan, nmi=np.nan, iterations=0, final_objective=np.nan, converged=False,
+                                   status=type(exc).__name__, trace=np.empty(0))
+            else:
+                solved[key] = dict(accuracy=report.accuracy, nmi=report.nmi, iterations=result.iterations_run,
+                                   final_objective=float(result.trace[-1]), converged=result.converged, status="ok",
+                                   trace=result.trace)
+    return [RunRecord(variant=name, k=k, repeat=repeat, init_hash=init_hash, **solved[astuple(cfg)]) for name, cfg in runs]
 
 
 def _recording(fn, *args):
@@ -454,7 +452,7 @@ def _aggregate(records, names, k_range) -> tuple[AggregateRow, ...]:
     rows = []
     for k in k_range:
         for name in names:
-            cell = [rec for rec in records if rec.variant == name and rec.k == k]
+            cell = [rec for rec in records if rec.variant == name and rec.k == k and rec.status == "ok"]
             if not cell:
                 continue
             accs = np.array([rec.accuracy for rec in cell])
@@ -512,24 +510,23 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
     that holds any file, such as an earlier report's, is a DataError raised
     before anything is written, so no report mixes with another's leftovers.
 
-    Layout, set by aggregate whichever runs failed:
+    Layout, set by aggregate and the records' ks whichever runs failed:
       accuracy_table.csv   mean accuracy: a row per k, ascending; a column per
                            aggregate.variants entry, in the spec's order; a
                            cell with no successful run is empty
       nmi_table.csv        mean NMI, laid out the same
-      runs.csv             one row per successful run, in records' order; a
-                           column per RunRecord field but trace
-      summary.json         aggregate.rows, in order
-      alpha_sweep.csv      alpha,mean_accuracy; only when aggregate.sweep is non-empty
-      traces/<variant>_k<k>_r<repeat>.csv   iteration,objective
+      runs.csv             one row per run, failed ones included, in records'
+                           order; a column per RunRecord field but trace
+      summary.json         aggregate.rows, in order, and aggregate.failed
+      alpha_sweep.csv      alpha,mean_accuracy, empty where no run succeeded;
+                           only when aggregate.sweep is non-empty
+      traces/<variant>_k<k>_r<repeat>.csv   iteration,objective, per record
     """
-    if not records:
-        raise DataError("no successful runs to report")
     check_report_dir(out_dir)
     traces_dir = os.path.join(out_dir, "traces")
     os.makedirs(traces_dir, exist_ok=True)
 
-    ks = sorted({row.k for row in aggregate.rows})
+    ks = sorted({rec.k for rec in records})
     for name, attr in (("accuracy_table.csv", "mean_accuracy"), ("nmi_table.csv", "mean_nmi")):
         cells = {(row.k, row.variant): repr(getattr(row, attr)) for row in aggregate.rows}
         lines = (",".join([str(k)] + [cells.get((k, variant), "") for variant in aggregate.variants]) for k in ks)
@@ -542,10 +539,10 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
         write_trace(rec.trace, os.path.join(traces_dir, f"{rec.variant}_k{rec.k}_r{rec.repeat}.csv"))
 
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump({"aggregates": [asdict(row) for row in aggregate.rows]}, fh, indent=2)
+        json.dump({"aggregates": [asdict(row) for row in aggregate.rows], "failed": aggregate.failed}, fh, indent=2)
         fh.write("\n")
     if aggregate.sweep:
-        lines = (f"{alpha!r},{acc!r}" for alpha, acc in aggregate.sweep)
+        lines = (f"{alpha!r},{'' if acc is None else repr(acc)}" for alpha, acc in aggregate.sweep)
         _write_csv(os.path.join(out_dir, "alpha_sweep.csv"), "alpha,mean_accuracy", lines)
 
 

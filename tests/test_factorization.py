@@ -187,7 +187,7 @@ def test_rho_step_never_reaches_zero():
     x = np.array([[1e150, 1e150], [1.0, 1.0]])
     h = np.array([[1.0], [1.0]])
     w = np.array([[1.0, 1.0]])
-    rho = _rho(_row_sq(x, h, w)[0], 1.0)
+    rho = _rho(_row_sq(x, h, w), 1.0)
     assert np.all(rho < 0.0)
     assert rho[0] == -np.finfo(np.float64).tiny
 

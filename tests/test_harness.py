@@ -306,9 +306,9 @@ def test_experiment_reports_the_features_file_then_the_labels_file(tmp_path):
         run_experiment(spec)
 
 
-def test_a_sweep_alpha_without_a_successful_run_writes_no_report(tmp_path, capsys, monkeypatch):
+def test_a_sweep_alpha_without_a_successful_run_gets_an_empty_cell(tmp_path, capsys, monkeypatch):
     # Every k=2 run fails, so the sweep's alpha 10 has no accuracy to average,
-    # while the k=3 grid cells succeed and alone would make a report.
+    # while the k=3 grid cells succeed. Before, no report was written.
     spec_path = write_spec_file(tmp_path, small_spec(tmp_path, alpha_sweep=(10.0,)))
     real_solve = mccgr.harness.solve
 
@@ -318,13 +318,17 @@ def test_a_sweep_alpha_without_a_successful_run_writes_no_report(tmp_path, capsy
         return real_solve(x, graph, cfg, h0, w0, **kwargs)
 
     monkeypatch.setattr(mccgr.harness, "solve", fail_k2)
-    out = tmp_path / "out"
-    with pytest.warns(UserWarning, match="synthetic failure"):
-        code = cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out / "report")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == "mccgr: alpha sweep produced no successful runs at alpha=10.0\n"
-    assert not out.exists()
+    out = tmp_path / "report"
+    code = cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)])
+    assert code == 3
+    # 2 variants x 2 repeats at k=2, and the sweep's alpha 10 at both repeats.
+    assert capsys.readouterr().err == "mccgr: numerical failure: 6 of the runs failed; see the status column of runs.csv\n"
+    assert (out / "alpha_sweep.csv").read_text() == "alpha,mean_accuracy\n10.0,\n"
+    statuses = [line.split(",")[-1] for line in (out / "runs.csv").read_text().splitlines()[1:]]
+    assert statuses == ["NumericalError"] * 4 + ["ok"] * 4
+    assert json.loads((out / "summary.json").read_text())["failed"] == 6
+    # A k where every run failed keeps its row, with every cell empty.
+    assert (out / "accuracy_table.csv").read_text().splitlines()[:2] == ["k,l2,mccgr", "2,,"]
 
 
 def test_run_experiment_grid_and_shared_inits(tmp_path):
@@ -385,11 +389,18 @@ def test_run_experiment_isolates_variant_failures(tmp_path, monkeypatch):
         return real_solve(x, graph, cfg, h0, w0, **kwargs)
 
     monkeypatch.setattr(mccgr.harness, "solve", flaky)
-    with pytest.warns(UserWarning, match="synthetic failure"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         aggregate, records = run_experiment(spec)
-    assert {rec.variant for rec in records} == {"l2"}
-    assert len(records) == 2
-    assert all(row.variant == "l2" for row in aggregate.rows)
+    assert caught == []
+    assert [(rec.variant, rec.repeat, rec.status) for rec in records] == [
+        ("l2", 0, "ok"), ("mccgr", 0, "NumericalError"), ("l2", 1, "ok"), ("mccgr", 1, "NumericalError")
+    ]
+    for rec in records[1::2]:
+        assert np.isnan(rec.accuracy) and np.isnan(rec.nmi) and np.isnan(rec.final_objective)
+        assert rec.iterations == 0 and rec.converged is False and rec.trace.size == 0
+    assert aggregate.failed == 2
+    assert [(row.variant, row.repeats) for row in aggregate.rows] == [("l2", 2)]
 
 
 def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
@@ -403,7 +414,7 @@ def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
         run_experiment(spec)
 
 
-def test_failed_run_warning_names_the_caller(tmp_path, monkeypatch):
+def test_a_failed_run_is_a_record_not_a_warning(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, k_range=(2,), repeats=2, alpha_sweep=(1.0, 10.0))
     real_solve = mccgr.harness.solve
 
@@ -414,12 +425,17 @@ def test_failed_run_warning_names_the_caller(tmp_path, monkeypatch):
         return real_solve(x, graph, cfg, h0, w0, **kwargs)
 
     monkeypatch.setattr(mccgr.harness, "solve", fail_repeat_0)
-    with pytest.warns(UserWarning, match="synthetic failure") as caught:
-        run_experiment(spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        aggregate, records = run_experiment(spec)
+    assert caught == []
+    assert [rec.status for rec in records] == ["NumericalError", "NumericalError", "ok", "ok"]
     # l2 and mccgr at repeat 0, the sweep's alpha 1 reusing mccgr's failed
     # run, and its alpha 10.
-    assert len(caught) == 4
-    assert {w.filename for w in caught} == {__file__}
+    assert aggregate.failed == 4
+    assert all(row.repeats == 1 for row in aggregate.rows)
+    (repeat_1,) = [rec for rec in records if rec.variant == "mccgr" and rec.status == "ok"]
+    assert dict(aggregate.sweep)[1.0] == repeat_1.accuracy
 
 
 def test_dataset_loaded_once_per_grid_and_per_sweep(tmp_path, monkeypatch):
@@ -542,13 +558,14 @@ def test_emit_report_layout(tmp_path):
 
     run_lines = (out / "runs.csv").read_text().splitlines()
     assert run_lines[0] == (
-        "variant,k,repeat,accuracy,nmi,iterations,final_objective,converged,init_hash"
+        "variant,k,repeat,accuracy,nmi,iterations,final_objective,converged,init_hash,status"
     )
     assert len(run_lines) == 1 + len(records)
     first = run_lines[1].split(",")
     assert first[0] == records[0].variant
     assert float(first[3]) == records[0].accuracy
     assert first[7] in ("0", "1")
+    assert first[9] == "ok"
 
     for rec in records:
         trace_path = out / "traces" / f"{rec.variant}_k{rec.k}_r{rec.repeat}.csv"
@@ -560,9 +577,23 @@ def test_emit_report_layout(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert len(summary["aggregates"]) == len(aggregate.rows)
     assert summary["aggregates"][0]["variant"] == aggregate.rows[0].variant
+    assert summary["failed"] == 0
 
-    with pytest.raises(DataError, match="no successful runs"):
-        emit_report(aggregate, [], tmp_path / "empty")
+    # Every run failed: each is still a row, with its trace file, and each
+    # table cell is empty.
+    failed = [
+        replace(rec, accuracy=np.nan, nmi=np.nan, iterations=0, final_objective=np.nan, converged=False,
+                status="NumericalError", trace=np.empty(0))
+        for rec in records
+    ]
+    out = tmp_path / "failed"
+    emit_report(replace(aggregate, rows=(), failed=len(failed)), failed, out)
+    run_lines = (out / "runs.csv").read_text().splitlines()
+    assert run_lines[1:] == [f"{rec.variant},2,{rec.repeat},nan,nan,0,nan,0,{rec.init_hash},NumericalError" for rec in failed]
+    assert (out / "accuracy_table.csv").read_text() == "k,l2,mccgr\n2,,\n"
+    assert json.loads((out / "summary.json").read_text()) == {"aggregates": [], "failed": len(failed)}
+    for rec in failed:
+        assert (out / "traces" / f"{rec.variant}_k2_r{rec.repeat}.csv").read_text() == "iteration,objective\n"
 
 
 @pytest.mark.parametrize("failing", ["repeat 0", "every run"])
@@ -579,10 +610,16 @@ def test_report_columns_follow_the_spec_whatever_runs_failed(tmp_path, monkeypat
         return real_solve(x, graph, cfg, h0, w0, **kwargs)
 
     monkeypatch.setattr(mccgr.harness, "solve", fail_l2)
-    with pytest.warns(UserWarning, match="synthetic failure"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         aggregate, records = run_experiment(spec)
+    assert caught == []
     out = tmp_path / "report"
     emit_report(aggregate, records, out)
+    # Every grid run is a row, failed or not: 2 ks x 2 repeats x 2 variants.
+    statuses = [line.split(",")[-1] for line in (out / "runs.csv").read_text().splitlines()[1:]]
+    assert len(statuses) == 8
+    assert statuses.count("NumericalError") == aggregate.failed == (2 if failing == "repeat 0" else 4)
     summary = json.loads((out / "summary.json").read_text())["aggregates"]
     assert [(row["k"], row["variant"]) for row in summary] == (
         [(3, "l2"), (3, "mcc"), (2, "l2"), (2, "mcc")] if failing == "repeat 0" else [(3, "mcc"), (2, "mcc")]
@@ -730,7 +767,7 @@ def test_experiment_sweep_without_k2_in_the_grid(tmp_path, monkeypatch):
     assert tuple(tuple(map(float, line.split(","))) for line in lines[1:]) == sweep_oracle(spec)
 
 
-def test_reused_failed_run_warns_again(tmp_path, monkeypatch):
+def test_a_reused_failed_run_fails_its_sweep_run_too(tmp_path, capsys, monkeypatch):
     spec = small_spec(tmp_path, k_range=(2,), alpha_sweep=(1.0,))
     real_solve = mccgr.harness.solve
     failures = []
@@ -744,16 +781,18 @@ def test_reused_failed_run_warns_again(tmp_path, monkeypatch):
     monkeypatch.setattr(mccgr.harness, "solve", fail_first_mccgr)
     in_process(monkeypatch)
     spec_path = write_spec_file(tmp_path, spec)
-    with pytest.warns(UserWarning, match="synthetic failure") as caught:
-        code = cli_main(["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / "out")])
-    assert code == 0
+    out = tmp_path / "out"
+    code = cli_main(["experiment", "--spec", spec_path, "--out-dir", str(out)])
+    assert code == 3
     # Once for the grid's run at repeat 0 and once for the sweep that reuses it.
-    assert [str(w.message).split(":")[0] for w in caught] == [
-        "variant 'mccgr' failed at k=2 repeat 0"
-    ] * 2
+    assert capsys.readouterr().err == "mccgr: numerical failure: 2 of the runs failed; see the status column of runs.csv\n"
     assert len(failures) == 1
-    lines = (tmp_path / "out" / "alpha_sweep.csv").read_text().splitlines()
-    assert len(lines) == 2
+    rows = [line.split(",") for line in (out / "runs.csv").read_text().splitlines()[1:]]
+    assert [(row[0], row[2], row[-1]) for row in rows] == [
+        ("l2", "0", "ok"), ("mccgr", "0", "NumericalError"), ("l2", "1", "ok"), ("mccgr", "1", "ok")
+    ]
+    # The sweep's alpha 1 mean reads repeat 1 alone.
+    assert (out / "alpha_sweep.csv").read_text() == f"alpha,mean_accuracy\n1.0,{rows[3][3]}\n"
 
 
 def test_a_spec_without_a_graph_run_builds_no_graph(tmp_path, monkeypatch):
@@ -901,6 +940,28 @@ def test_a_pooled_report_equals_the_in_process_one(tmp_path):
     assert reports["pooled"] == reports["in_process"]
 
 
+def test_a_numerical_failure_in_a_cell_is_the_same_row_pooled_and_in_process(tmp_path, capsys):
+    # On data x 1e200 the squared residual of l2's start overflows, so every
+    # l2 run raises NumericalError inside its cell; kl's divergence does not.
+    spec = small_spec(tmp_path, variants=({"variant": "l2", "max_iter": 40}, {"variant": "kl", "max_iter": 40}))
+    save_csv(mccgr.read_matrix(spec.features_path) * 1e200, spec.features_path)
+    spec_path = write_spec_file(tmp_path, spec)
+    reports = {}
+    for name, pin in (("in_process", in_process), ("pooled", two_workers)):
+        with pytest.MonkeyPatch.context() as patch:
+            pools = pin(patch)
+            assert cli_main(["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / name)]) == 3
+        assert capsys.readouterr().err == "mccgr: numerical failure: 4 of the runs failed; see the status column of runs.csv\n"
+        reports[name] = report_bytes(tmp_path / name)
+    assert len(pools) == 1
+    assert reports["pooled"] == reports["in_process"]
+    rows = [line.split(",") for line in reports["pooled"]["runs.csv"].decode().splitlines()[1:]]
+    assert [(row[0], row[3], row[-1]) for row in rows] == [("l2", "nan", "NumericalError"), ("kl", "1.0", "ok")] * 4
+    assert [row[5] for row in rows[::2]] == ["0"] * 4
+    assert reports["pooled"]["accuracy_table.csv"] == b"k,l2,kl\n2,,1.0\n3,,1.0\n"
+    assert json.loads(reports["pooled"]["summary.json"])["failed"] == 4
+
+
 def test_pooled_warnings_match_the_in_process_ones(tmp_path, monkeypatch):
     spec = small_spec(tmp_path, repeats=3, alpha_sweep=(10.0, 1.0))
     real_solve = mccgr.harness.solve
@@ -913,32 +974,34 @@ def test_pooled_warnings_match_the_in_process_ones(tmp_path, monkeypatch):
         return real_solve(x, graph, cfg, h0, w0, **kwargs)
 
     monkeypatch.setattr(mccgr.harness, "solve", flaky)
-    seen = {}
+    seen, results = {}, {}
     for name, pin in (("in_process", in_process), ("pooled", two_workers)):
         with pytest.MonkeyPatch.context() as patch:
             pools = pin(patch)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                run_experiment(spec)
+                aggregate, records = run_experiment(spec)
         seen[name] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        results[name] = (aggregate, [astuple(replace(rec, trace=None)) for rec in records])
     assert len(pools) == 1
     assert seen["pooled"] == seen["in_process"]
+    # nan != nan, so the records compare by their text.
+    assert repr(results["pooled"]) == repr(results["in_process"])
     # The first cell, k=2 repeat 0: a warning per distinct solve, none failed.
     assert [message for _, message, _, _ in seen["pooled"][:3]] == [
         "cell warning k=2 l2",
         "cell warning k=2 mccgr",
         "cell warning k=2 mccgr",
     ]
-    assert {filename for category, _, filename, _ in seen["pooled"] if category is RuntimeWarning} == {__file__}
-    failed = [(message, filename) for category, message, filename, _ in seen["pooled"] if category is UserWarning]
+    # The cells' own warnings are all there is: a failed run is a record.
+    assert {(category, filename) for category, _, filename, _ in seen["pooled"]} == {(RuntimeWarning, __file__)}
+    aggregate, records = results["pooled"]
     # mccgr at repeats 1 and 2 of both ks, and both sweep alphas at k=2
-    # (alpha 1.0 reusing the grid's failed run), in cell order.
-    assert [message.split(":")[0] for message, _ in failed] == (
-        ["variant 'mccgr' failed at k=2 repeat 1"] * 3
-        + ["variant 'mccgr' failed at k=2 repeat 2"] * 3
-        + ["variant 'mccgr' failed at k=3 repeat 1", "variant 'mccgr' failed at k=3 repeat 2"]
-    )
-    assert {filename for _, filename in failed} == {__file__}
+    # (alpha 1.0 reusing the grid's failed run).
+    assert [(rec[0], rec[1], rec[2]) for rec in records if rec[9] != "ok"] == [
+        ("mccgr", 2, 1), ("mccgr", 2, 2), ("mccgr", 3, 1), ("mccgr", 3, 2)
+    ]
+    assert aggregate.failed == 4 + 4
 
 
 @pytest.mark.parametrize("pin", [in_process, two_workers], ids=["in_process", "pooled"])
@@ -996,27 +1059,29 @@ def test_at_most_two_cells_per_worker_wait_beyond_the_one_consumed(tmp_path, mon
 
         def counted(*args, **kwargs):
             submitted.append(None)
-            return submit(*args, **kwargs)
+            return consuming(submit(*args, **kwargs))
 
         pool.submit = counted
         return pool
 
     # Cells submitted and not yet consumed, the one being consumed included,
-    # when the parent builds that cell's first record.
-    waiting, cells = [], []
-    real_record = mccgr.harness.RunRecord
+    # when the parent asks for that cell's records.
+    waiting = []
 
-    def record(**kwargs):
-        if (kwargs["k"], kwargs["repeat"]) not in cells:
-            cells.append((kwargs["k"], kwargs["repeat"]))
-            waiting.append(len(submitted) - (len(cells) - 1))
-        return real_record(**kwargs)
+    def consuming(future):
+        result = future.result
+
+        def consumed(*args, **kwargs):
+            waiting.append(len(submitted) - len(waiting))
+            return result(*args, **kwargs)
+
+        future.result = consumed
+        return future
 
     monkeypatch.setattr(mccgr.harness, "ProcessPoolExecutor", counting_pool)
-    monkeypatch.setattr(mccgr.harness, "RunRecord", record)
     _, records = run_experiment(small_spec(tmp_path, repeats=5))
     assert len(pools) == 1
-    assert len(records) == 20 and len(cells) == len(submitted) == 10
+    assert len(records) == 20 and len(waiting) == len(submitted) == 10
     assert max(waiting) == 2 * 2 + 1
 
 
