@@ -373,8 +373,8 @@ def solve(
     """
     x = _check_matrix(x, "x", nonneg=True)
     d, n = x.shape
-    h = _check_matrix(h0, "h0").copy()
-    w = _check_matrix(w0, "w0").copy()
+    h = _check_matrix(h0, "h0")
+    w = _check_matrix(w0, "w0")
     if h.shape != (d, cfg.k):
         raise DataError(f"h0 shape {h.shape} does not match ({d}, {cfg.k})")
     if w.shape != (cfg.k, n):

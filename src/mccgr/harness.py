@@ -9,10 +9,9 @@ every variant from those identical starting conditions. An alpha sweep adds
 the first mccgr entry at each sweep alpha as more runs of the k=2 cells.
 run_experiment is the one way to run a spec: it sets each cell up once and
 solves each distinct run in it once, a run the grid and the sweep share
-included. The cells run in worker processes, one per CPU the process may
-use, when the process has no other thread; their results, and their
-warnings, are consumed in cell order, so every output is the same as with
-one CPU, where the cells run in-process.
+included. The cells may run in worker processes; their records and their
+warnings come back in cell order, so every output is the same as in one
+process, and no worker outlives the call.
 Each run's outcome, a failed run's included, lands in a RunRecord; the
 spec's variant order, per-(variant, k) means and deviations and the
 sweep's mean accuracy per alpha over the runs that succeeded, and the
@@ -250,19 +249,11 @@ def run_experiment(spec: ExperimentSpec):
     (SolverConfig.graph_weight > 0), and solves each distinct config once,
     a run the grid and the sweep share included.
 
-    The cells are independent, so they run in forked worker processes, one
-    per CPU this process may use (os.sched_getaffinity; a cgroup CPU quota
-    is not read) and at most one per cell. Results come back, and are
-    consumed, in cell order, so the returned values, and the warnings, are
-    the same whatever the worker count. Every cell runs in this process
-    when it may use one CPU, on a platform without sched_getaffinity, and
-    when it already has more than one thread, since forking then risks a
-    deadlock; numpy's default OpenBLAS starts a thread per CPU at import,
-    and again at its first large product after a fork, which the thread
-    count runs first, unless OPENBLAS_NUM_THREADS=1. A warning a cell
-    raises in a worker is re-emitted here, in cell order, under its
-    module's name and with one registry per call, so under the default
-    filter a warning every cell raises shows once, as it does in this
+    The cells are independent, so they may run in worker processes, one
+    per CPU this process may use and at most one per cell. Their records,
+    and the warnings they raise, come back in cell order, so the returned
+    values and the warnings are the same whatever the worker count: under
+    the default filter a warning every cell raises shows once, as in one
     process. No worker outlives the call.
 
     Returns (AggregateReport, list[RunRecord]), a record per grid run in
@@ -319,14 +310,8 @@ def run_experiment(spec: ExperimentSpec):
         for k, r, columns, runs, knn in cells
     )
     records: list[RunRecord] = []
-    # One registry for the call, so that a warning every worker's cell
-    # raises shows once under the default filter.
-    registry = {}
-    with _cell_map(len(cells)) as cell_map:
-        for (_, _, _, runs, _), (outcomes, caught) in zip(cells, cell_map(_solve_cell, args)):
-            for message, category, filename, lineno in caught:
-                module, module_globals = _module_of(filename)
-                warnings.warn_explicit(message, category, filename, lineno, module, registry, module_globals)
+    with contextlib.closing(_solve_cells(args, len(cells))) as solved:
+        for (_, _, _, runs, _), outcomes in zip(cells, solved):
             for (_, _, alpha), record in zip(runs, outcomes):
                 (records if alpha is None else sweep[alpha]).append(record)
     accuracies = {alpha: [rec.accuracy for rec in runs if rec.status == "ok"] for alpha, runs in sweep.items()}
@@ -367,13 +352,13 @@ def _solve_cell(cell):
     return [RunRecord(variant=name, k=k, repeat=repeat, init_hash=init_hash, **solved[astuple(cfg)]) for name, cfg in runs]
 
 
-def _recording(fn, *args):
-    # fn(*args) in a worker, and each warning it raised, as warn_explicit's
-    # (message, category, filename, lineno), for the parent to re-emit: a
-    # worker's own warnings go nowhere the caller sees.
+def _recording(cell):
+    # _solve_cell(cell) in a worker, and each warning it raised, as
+    # warn_explicit's (message, category, filename, lineno), for the parent
+    # to re-emit: a worker's own warnings go nowhere the caller sees.
     with warnings.catch_warnings(record=True) as caught:
-        result = fn(*args)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+        records = _solve_cell(cell)
+    return records, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _module_of(filename):
@@ -411,39 +396,41 @@ def _single_threaded() -> bool:
         return False
 
 
-@contextlib.contextmanager
-def _cell_map(cells: int):
-    # The map run_experiment sends its cells through. It yields, in order,
-    # each cell's result and the warnings the cell raised in a worker; in
-    # this process they are raised as they happen, and none are listed.
-    # The cells run in this process for one worker, or when the process
-    # has more than one thread (numpy's default OpenBLAS starts its own at
-    # import, and after a fork at _single_threaded's product; with
-    # OPENBLAS_NUM_THREADS=1 it does not); else in a process pool. The
-    # pool forks, so workers start with numpy and the library already
+def _solve_cells(cells, count: int):
+    # Yields each of the count cells' records, in cell order. The cells run
+    # in this process, their warnings raised as they happen, for one worker
+    # or when the process has more than one thread (numpy's default
+    # OpenBLAS starts its own at import, and after a fork at
+    # _single_threaded's product; with OPENBLAS_NUM_THREADS=1 it does not),
+    # since forking a threaded process risks a deadlock. Else they run in a
+    # pool that forks, so workers start with numpy and the library already
     # imported; spawned workers import them afresh, which made a grid pass
-    # slower than in one process. Cells are submitted two per
-    # worker ahead of the one consumed, so the parent holds that many
-    # cells' data, not the whole grid's. The pool is shut down and its
-    # workers joined on the way out; on an error the cells submitted but
-    # not started are dropped, not waited for.
-    workers = _workers(cells)
+    # slower than in one process. Cells are submitted two per worker ahead
+    # of the one consumed, so the parent holds that many cells' data, not
+    # the whole grid's. Before a cell's records are yielded, the warnings
+    # it raised in its worker are re-emitted under their module's name
+    # (_module_of) and with one registry per call, so under the default
+    # filter a warning every cell raises shows once, as in this process.
+    # The pool is shut down and its workers joined when the cells run out,
+    # a worker raises or the generator is closed; the cells submitted but
+    # not started are then dropped, not waited for.
+    workers = _workers(count)
     if workers == 1 or not _single_threaded():
-        yield lambda fn, *iterables: ((result, ()) for result in map(fn, *iterables))
+        yield from map(_solve_cell, cells)
         return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-    def pool_map(fn, *iterables):
-        pending = collections.deque()
-        for args in zip(*iterables):
-            pending.append(pool.submit(_recording, fn, *args))
-            if len(pending) > 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
+    cells, pending, registry = iter(cells), collections.deque(), {}
     try:
-        yield pool_map
+        while True:
+            while len(pending) <= 2 * workers and (cell := next(cells, None)) is not None:
+                pending.append(pool.submit(_recording, cell))
+            if not pending:
+                return
+            records, caught = pending.popleft().result()
+            for message, category, filename, lineno in caught:
+                module, module_globals = _module_of(filename)
+                warnings.warn_explicit(message, category, filename, lineno, module, registry, module_globals)
+            yield records
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

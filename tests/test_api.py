@@ -195,3 +195,18 @@ def test_solve_calls_each_e_step_and_objective_formula_once():
     called = [node.func.id for node in ast.walk(solve) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
     for kernel in ("_sigma", "_rho", "_affinity_product", "_objective", "_kl_divergence"):
         assert called.count(kernel) == 1, kernel
+
+
+def test_one_cell_runner_owns_the_pool_and_its_workers_warnings():
+    # run_experiment only routes each cell's records; the runner alone
+    # starts the pool and re-emits what the workers warned.
+    tree = library_trees()["harness"]
+    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def reemits(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "warn_explicit"]
+
+    assert len(reemits(tree)) == 1
+    assert len(reemits(defined["_solve_cells"])) == 1
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(defined["run_experiment"])}
+    assert named & {"ProcessPoolExecutor", "_module_of", "_recording", "warn_explicit"} == set()

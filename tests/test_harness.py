@@ -1048,6 +1048,21 @@ def test_no_worker_outlives_a_run(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_closing_the_cell_runner_early_leaves_no_worker(monkeypatch):
+    # The runner owns its pool: closed after its first cell, with cells
+    # still waiting in the workers, it joins them, not only when it runs out.
+    pools = two_workers(monkeypatch)
+    x, labels = make_synthetic(2, 6, 8, seed=0)
+    runs = [("l2", mccgr.SolverConfig(k=2, variant="l2", max_iter=20))]
+    cells = [(x, labels, 2, r, r, runs, None, mccgr.graph.MODES[0]) for r in range(6)]
+    solved = mccgr.harness._solve_cells(cells, len(cells))
+    first = next(solved)
+    assert len(pools) == 1 and len(multiprocessing.active_children()) == 2
+    solved.close()
+    assert multiprocessing.active_children() == []
+    assert [(rec.variant, rec.repeat, rec.status) for rec in first] == [("l2", 0, "ok")]
+
+
 def test_at_most_two_cells_per_worker_wait_beyond_the_one_consumed(tmp_path, monkeypatch):
     pools = two_workers(monkeypatch)
     make_pool = mccgr.harness.ProcessPoolExecutor
