@@ -3,8 +3,12 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,20 @@ def test_the_cli_imports_only_public_names():
     ]
     assert "ExperimentSpec" in imported
     assert [name for name in imported if name.startswith("_")] == []
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_optimize():
+    # Cluster matching runs its own assignment solver; scipy.optimize would
+    # add about 27 MiB and 0.3 s to every import, in every pooled worker.
+    src = Path(mccgr.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    script = (
+        "import mccgr, mccgr.cli, sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_restarts_and_assignments_are_not_passed_along():

@@ -218,6 +218,66 @@ def test_hungarian_matches_brute_force_loop():
         assert achieved == brute_force_best_sum(confusion)
 
 
+def square_matrices(n, cells):
+    # An n x n float64 matrix whose entries cells draws.
+    return st.lists(cells, min_size=n * n, max_size=n * n).map(
+        lambda values: np.array(values, dtype=np.float64).reshape(n, n)
+    )
+
+
+# Square confusion tables, n from 1 to 12: counts 0-2 (many ties), counts
+# 0-50, real values, and constant matrices (all-zero among them).
+confusion_tables = st.integers(1, 12).flatmap(
+    lambda n: st.one_of(
+        square_matrices(n, st.integers(0, 2)),
+        square_matrices(n, st.integers(0, 50)),
+        square_matrices(n, st.floats(0.0, 1e6, allow_nan=False)),
+        st.floats(0.0, 1e6, allow_nan=False).map(lambda value: np.full((n, n), value)),
+        st.just(np.zeros((n, n))),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(confusion_tables)
+def test_hungarian_match_equals_scipy_ties_included(confusion):
+    # The same permutation as scipy's solver, not just an equally good one,
+    # so every matching written to an _eval.json stays as it was.
+    from scipy.optimize import linear_sum_assignment
+
+    perm = hungarian_match(confusion)
+    assert perm.dtype == np.int64
+    assert perm.tolist() == linear_sum_assignment(-confusion)[1].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 7), min_size=n, max_size=n).map(np.array),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).map(np.array),
+        )
+    ),
+    st.booleans(),
+)
+def test_accuracy_matching_equals_scipy_on_padded_tables(pair, swap):
+    # Cluster and class id counts differ, so the table is padded to square
+    # before it is matched; padded ids never reach the matching.
+    from scipy.optimize import linear_sum_assignment
+
+    pred, true = pair[::-1] if swap else pair
+    pids, pinv = np.unique(pred, return_inverse=True)
+    tids, tinv = np.unique(true, return_inverse=True)
+    size = max(len(pids), len(tids))
+    confusion = np.zeros((size, size))
+    np.add.at(confusion, (pinv, tinv), 1)
+    perm = linear_sum_assignment(-confusion)[1]
+    expected = {int(pids[i]): int(tids[perm[i]]) for i in range(len(pids)) if perm[i] < len(tids)}
+    result = accuracy(pred, true)
+    assert result.matching == expected
+    assert result.accuracy == confusion[np.arange(size), perm].sum() / len(pred)
+
+
 def test_hungarian_validation():
     with pytest.raises(DataError):
         hungarian_match(np.ones((2, 3)))
