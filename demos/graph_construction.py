@@ -10,15 +10,24 @@ measures how rough a signal is across edges. The solver evaluates that
 form as sum_n deg_n ||w_n||^2 - <W, W A> and never builds L itself.
 
 A k-NN graph has at most k edges per sample, so `AffinityGraph.affinity`
-is a scipy.sparse CSR array holding only the edges; `laplacian` builds
-the dense L for inspection.
+holds only the edges, in compressed sparse row form: row i's neighbors
+are `indices[indptr[i]:indptr[i + 1]]`, with their weights at the same
+positions of `data`. `laplacian` builds the dense L for inspection.
 """
 
 import numpy as np
-from scipy import sparse
 
 from mccgr import build_knn_affinity, graph_penalty, laplacian
 from mccgr.harness import make_synthetic
+
+
+def edges(graph):
+    # Each edge once, as (i, j) with i < j, read from the CSR arrays.
+    a = graph.affinity
+    rows = np.repeat(np.arange(graph.n), np.diff(a.indptr))
+    upper = rows < a.indices
+    return rows[upper], a.indices[upper]
+
 
 x, labels = make_synthetic(3, 20, 50, seed=42, separation=6.0, spread=0.2)
 n = x.shape[1]
@@ -29,7 +38,7 @@ for mode in ("mutual", "symmetrized"):
     # edges crossing class boundaries would smooth over exactly the
     # structure clustering needs; count them (each edge once, from the
     # upper triangle)
-    a, b = sparse.triu(g.affinity).nonzero()
+    a, b = edges(g)
     cross = int(np.sum(labels[a] != labels[b]))
     print(f"{mode:12s} edges {g.affinity.nnz // 2:4d}  "
           f"degree min/mean/max {degrees.min():.0f}/{degrees.mean():.1f}/{degrees.max():.0f}  "
@@ -56,7 +65,7 @@ print()
 # exactly 2 per such edge.
 blurred, blabels = make_synthetic(3, 20, 50, seed=42, separation=1.0, spread=1.0)
 gb = build_knn_affinity(blurred, 5, mode="mutual")
-a, b = sparse.triu(gb.affinity).nonzero()
+a, b = edges(gb)
 cross = int(np.sum(blabels[a] != blabels[b]))
 w_constant = np.ones((3, n))
 w_by_class = np.zeros((3, n))

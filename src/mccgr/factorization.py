@@ -22,7 +22,7 @@ the squared residual: the row weights scale the D x K product diag(neg) h
 of the W step, and the fit is the weighted sum of the per-row squared
 residuals r2. The H step needs no weights: row d of H sees only row d of
 X, so its weight cancels. The graph terms come from the K x N product
-W A with the sparse affinity; no Laplacian is built.
+W A with the CSR affinity; no Laplacian is built.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError, _check_count, _check_matrix, _check_real, _check_shape
-from .graph import AffinityGraph, _penalty, _times_affinity
+from .graph import AffinityGraph, _penalty, _product_plan, _times_affinity
 
 __all__ = [
     "EPSILON",
@@ -184,13 +184,20 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     the M-step for fixed rho.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    return _objective(neg, _row_sq(x, h, w), w, alpha, graph, _affinity_product(w, alpha, graph))
+    wa = _affinity_product(w, _affinity_plan(alpha, graph, w.shape[0]))
+    return _objective(neg, _row_sq(x, h, w), w, alpha, graph, wa)
 
 
-def _affinity_product(w, alpha, graph):
+def _affinity_plan(alpha, graph, k):
+    # The index arrays of w @ A for a rank-k w when the graph term is on,
+    # else None: solve forms them once for all its products.
+    return _product_plan(graph, k) if alpha > 0 else None
+
+
+def _affinity_product(w, plan):
     # w @ A when the graph term is on, else None: the solver shares it
     # between the penalty on w and the next W step's numerator.
-    return _times_affinity(w, graph) if alpha > 0 else None
+    return None if plan is None else _times_affinity(w, plan)
 
 
 def _objective(neg, r2, w, alpha, graph, wa) -> float:
@@ -261,7 +268,7 @@ def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = Non
     when alpha == 0. Entries are floored at FLOOR.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    return _update_w(x, h, w, neg, alpha, graph, _affinity_product(w, alpha, graph))
+    return _update_w(x, h, w, neg, alpha, graph, _affinity_product(w, _affinity_plan(alpha, graph, w.shape[0])))
 
 
 def _update_w(x, h, w, neg, alpha, graph, wa) -> np.ndarray:
@@ -290,7 +297,7 @@ def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | Non
     g = 2.0 * (h.T @ (neg[:, None] * (h @ w - x)))
     if alpha > 0:
         # w L = w diag(degree) - w A, without the N x N Laplacian.
-        g = g + 2.0 * alpha * (w * graph.degree[None, :] - _times_affinity(w, graph))
+        g = g + 2.0 * alpha * (w * graph.degree[None, :] - _times_affinity(w, _product_plan(graph, w.shape[0])))
     return g
 
 
@@ -384,6 +391,7 @@ def solve(
 
     alpha = cfg.graph_weight
     _check_graph(alpha, graph, n)
+    plan = _affinity_plan(alpha, graph, cfg.k)
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
 
@@ -415,7 +423,7 @@ def solve(
             v = h @ w
             value = _kl_divergence(xp, pos, sum_xp, v)
         else:
-            wa = _affinity_product(w, alpha, graph)
+            wa = _affinity_product(w, plan)
             value = _objective(neg, r2, w, alpha, graph, wa)
         if not np.isfinite(value):
             raise NumericalError(f"objective became non-finite at iteration {iterations}")

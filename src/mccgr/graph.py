@@ -3,8 +3,11 @@
 The affinity matrix feeds a local-invariance penalty on the coefficient
 matrix: samples joined by an edge are pushed toward nearby coefficient
 columns. Weights are binary; distances are plain Euclidean. A k-NN graph
-has at most k N edges, so the affinity is held as a scipy.sparse CSR array
-and every product with it costs O(K nnz), not O(K N^2).
+has at most k N edges, so the affinity is held in compressed sparse row
+(CSR) form, as three numpy arrays, and every product with it costs
+O(K nnz), not O(K N^2). Entry (i, j) of an N x M matrix is also named by
+its flat code i M + j: the edge sets, the canonical form and the checks
+are sorts and joins of codes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError, _check_count, _check_matrix
 
@@ -34,43 +36,114 @@ _MAX_ENTRY = math.sqrt(np.finfo(np.float64).max / 16)
 _BLOCK = 256
 
 
+class CSRMatrix:
+    """A read-only float64 matrix in compressed sparse row form.
+
+    Row i stores columns `indices[indptr[i]:indptr[i + 1]]`, strictly
+    increasing, with the nonzero weights `data` at the same positions: the
+    canonical CSR form, with no stored zeros. The three arrays are the
+    matrix's own and cannot be written.
+    """
+
+    __slots__ = ("shape", "indptr", "indices", "data")
+
+    def __init__(self, shape, codes, data):
+        # codes: the sorted, distinct flat codes i M + j of the stored entries.
+        rows, cols = np.divmod(codes, max(shape[1], 1))
+        self.shape = shape
+        self.indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+        self.indices = cols
+        self.data = data
+        for a in (self.indptr, self.indices, self.data):
+            a.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def sum(self) -> np.float64:
+        return self.data.sum()
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[_entry_rows(self), self.indices] = self.data
+        return dense
+
+
+def _entry_rows(a) -> np.ndarray:
+    # The row of each stored entry of a CSR matrix, in storage order.
+    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+
+
+def _is_sparse(a) -> bool:
+    # A CSRMatrix, or another library's sparse matrix, found by its tocsr()
+    # method so that no sparse library need be imported.
+    return isinstance(a, CSRMatrix) or hasattr(a, "tocsr")
+
+
+def _canonical(a) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    # The shape, sorted distinct flat codes and nonzero float64 weights of a
+    # 2-D matrix, dense or sparse. Duplicate entries are summed, then zeros
+    # dropped. The weights never share memory with the input.
+    if hasattr(a, "tocsr"):
+        a = a.tocsr()
+    if hasattr(a, "indptr"):
+        rows, cols = _entry_rows(a), a.indices
+        vals = np.array(a.data, dtype=np.float64)
+    else:
+        rows, cols = np.nonzero(a)
+        vals = a[rows, cols]
+    shape = a.shape
+    codes = rows * shape[1] + cols.astype(np.intp)
+    if np.any(codes[1:] <= codes[:-1]):
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        codes, vals = codes[starts], np.add.reduceat(vals[order], starts)
+    stored = vals != 0
+    if not np.all(stored):
+        codes, vals = codes[stored], vals[stored]
+    return shape, codes, vals
+
+
 @dataclass(frozen=True)
 class AffinityGraph:
     """Symmetric non-negative affinity over n samples, with cached degrees.
 
-    `affinity` may be given as a dense array or any scipy.sparse matrix. It
-    is stored as a float64 scipy.sparse.csr_array with sorted indices and no
-    stored zeros, and `degree` holds its row sums. The checks (square, finite
-    and non-negative weights, symmetric, zero diagonal) read only the stored
-    entries, so they cost O(nnz) beyond the conversion.
+    `affinity` may be given as a dense array, a CSRMatrix or any object with
+    a tocsr() method, such as another library's sparse matrix. It is stored
+    as a CSRMatrix, and `degree` holds its row sums, each added in storage
+    order. The checks (square, finite and non-negative weights, symmetric,
+    zero diagonal) read only the stored entries, so they cost O(nnz log nnz)
+    beyond the conversion.
     """
 
-    affinity: sparse.csr_array
+    affinity: CSRMatrix
     degree: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = self.affinity
-        if not sparse.issparse(a):
+        if not _is_sparse(a):
             a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"affinity must be square, got shape {a.shape}")
-        # A copy, so the canonical form below never edits the caller's arrays.
-        a = sparse.csr_array(a, dtype=np.float64, copy=True)
-        a.sum_duplicates()
-        a.eliminate_zeros()
-        if not np.all(np.isfinite(a.data)):
+        shape, codes, vals = _canonical(a)
+        n = shape[0]
+        if not np.all(np.isfinite(vals)):
             raise DataError("affinity has NaN or Inf weights")
-        if np.any(a.data < 0):
+        if np.any(vals < 0):
             raise DataError("affinity has negative weights")
-        # The transpose in CSR form has sorted indices too, so a symmetric
-        # matrix and its transpose store the same three arrays.
-        t = a.T.tocsr()
-        if not all(np.array_equal(getattr(a, name), getattr(t, name)) for name in ("indptr", "indices", "data")):
+        # Symmetric iff the transposed code j n + i of every entry is stored,
+        # with the same weight.
+        rows, cols = np.divmod(codes, max(n, 1))
+        flipped = cols * n + rows
+        at = np.minimum(np.searchsorted(codes, flipped), max(codes.size - 1, 0))
+        if not (np.array_equal(codes[at], flipped) and np.array_equal(vals[at], vals)):
             raise DataError("affinity must be symmetric")
-        if np.any(a.diagonal() != 0):
+        if np.any(rows == cols):
             raise DataError("affinity must have a zero diagonal")
-        object.__setattr__(self, "affinity", a)
-        object.__setattr__(self, "degree", a.sum(axis=1))
+        object.__setattr__(self, "affinity", CSRMatrix(shape, codes, vals))
+        object.__setattr__(self, "degree", np.bincount(rows, weights=vals, minlength=n))
 
     @property
     def n(self) -> int:
@@ -91,12 +164,12 @@ def build_knn_affinity(x, k: int, mode: str = MODES[0]) -> AffinityGraph:
     dropped until k remain, which picks the same k columns as a stable sort.
 
     The squared distances are formed over the Gram matrix's own buffer one
-    block of rows at a time, and each row's k listed columns are kept as one
-    CSR matrix L of ones. The affinity is the elementwise product L * L^T
-    (mutual) or maximum max(L, L^T) (symmetrized), taken by scipy on the
-    stored entries. Beside the N x N Gram matrix the build holds one block
-    of distances and O(N k) entries, never a second N x N array or a dense
-    affinity.
+    block of rows at a time. Each listed pair (i, j) is kept as its code
+    i N + j, and its flip as j N + i. The mutual edge set is the listed codes
+    whose flip is listed too, the symmetrized one the union of both; both
+    come out sorted, which is the CSR order. Beside the N x N Gram matrix
+    the build holds one block of distances and O(N k) codes, never a second
+    N x N array or a dense affinity.
     """
     # The selection below must not see NaN: its NaN order differs from a sort's.
     x = _check_matrix(x, "x")
@@ -112,11 +185,16 @@ def build_knn_affinity(x, k: int, mode: str = MODES[0]) -> AffinityGraph:
     if max(np.max(x, initial=0.0), -np.min(x, initial=0.0)) > limit:
         raise DataError("data entries too large: squared distances overflow; rescale the data")
 
-    # Row i of listed holds a 1.0 at each of the k columns sample i lists.
-    neighbors = _neighbor_lists(x, k).ravel()
-    listed = sparse.csr_array((np.ones(n * k), neighbors, np.arange(0, n * k + 1, k)), shape=(n, n))
-    affinity = listed.multiply(listed.T) if mode == "mutual" else listed.maximum(listed.T)
-    return AffinityGraph(affinity=affinity)
+    # Row i of the neighbor lists ascends, so the listed codes ascend too.
+    neighbors = _neighbor_lists(x, k)
+    samples = np.arange(n)[:, None]
+    listed = (samples * n + neighbors).ravel()
+    flipped = (neighbors * n + samples).ravel()
+    if mode == "mutual":
+        codes = listed[np.isin(listed, flipped)]
+    else:
+        codes = np.union1d(listed, flipped)
+    return AffinityGraph(affinity=CSRMatrix((n, n), codes, np.ones(codes.size)))
 
 
 def _neighbor_lists(x, k) -> np.ndarray:
@@ -157,7 +235,7 @@ def laplacian(graph: AffinityGraph) -> np.ndarray:
     """Unnormalized graph Laplacian, degree matrix minus affinity.
 
     A dense N x N array, for inspection and tests: the solver, the penalty
-    and the gradients work from the sparse affinity and the degrees directly.
+    and the gradients work from the CSR affinity and the degrees directly.
     """
     return np.diag(graph.degree) - graph.affinity.toarray()
 
@@ -175,15 +253,38 @@ def graph_penalty(w, graph: AffinityGraph) -> float:
         raise DataError(
             f"coefficient matrix shape {w.shape} does not match graph size {graph.n}"
         )
-    return _penalty(w, _times_affinity(w, graph), graph.degree)
+    return _penalty(w, _times_affinity(w, _product_plan(graph, w.shape[0])), graph.degree)
 
 
-def _times_affinity(w, graph: AffinityGraph) -> np.ndarray:
-    # W A, the one product with the affinity, as (A W^T)^T: the CSR product
-    # costs O(K nnz). Each entry sums its column's stored weights in index
-    # order, whatever calls it, so the solver and the public steps agree.
-    # Returned in C order like w, so the penalty's <W A, W> copies neither.
-    return np.ascontiguousarray((graph.affinity @ w.T).T)
+def _product_plan(graph: AffinityGraph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    # The index arrays of W A for a K x N matrix W, formed once per solve.
+    # Entry e of the affinity, at row i and column j, adds data[e] W[r, j]
+    # to (W A)[r, i], since A is symmetric: cols holds each entry's j, bins
+    # the flat target r N + i for each r in turn. The entries go by their
+    # place within their row: every row's first entry, then every second
+    # one, and so on. Each target still adds its terms in storage order,
+    # and consecutive terms go to different targets, which bincount adds
+    # faster than a run of terms on one target. data is None for a binary
+    # affinity, whose weights leave every term as it is.
+    a = graph.affinity
+    rows = _entry_rows(a)
+    order = np.argsort(np.arange(a.nnz) - a.indptr[rows], kind="stable")
+    bins = (np.arange(k)[:, None] * graph.n + rows[order]).ravel()
+    data = None if np.all(a.data == 1.0) else a.data[order]
+    return a.indices[order], bins, data
+
+
+def _times_affinity(w, plan) -> np.ndarray:
+    # W A, the one product with the affinity, costs O(K nnz). bincount adds
+    # each target's terms in storage order, from 0, as a row-by-row CSR
+    # product loop does, whatever calls it, so the solver and the public
+    # steps agree. Returned in C order like w, so the penalty's <W A, W>
+    # copies neither.
+    cols, bins, data = plan
+    terms = np.take(w, cols, axis=1)
+    if data is not None:
+        terms *= data
+    return np.bincount(bins, weights=terms.ravel(), minlength=w.size).reshape(w.shape)
 
 
 def _penalty(w, wa, degree) -> float:

@@ -12,9 +12,9 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import sparse
 
 from .errors import DataError, _check_labels, _check_matrix
+from .graph import CSRMatrix, _canonical, _is_sparse
 
 __all__ = [
     "load_labels",
@@ -132,30 +132,28 @@ def load_labels(path) -> np.ndarray:
 
 
 def save_csv(matrix, path) -> None:
-    """Write a matrix, dense or scipy.sparse, as headerless CSV.
+    """Write a matrix, dense or sparse, as headerless CSV.
 
     %.17g preserves float64 exactly, so read_matrix(save_csv(m)) == m.
-    A sparse matrix whose stored entries are all 1.0, such as a binary
-    affinity, is written as one byte buffer of "0" cells whose "1" cells are
-    set from the stored indices: the bytes np.savetxt writes for its dense
-    form, with no dense float array formed. Any other sparse matrix is
-    written dense, and dense input always goes through np.savetxt. The file
-    is always plain text, whatever its extension.
+    A sparse matrix (a CSRMatrix such as a graph's affinity, or any object
+    with a tocsr() method) whose nonzero entries are all 1.0 is written as
+    one byte buffer of "0" cells whose "1" cells are set from the entries'
+    flat codes: the bytes np.savetxt writes for its dense form, with no
+    dense float array formed. Any other sparse matrix is written dense, and
+    dense input always goes through np.savetxt. The file is always plain
+    text, whatever its extension.
     """
-    if sparse.issparse(matrix):
-        # A copy, so summing duplicates never edits the caller's arrays.
-        ones = sparse.csr_array(matrix, dtype=np.float64, copy=True)
-        ones.sum_duplicates()
-        rows, cols = ones.shape
-        if rows and cols and np.all(ones.data == 1.0):
+    if _is_sparse(matrix):
+        (rows, cols), codes, vals = _canonical(matrix)
+        if rows and cols and np.all(vals == 1.0):
             buf = np.full((rows, 2 * cols), ord("0"), dtype=np.uint8)
             buf[:, 1::2] = ord(",")
             buf[:, -1] = ord("\n")
-            buf[np.repeat(np.arange(rows), np.diff(ones.indptr)), 2 * ones.indices] = ord("1")
+            buf.reshape(-1, 2)[codes, 0] = ord("1")
             with open(path, "wb") as fh:
                 fh.write(buf)
             return
-        matrix = ones.toarray()
+        matrix = CSRMatrix((rows, cols), codes, vals).toarray()
     m = _check_matrix(matrix, "matrix")
     with open(path, "wb") as fh:
         np.savetxt(fh, m, delimiter=",", fmt="%.17g")

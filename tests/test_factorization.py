@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 import mccgr
 from mccgr import (
@@ -28,6 +29,12 @@ from mccgr import (
     update_w,
 )
 from mccgr.factorization import EPSILON, FLOOR, _kl_divergence, _rho, _row_sq
+
+
+def scipy_csr(a):
+    # The graph's CSR arrays as scipy's CSR array: scipy's product is the
+    # reference for the library's own.
+    return sparse.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
 
 
 def random_instance(rng, d=8, n=10, k=3):
@@ -278,7 +285,7 @@ def test_update_w_graph_terms():
     rho = -np.ones(6)
     # manual evaluation of the documented formula
     alpha = 2.0
-    numer = h.T @ x + alpha * (w @ g.affinity)
+    numer = h.T @ x + alpha * (w @ scipy_csr(g.affinity))
     denom = (h.T @ h) @ w + alpha * (w * g.degree[None, :]) + 1e-12
     expect = np.maximum(w * numer / denom, 1e-16)
     got = update_w(x, h, w, rho, alpha=alpha, graph=g)
@@ -855,7 +862,7 @@ def reference_update_w(nx, h, w, neg, alpha, graph, epsilon):
     numer = h.T @ nx
     denom = (h.T @ (neg[:, None] * h)) @ w
     if alpha > 0:
-        numer = numer + alpha * (w @ graph.affinity)
+        numer = numer + alpha * (w @ scipy_csr(graph.affinity))
         denom = denom + alpha * (w * graph.degree[None, :])
     return np.maximum(w * numer / (denom + epsilon), 1e-16)
 
@@ -960,6 +967,34 @@ def test_graph_solve_allocates_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8
+
+
+@pytest.mark.parametrize("d, n, k", [(256, 150, 5), (500, 2000, 4)])
+@pytest.mark.parametrize(
+    "variant, mode",
+    [("l2", None), ("mcc", None), ("grnmf", "mutual"), ("mccgr", "mutual"), ("grnmf", "symmetrized"), ("mccgr", "symmetrized")],
+)
+def test_squared_error_solve_peaks_at_most_1_2_data_matrices(variant, mode, d, n, k):
+    # One D x N residual at a time, plus factors and small products:
+    # measured 1.08-1.18 D x N float64 arrays at these shapes (the
+    # experiment cell's and the CLI's) with the mutual graph. The index
+    # arrays of W A, (K + 1) nnz int64s, are O(K nnz), not O(D N); the
+    # symmetrized graph stores about three times the mutual one's entries,
+    # and its arrays are allowed on top (measured 1.28 and 1.10).
+    rng = np.random.default_rng(37)
+    x = rng.random((d, n)) + 0.05
+    cfg = SolverConfig(variant=variant, k=k, alpha=10.0, max_iter=5, tol=0.0)
+    graph = build_knn_affinity(x, 5, mode) if mode else None
+    h0 = rng.random((d, k)) + 0.1
+    w0 = rng.random((k, n)) + 0.1
+    tracemalloc.start()
+    try:
+        solve(x, graph, cfg, h0, w0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = 8 * (k + 1) * graph.affinity.nnz if mode == "symmetrized" else 0
+    assert peak <= 1.2 * d * n * 8 + extra, peak / (d * n * 8)
 
 
 def assert_close_to_scale(got, expect):
