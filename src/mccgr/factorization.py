@@ -184,20 +184,16 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     the M-step for fixed rho.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    wa = _affinity_product(w, _affinity_plan(alpha, graph, w.shape[0]))
+    wa = _times_affinity(w, _affinity_plan(alpha, graph, w.shape[0]))
     return _objective(neg, _row_sq(x, h, w), w, alpha, graph, wa)
 
 
 def _affinity_plan(alpha, graph, k):
-    # The index arrays of w @ A for a rank-k w when the graph term is on,
-    # else None: solve forms them once for all its products.
+    # The arrays of w @ A for a rank-k w when the graph term is on,
+    # else None, for which _times_affinity gives None: solve forms them once
+    # for all its products, and shares each w @ A between the penalty on w
+    # and the next W step's numerator.
     return _product_plan(graph, k) if alpha > 0 else None
-
-
-def _affinity_product(w, plan):
-    # w @ A when the graph term is on, else None: the solver shares it
-    # between the penalty on w and the next W step's numerator.
-    return None if plan is None else _times_affinity(w, plan)
 
 
 def _objective(neg, r2, w, alpha, graph, wa) -> float:
@@ -268,7 +264,7 @@ def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = Non
     when alpha == 0. Entries are floored at FLOOR.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    return _update_w(x, h, w, neg, alpha, graph, _affinity_product(w, _affinity_plan(alpha, graph, w.shape[0])))
+    return _update_w(x, h, w, neg, alpha, graph, _times_affinity(w, _affinity_plan(alpha, graph, w.shape[0])))
 
 
 def _update_w(x, h, w, neg, alpha, graph, wa) -> np.ndarray:
@@ -423,7 +419,7 @@ def solve(
             v = h @ w
             value = _kl_divergence(xp, pos, sum_xp, v)
         else:
-            wa = _affinity_product(w, plan)
+            wa = _times_affinity(w, plan)
             value = _objective(neg, r2, w, alpha, graph, wa)
         if not np.isfinite(value):
             raise NumericalError(f"objective became non-finite at iteration {iterations}")

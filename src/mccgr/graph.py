@@ -256,34 +256,34 @@ def graph_penalty(w, graph: AffinityGraph) -> float:
     return _penalty(w, _times_affinity(w, _product_plan(graph, w.shape[0])), graph.degree)
 
 
-def _product_plan(graph: AffinityGraph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    # The index arrays of W A for a K x N matrix W, formed once per solve.
-    # Entry e of the affinity, at row i and column j, adds data[e] W[r, j]
-    # to (W A)[r, i], since A is symmetric: cols holds each entry's j, bins
-    # the flat target r N + i for each r in turn. The entries go by their
-    # place within their row: every row's first entry, then every second
-    # one, and so on. Each target still adds its terms in storage order,
-    # and consecutive terms go to different targets, which bincount adds
-    # faster than a run of terms on one target. data is None for a binary
-    # affinity, whose weights leave every term as it is.
+def _product_plan(graph: AffinityGraph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The arrays of W A for a K x N matrix W, formed once per solve. Entry e
+    # of the affinity, at row i and column j, adds data[e] W[r, j] to
+    # (W A)[r, i], since A is symmetric: cols holds each entry's j, data its
+    # weight, bins the flat target r N + i for each r in turn. The entries
+    # go by their place within their row: every row's first entry, then
+    # every second one, and so on. Each target still adds its terms in
+    # storage order, and consecutive terms go to different targets, which
+    # bincount adds faster than a run of terms on one target.
     a = graph.affinity
     rows = _entry_rows(a)
     order = np.argsort(np.arange(a.nnz) - a.indptr[rows], kind="stable")
     bins = (np.arange(k)[:, None] * graph.n + rows[order]).ravel()
-    data = None if np.all(a.data == 1.0) else a.data[order]
-    return a.indices[order], bins, data
+    return a.indices[order], bins, a.data[order]
 
 
-def _times_affinity(w, plan) -> np.ndarray:
-    # W A, the one product with the affinity, costs O(K nnz). bincount adds
-    # each target's terms in storage order, from 0, as a row-by-row CSR
-    # product loop does, whatever calls it, so the solver and the public
+def _times_affinity(w, plan) -> np.ndarray | None:
+    # W A, the one product with the affinity, costs O(K nnz); None when the
+    # plan is None, the solver's sign that the graph term is off. bincount
+    # adds each target's terms in storage order, from 0, as a row-by-row
+    # CSR product loop does, whatever calls it, so the solver and the public
     # steps agree. Returned in C order like w, so the penalty's <W A, W>
     # copies neither.
+    if plan is None:
+        return None
     cols, bins, data = plan
     terms = np.take(w, cols, axis=1)
-    if data is not None:
-        terms *= data
+    terms *= data
     return np.bincount(bins, weights=terms.ravel(), minlength=w.size).reshape(w.shape)
 
 

@@ -212,7 +212,7 @@ def test_solve_calls_each_e_step_and_objective_formula_once():
     tree = library_trees()["factorization"]
     solve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve")
     called = [node.func.id for node in ast.walk(solve) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
-    for kernel in ("_sigma", "_rho", "_affinity_product", "_objective", "_kl_divergence"):
+    for kernel in ("_sigma", "_rho", "_times_affinity", "_objective", "_kl_divergence"):
         assert called.count(kernel) == 1, kernel
 
 

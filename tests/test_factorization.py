@@ -976,11 +976,12 @@ def test_graph_solve_allocates_no_n_by_n_array():
 )
 def test_squared_error_solve_peaks_at_most_1_2_data_matrices(variant, mode, d, n, k):
     # One D x N residual at a time, plus factors and small products:
-    # measured 1.08-1.18 D x N float64 arrays at these shapes (the
-    # experiment cell's and the CLI's) with the mutual graph. The index
-    # arrays of W A, (K + 1) nnz int64s, are O(K nnz), not O(D N); the
-    # symmetrized graph stores about three times the mutual one's entries,
-    # and its arrays are allowed on top (measured 1.28 and 1.10).
+    # measured 1.01-1.18 D x N float64 arrays at these shapes (the
+    # experiment cell's and the CLI's) with the mutual graph. The arrays
+    # of W A, (K + 1) nnz int64 indices and nnz weights, are O(K nnz), not
+    # O(D N); the symmetrized graph stores about three times the mutual
+    # one's entries, and (K + 1) nnz int64s are allowed on top for it
+    # (measured 1.31 and 1.12).
     rng = np.random.default_rng(37)
     x = rng.random((d, n)) + 0.05
     cfg = SolverConfig(variant=variant, k=k, alpha=10.0, max_iter=5, tol=0.0)
