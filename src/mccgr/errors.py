@@ -55,10 +55,20 @@ def _check_shape(name, shape):
         raise DataError(f"{name} must be 2-D with at least one row and one column, got shape {shape}")
 
 
+def _float_array(values, name) -> np.ndarray:
+    # values as a float64 C-order array, not copied when it is one already.
+    # What numpy cannot read as numbers, such as text or ragged rows, is a
+    # DataError, not numpy's own TypeError or ValueError.
+    try:
+        return np.ascontiguousarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def _check_matrix(values, name, nonneg=False) -> np.ndarray:
-    # A data matrix as a float64 C-order array, not copied when it is one
-    # already; finite, and non-negative when the method needs it.
-    m = np.ascontiguousarray(values, dtype=np.float64)
+    # A data matrix as a float64 C-order array; finite, and non-negative
+    # when the method needs it.
+    m = _float_array(values, name)
     _check_shape(name, m.shape)
     if not np.all(np.isfinite(m)):
         raise DataError(f"{name} contains NaN or Inf entries")

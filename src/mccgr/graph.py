@@ -6,8 +6,8 @@ columns. Weights are binary; distances are plain Euclidean. A k-NN graph
 has at most k N edges, so the affinity is held in compressed sparse row
 (CSR) form, as three numpy arrays, and every product with it costs
 O(K nnz), not O(K N^2). Entry (i, j) of an N x M matrix is also named by
-its flat code i M + j: the edge sets, the canonical form and the checks
-are sorts and joins of codes.
+its flat code i M + j: the edge sets and the stored form are sorted lists
+of codes, and the checks are joins of them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, _check_count, _check_matrix
+from .errors import DataError, _check_count, _check_matrix, _float_array
 
 __all__ = ["AffinityGraph", "build_knn_affinity", "graph_penalty", "laplacian"]
 
@@ -75,47 +75,29 @@ def _entry_rows(a) -> np.ndarray:
     return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
 
 
-def _is_sparse(a) -> bool:
-    # A CSRMatrix, or another library's sparse matrix, found by its tocsr()
-    # method so that no sparse library need be imported.
-    return isinstance(a, CSRMatrix) or hasattr(a, "tocsr")
-
-
 def _canonical(a) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     # The shape, sorted distinct flat codes and nonzero float64 weights of a
-    # 2-D matrix, dense or sparse. Duplicate entries are summed, then zeros
-    # dropped. The weights never share memory with the input.
-    if hasattr(a, "tocsr"):
-        a = a.tocsr()
-    if hasattr(a, "indptr"):
-        rows, cols = _entry_rows(a), a.indices
-        vals = np.array(a.data, dtype=np.float64)
-    else:
-        rows, cols = np.nonzero(a)
-        vals = a[rows, cols]
-    shape = a.shape
-    codes = rows * shape[1] + cols.astype(np.intp)
-    if np.any(codes[1:] <= codes[:-1]):
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-        codes, vals = codes[starts], np.add.reduceat(vals[order], starts)
-    stored = vals != 0
-    if not np.all(stored):
-        codes, vals = codes[stored], vals[stored]
-    return shape, codes, vals
+    # CSRMatrix, whose read-only weights are shared, or of a 2-D float64
+    # array, whose nonzero entries np.nonzero lists in code order, each once;
+    # those weights are a copy.
+    if isinstance(a, CSRMatrix):
+        return a.shape, _entry_rows(a) * a.shape[1] + a.indices, a.data
+    rows, cols = np.nonzero(a)
+    return a.shape, rows * a.shape[1] + cols, a[rows, cols]
 
 
 @dataclass(frozen=True)
 class AffinityGraph:
     """Symmetric non-negative affinity over n samples, with cached degrees.
 
-    `affinity` may be given as a dense array, a CSRMatrix or any object with
-    a tocsr() method, such as another library's sparse matrix. It is stored
-    as a CSRMatrix, and `degree` holds its row sums, each added in storage
-    order. The checks (square, finite and non-negative weights, symmetric,
-    zero diagonal) read only the stored entries, so they cost O(nnz log nnz)
-    beyond the conversion.
+    `affinity` is a CSRMatrix, such as build_knn_affinity's, read as it is
+    with its read-only weights shared, or anything numpy reads as a square
+    float64 array. An object with a toarray() method, such as another
+    library's sparse matrix, is read through that dense N x N form. It is
+    stored as a CSRMatrix, and `degree` holds its row sums, each added in
+    storage order. The checks (square, finite and non-negative weights,
+    symmetric, zero diagonal) read only the stored entries, so they cost
+    O(nnz log nnz) beyond the conversion.
     """
 
     affinity: CSRMatrix
@@ -123,8 +105,8 @@ class AffinityGraph:
 
     def __post_init__(self):
         a = self.affinity
-        if not _is_sparse(a):
-            a = np.asarray(a, dtype=np.float64)
+        if not isinstance(a, CSRMatrix):
+            a = _float_array(a.toarray() if hasattr(a, "toarray") else a, "affinity")
         if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"affinity must be square, got shape {a.shape}")
         shape, codes, vals = _canonical(a)

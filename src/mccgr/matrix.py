@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DataError, _check_labels, _check_matrix
-from .graph import CSRMatrix, _canonical, _is_sparse
+from .graph import CSRMatrix, _canonical
 
 __all__ = [
     "load_labels",
@@ -135,15 +135,16 @@ def save_csv(matrix, path) -> None:
     """Write a matrix, dense or sparse, as headerless CSV.
 
     %.17g preserves float64 exactly, so read_matrix(save_csv(m)) == m.
-    A sparse matrix (a CSRMatrix such as a graph's affinity, or any object
-    with a tocsr() method) whose nonzero entries are all 1.0 is written as
-    one byte buffer of "0" cells whose "1" cells are set from the entries'
-    flat codes: the bytes np.savetxt writes for its dense form, with no
-    dense float array formed. Any other sparse matrix is written dense, and
-    dense input always goes through np.savetxt. The file is always plain
-    text, whatever its extension.
+    A CSRMatrix, such as a graph's affinity, whose stored entries are all
+    1.0 is written as one byte buffer of "0" cells whose "1" cells are set
+    from the entries' flat codes: the bytes np.savetxt writes for its dense
+    form, with no dense float array formed. Any other CSRMatrix, and any
+    other object with a toarray() method such as another library's sparse
+    matrix, is written from that dense form; dense input always goes
+    through np.savetxt. The file is always plain text, whatever its
+    extension.
     """
-    if _is_sparse(matrix):
+    if isinstance(matrix, CSRMatrix):
         (rows, cols), codes, vals = _canonical(matrix)
         if rows and cols and np.all(vals == 1.0):
             buf = np.full((rows, 2 * cols), ord("0"), dtype=np.uint8)
@@ -153,7 +154,8 @@ def save_csv(matrix, path) -> None:
             with open(path, "wb") as fh:
                 fh.write(buf)
             return
-        matrix = CSRMatrix((rows, cols), codes, vals).toarray()
+    if hasattr(matrix, "toarray"):
+        matrix = matrix.toarray()
     m = _check_matrix(matrix, "matrix")
     with open(path, "wb") as fh:
         np.savetxt(fh, m, delimiter=",", fmt="%.17g")

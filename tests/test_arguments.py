@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from mccgr import (
     VARIANTS,
+    AffinityGraph,
     DataError,
     ExperimentSpec,
     SolverConfig,
@@ -26,6 +27,7 @@ from mccgr import (
     make_synthetic,
     nmi,
     sample_categories,
+    save_csv,
     save_labels,
     solve,
     update_h,
@@ -178,6 +180,28 @@ def test_data_with_no_rows_or_no_columns_is_a_data_error_naming_it(name):
         with pytest.raises(DataError) as caught:
             call()
         assert str(caught.value) == f"{arg} must be 2-D with at least one row and one column, got shape {shape}"
+
+
+# Input numpy cannot read as an array of float64s.
+NOT_NUMBERS = {
+    "text": "abc",
+    "text-cells": [["0", "x"], ["x", "0"]],
+    "ragged": [[0.0, 1.0], [1.0]],
+    "dict": {},
+}
+
+
+@pytest.mark.parametrize("bad", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_input_that_is_not_numbers_is_a_data_error_naming_it(bad, tmp_path):
+    calls = {
+        "affinity": lambda: AffinityGraph(affinity=bad),
+        "x": lambda: build_knn_affinity(bad, 1),
+        "points": lambda: kmeans(bad, 1),
+        "matrix": lambda: save_csv(bad, tmp_path / "m.csv"),
+    }
+    for name, call in calls.items():
+        with pytest.raises(DataError, match=f"^{name} must be an array of numbers: "):
+            call()
 
 
 def degenerate_calls(x, k, variant):

@@ -17,8 +17,9 @@ move results rewrites both manifests with
     PYTHONPATH=src python tests/test_artifacts.py
 
 and names the changed files and the reason in CHANGES.md. Each manifest
-also records numpy, scipy and the BLAS each was built against: a mismatch
-under another toolchain is reported as such, not as a code change.
+also records numpy and the BLAS it was built against, the only libraries
+the package computes with: a mismatch under another toolchain is reported
+as such, not as a code change.
 """
 
 import hashlib
@@ -29,7 +30,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from mccgr import VARIANTS, make_synthetic, save_csv, save_labels
 from mccgr.cli import main as cli_main
@@ -55,11 +55,8 @@ SPEC = {
 
 
 def toolchain() -> dict:
-    found = {"numpy": np.__version__, "scipy": scipy.__version__}
-    for module in (np, scipy):
-        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        found[f"{module.__name__} blas"] = f"{blas.get('name')} {blas.get('version')}"
-    return found
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "numpy blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
 def digests(out) -> dict:
