@@ -12,7 +12,8 @@ form as sum_n deg_n ||w_n||^2 - <W, W A> and never builds L itself.
 A k-NN graph has at most k edges per sample, so `AffinityGraph.affinity`
 holds only the edges, in compressed sparse row form: row i's neighbors
 are `indices[indptr[i]:indptr[i + 1]]`, with their weights at the same
-positions of `data`. `laplacian` builds the dense L for inspection.
+positions of `data` and each entry's row at the same position of `rows`.
+`laplacian` builds the dense L for inspection.
 """
 
 import numpy as np
@@ -22,11 +23,11 @@ from mccgr.harness import make_synthetic
 
 
 def edges(graph):
-    # Each edge once, as (i, j) with i < j, read from the CSR arrays.
+    # Each edge once, as (i, j) with i < j, read from the entries' `rows`
+    # and `indices`.
     a = graph.affinity
-    rows = np.repeat(np.arange(graph.n), np.diff(a.indptr))
-    upper = rows < a.indices
-    return rows[upper], a.indices[upper]
+    upper = a.rows < a.indices
+    return a.rows[upper], a.indices[upper]
 
 
 x, labels = make_synthetic(3, 20, 50, seed=42, separation=6.0, spread=0.2)

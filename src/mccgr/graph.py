@@ -4,10 +4,10 @@ The affinity matrix feeds a local-invariance penalty on the coefficient
 matrix: samples joined by an edge are pushed toward nearby coefficient
 columns. Weights are binary; distances are plain Euclidean. A k-NN graph
 has at most k N edges, so the affinity is held in compressed sparse row
-(CSR) form, as three numpy arrays, and every product with it costs
-O(K nnz), not O(K N^2). Entry (i, j) of an N x M matrix is also named by
-its flat code i M + j: the edge sets and the stored form are sorted lists
-of codes, and the checks are joins of them.
+(CSR) form, as four numpy arrays built once, and every product with it
+costs O(K nnz), not O(K N^2). Within this module, entry (i, j) of an
+N x N matrix is also named by its flat code i N + j: the builder's edge
+sets are sorted lists of codes, and the symmetry check is a join of them.
 """
 
 from __future__ import annotations
@@ -41,20 +41,21 @@ class CSRMatrix:
 
     Row i stores columns `indices[indptr[i]:indptr[i + 1]]`, strictly
     increasing, with the nonzero weights `data` at the same positions: the
-    canonical CSR form, with no stored zeros. The three arrays are the
-    matrix's own and cannot be written.
+    canonical CSR form, with no stored zeros. `rows` holds each stored
+    entry's row, in storage order. The four arrays are the matrix's own and
+    cannot be written.
     """
 
-    __slots__ = ("shape", "indptr", "indices", "data")
+    __slots__ = ("shape", "rows", "indptr", "indices", "data")
 
-    def __init__(self, shape, codes, data):
-        # codes: the sorted, distinct flat codes i M + j of the stored entries.
-        rows, cols = np.divmod(codes, max(shape[1], 1))
+    def __init__(self, shape, rows, cols, data):
+        # rows, cols: the stored entries in (row, column) order, each once.
         self.shape = shape
+        self.rows = rows
         self.indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
         self.indices = cols
         self.data = data
-        for a in (self.indptr, self.indices, self.data):
+        for a in (self.rows, self.indptr, self.indices, self.data):
             a.flags.writeable = False
 
     @property
@@ -66,37 +67,22 @@ class CSRMatrix:
 
     def toarray(self) -> np.ndarray:
         dense = np.zeros(self.shape)
-        dense[_entry_rows(self), self.indices] = self.data
+        dense[self.rows, self.indices] = self.data
         return dense
-
-
-def _entry_rows(a) -> np.ndarray:
-    # The row of each stored entry of a CSR matrix, in storage order.
-    return np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-
-
-def _canonical(a) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
-    # The shape, sorted distinct flat codes and nonzero float64 weights of a
-    # CSRMatrix, whose read-only weights are shared, or of a 2-D float64
-    # array, whose nonzero entries np.nonzero lists in code order, each once;
-    # those weights are a copy.
-    if isinstance(a, CSRMatrix):
-        return a.shape, _entry_rows(a) * a.shape[1] + a.indices, a.data
-    rows, cols = np.nonzero(a)
-    return a.shape, rows * a.shape[1] + cols, a[rows, cols]
 
 
 @dataclass(frozen=True)
 class AffinityGraph:
     """Symmetric non-negative affinity over n samples, with cached degrees.
 
-    `affinity` is a CSRMatrix, such as build_knn_affinity's, read as it is
-    with its read-only weights shared, or anything numpy reads as a square
-    float64 array. An object with a toarray() method, such as another
-    library's sparse matrix, is read through that dense N x N form. It is
-    stored as a CSRMatrix, and `degree` holds its row sums, each added in
-    storage order. The checks (square, finite and non-negative weights,
-    symmetric, zero diagonal) read only the stored entries, so they cost
+    `affinity` is a CSRMatrix, such as build_knn_affinity's, stored as it
+    is, or anything numpy reads as a square float64 array. An object with a
+    toarray() method, such as another library's sparse matrix, is read
+    through that dense N x N form. Input other than a CSRMatrix is converted
+    once, from np.nonzero of its dense form, into a CSRMatrix with its own
+    copy of the weights. `degree` holds the row sums, each added in storage
+    order. The checks (square, finite and non-negative weights, symmetric,
+    zero diagonal) read only the stored entries, so they cost
     O(nnz log nnz) beyond the conversion.
     """
 
@@ -109,22 +95,26 @@ class AffinityGraph:
             a = _float_array(a.toarray() if hasattr(a, "toarray") else a, "affinity")
         if len(a.shape) != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"affinity must be square, got shape {a.shape}")
-        shape, codes, vals = _canonical(a)
-        n = shape[0]
+        if isinstance(a, np.ndarray):
+            # np.nonzero lists the entries in (row, column) order, each once.
+            rows, cols = np.nonzero(a)
+            a = CSRMatrix(a.shape, rows, cols, a[rows, cols])
+        n = a.shape[0]
+        rows, cols, vals = a.rows, a.indices, a.data
         if not np.all(np.isfinite(vals)):
             raise DataError("affinity has NaN or Inf weights")
         if np.any(vals < 0):
             raise DataError("affinity has negative weights")
-        # Symmetric iff the transposed code j n + i of every entry is stored,
-        # with the same weight.
-        rows, cols = np.divmod(codes, max(n, 1))
+        # Symmetric iff the transposed code j n + i of every entry's code
+        # i n + j is stored, with the same weight; the codes ascend.
+        codes = rows * n + cols
         flipped = cols * n + rows
         at = np.minimum(np.searchsorted(codes, flipped), max(codes.size - 1, 0))
         if not (np.array_equal(codes[at], flipped) and np.array_equal(vals[at], vals)):
             raise DataError("affinity must be symmetric")
         if np.any(rows == cols):
             raise DataError("affinity must have a zero diagonal")
-        object.__setattr__(self, "affinity", CSRMatrix(shape, codes, vals))
+        object.__setattr__(self, "affinity", a)
         object.__setattr__(self, "degree", np.bincount(rows, weights=vals, minlength=n))
 
     @property
@@ -176,7 +166,8 @@ def build_knn_affinity(x, k: int, mode: str = MODES[0]) -> AffinityGraph:
         codes = listed[np.isin(listed, flipped)]
     else:
         codes = np.union1d(listed, flipped)
-    return AffinityGraph(affinity=CSRMatrix((n, n), codes, np.ones(codes.size)))
+    rows, cols = np.divmod(codes, n)
+    return AffinityGraph(affinity=CSRMatrix((n, n), rows, cols, np.ones(codes.size)))
 
 
 def _neighbor_lists(x, k) -> np.ndarray:
@@ -248,9 +239,8 @@ def _product_plan(graph: AffinityGraph, k: int) -> tuple[np.ndarray, np.ndarray,
     # storage order, and consecutive terms go to different targets, which
     # bincount adds faster than a run of terms on one target.
     a = graph.affinity
-    rows = _entry_rows(a)
-    order = np.argsort(np.arange(a.nnz) - a.indptr[rows], kind="stable")
-    bins = (np.arange(k)[:, None] * graph.n + rows[order]).ravel()
+    order = np.argsort(np.arange(a.nnz) - a.indptr[a.rows], kind="stable")
+    bins = (np.arange(k)[:, None] * graph.n + a.rows[order]).ravel()
     return a.indices[order], bins, a.data[order]
 
 

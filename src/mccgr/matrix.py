@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import DataError, _check_labels, _check_matrix
-from .graph import CSRMatrix, _canonical
+from .graph import CSRMatrix
 
 __all__ = [
     "load_labels",
@@ -137,20 +137,20 @@ def save_csv(matrix, path) -> None:
     %.17g preserves float64 exactly, so read_matrix(save_csv(m)) == m.
     A CSRMatrix, such as a graph's affinity, whose stored entries are all
     1.0 is written as one byte buffer of "0" cells whose "1" cells are set
-    from the entries' flat codes: the bytes np.savetxt writes for its dense
-    form, with no dense float array formed. Any other CSRMatrix, and any
-    other object with a toarray() method such as another library's sparse
-    matrix, is written from that dense form; dense input always goes
-    through np.savetxt. The file is always plain text, whatever its
+    at the entries' `rows` and `indices`: the bytes np.savetxt writes for
+    its dense form, with no dense float array formed. Any other CSRMatrix,
+    and any other object with a toarray() method such as another library's
+    sparse matrix, is written from that dense form; dense input always
+    goes through np.savetxt. The file is always plain text, whatever its
     extension.
     """
     if isinstance(matrix, CSRMatrix):
-        (rows, cols), codes, vals = _canonical(matrix)
-        if rows and cols and np.all(vals == 1.0):
-            buf = np.full((rows, 2 * cols), ord("0"), dtype=np.uint8)
+        height, width = matrix.shape
+        if height and width and np.all(matrix.data == 1.0):
+            buf = np.full((height, 2 * width), ord("0"), dtype=np.uint8)
             buf[:, 1::2] = ord(",")
             buf[:, -1] = ord("\n")
-            buf.reshape(-1, 2)[codes, 0] = ord("1")
+            buf[matrix.rows, 2 * matrix.indices] = ord("1")
             with open(path, "wb") as fh:
                 fh.write(buf)
             return

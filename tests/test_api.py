@@ -166,6 +166,21 @@ def test_no_module_imports_a_private_name_from_factorization():
         assert private == [], name
 
 
+def test_only_factorization_imports_private_names_from_graph():
+    # The affinity's flat codes stay inside graph: the solver imports the
+    # product kernel and the penalty, and no other module reaches in.
+    allowed = {"factorization": {"_penalty", "_product_plan", "_times_affinity"}}
+    for name, tree in library_trees().items():
+        private = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "graph"
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert private <= allowed.get(name, set()), name
+
+
 def test_input_files_are_read_only_in_matrix():
     # One reader per input file: read_matrix, load_labels and, through
     # matrix's text opener, ExperimentSpec.from_json. Elsewhere the library

@@ -272,10 +272,12 @@ def scipy_csr(a):
 
 def csr_invariants(a, n):
     assert isinstance(a, CSRMatrix) and a.data.dtype == np.float64 and a.shape == (n, n)
-    assert not any(arr.flags.writeable for arr in (a.indptr, a.indices, a.data))
+    assert not any(arr.flags.writeable for arr in (a.rows, a.indptr, a.indices, a.data))
     assert a.indptr.shape == (n + 1,) and a.indptr[0] == 0 and a.indptr[-1] == a.nnz == a.indices.size
-    # Within each row the column indices strictly increase: sorted, no duplicates.
+    # rows holds each stored entry's row, in storage order.
     rows = np.repeat(np.arange(n), np.diff(a.indptr))
+    assert np.array_equal(a.rows, rows)
+    # Within each row the column indices strictly increase: sorted, no duplicates.
     same_row = rows[1:] == rows[:-1]
     assert np.all(a.indices[1:][same_row] > a.indices[:-1][same_row])
     assert np.all(a.data != 0.0)
@@ -304,7 +306,7 @@ def test_selection_above_one_row_block_matches_stable_argsort(n, data):
 
 
 def same_graph(a, b):
-    for name in ("indptr", "indices", "data"):
+    for name in ("rows", "indptr", "indices", "data"):
         assert np.array_equal(getattr(a.affinity, name), getattr(b.affinity, name))
     assert a.degree.tobytes() == b.degree.tobytes()
 
@@ -321,6 +323,10 @@ def test_affinity_graph_is_the_same_from_dense_and_sparse_input(n):
     assert np.allclose(dense.degree, a.sum(axis=1), rtol=1e-12, atol=0)
     for given in (sparse.csr_array(a), sparse.csr_matrix(a), sparse.csc_array(a), sparse.coo_array(a)):
         same_graph(AffinityGraph(affinity=given), dense)
+    # A CSRMatrix is stored as it is, not rebuilt.
+    again = AffinityGraph(affinity=dense.affinity)
+    assert again.affinity is dense.affinity
+    same_graph(again, dense)
     # Raw CSR arrays with column indices descending in each row, one edge
     # stored as two halves, and a stored zero on the diagonal are all
     # brought to the same canonical form.
