@@ -63,49 +63,102 @@ class EvalReport:
         }
 
 
-def _sq_dist(points, p2, centroids):
-    # (k, n) squared distances, clipped against tiny negative roundoff;
-    # p2 = sum(points**2, axis=0) depends on the points alone.
-    c2 = np.sum(centroids * centroids, axis=0)
-    d2 = c2[:, None] + p2[None, :] - 2.0 * (centroids.T @ points)
-    return np.maximum(d2, 0.0)
+def _nearest(points, p2, centroids, first):
+    # Each restart's assignment of the n points to its nearest centroid, and
+    # the (R, k) cluster counts, after the empty-cluster repair (which moves
+    # the centroids it reseeds). p2 = sum(points**2, axis=0) depends on the
+    # points alone, and first[i] = i k. The distances are one (k, d) @ (d, n)
+    # gemm per restart, the product the one-restart form made, and
+    # -2 x + (c2 + p2) rounds as c2 + p2 - 2 x does; they are clipped against
+    # tiny negative roundoff.
+    c2 = np.add.reduce(centroids * centroids, axis=1)
+    d2 = np.matmul(centroids.transpose(0, 2, 1), points)
+    d2 *= -2.0
+    d2 += c2[:, :, None] + p2
+    np.maximum(d2, 0.0, out=d2)
+    assign = d2.argmin(axis=1)  # ties go to the lower cluster index
+    r, k = c2.shape
+    counts = np.bincount((assign + first[:r]).ravel(), minlength=r * k).reshape(r, k)
+    if not counts.all():
+        for i in np.flatnonzero(~counts.all(axis=1)):
+            _repair(points, d2[i], assign[i], counts[i], centroids[i])
+    return assign, counts
 
 
-def _lloyd(points, p2, init_idx):
-    n = points.shape[1]
-    k = len(init_idx)
-    centroids = points[:, init_idx].copy()
+def _repair(points, d2, assign, counts, centroids):
+    # Empty-cluster repair of one restart, in place on its views: reseed, in
+    # ascending cluster order, to the point currently farthest from its own
+    # centroid, claiming it so a later empty cluster picks the next-farthest.
+    # A claimed point can empty a later cluster, which the counts then show.
+    own = d2[assign, np.arange(len(assign))]
+    for j in range(len(counts)):
+        if counts[j] == 0:
+            candidate = int(np.argmax(own))
+            centroids[:, j] = points[:, candidate]
+            counts[assign[candidate]] -= 1
+            counts[j] += 1
+            assign[candidate] = j
+            own[candidate] = 0.0
+
+
+def _lloyd(points, init):
+    # Lloyd's rounds of every restart at once, from the (R, k) seed columns
+    # init; returns each restart's assignments, (R, d, k) centroids and
+    # inertia. The restarts still moving are compacted to the front of the
+    # round's arrays and live maps them to their restart; a restart leaves
+    # in the round that assigns as the last one did, keeping its repairs.
+    d, n = points.shape
+    r, k = init.shape
+    p2 = np.sum(points * points, axis=0)
+    cent = points[:, init].transpose(1, 0, 2).copy()
+    out_assign = np.empty((r, n), dtype=np.intp)
+    out_cent = np.empty_like(cent)
+    first = np.arange(r)[:, None] * k
+    # Entry (i, row, j) of the centroids sits at rows[i, row] + j of their
+    # flat form, which is also the key under which one bincount of the tiled
+    # points sums it, the members one at a time in ascending point order.
+    rows = (np.arange(r * d) * k).reshape(r, d, 1)
+    tiled = np.tile(points.ravel(), r) if d > 1 else None
+    live = np.arange(r)
     assign = None
     for _ in range(_MAX_ROUNDS):
-        d2 = _sq_dist(points, p2, centroids)
-        new_assign = np.argmin(d2, axis=0)  # ties go to the lower cluster index
-        counts = np.bincount(new_assign, minlength=k)
-        if not counts.all():
-            # Empty-cluster repair: reseed, in ascending cluster order, to the
-            # point currently farthest from its own centroid, claiming it so a
-            # later empty cluster picks the next-farthest. A claimed point can
-            # empty a later cluster, which the counts then show.
-            own = d2[new_assign, np.arange(n)]
-            for j in range(k):
-                if counts[j] == 0:
-                    candidate = int(np.argmax(own))
-                    centroids[:, j] = points[:, candidate]
-                    counts[new_assign[candidate]] -= 1
-                    counts[j] += 1
-                    new_assign[candidate] = j
-                    own[candidate] = 0.0
-        if assign is not None and np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-        # Members of each cluster, in ascending point order, as one gather.
-        grouped = points[:, np.argsort(assign, kind="stable")]
-        end = 0
-        for j in range(k):
-            start, end = end, end + counts[j]
-            if start < end:
-                centroids[:, j] = grouped[:, start:end].sum(axis=1) / counts[j]
-    inertia = float(np.sum((points - centroids[:, assign]) ** 2))
-    return assign, centroids, inertia
+        new, counts = _nearest(points, p2, cent, first)
+        if assign is not None:
+            stop = (new == assign).all(axis=1)
+            if stop.any():
+                done = live[stop]
+                out_assign[done] = new[stop]
+                out_cent[done] = cent[stop]
+                if len(done) == len(live):
+                    break
+                go = ~stop
+                live, new, counts, cent = live[go], new[go], counts[go], cent[go]
+        assign = new
+        a = len(live)
+        if d > 1:
+            sums = np.bincount(
+                (assign[:, None, :] + rows[:a]).ravel(), weights=tiled[: a * d * n], minlength=a * d * k
+            )
+            # A cluster the repair left empty keeps its centroid.
+            np.divide(sums.reshape(a, d, k), counts[:, None, :], out=cent, where=counts[:, None, :] > 0)
+        else:
+            # One-row points: numpy sums a row pairwise, so each centroid is
+            # its members' own sum, gathered by one stable sort.
+            grouped = points[:, np.argsort((assign + first[:a]).ravel(), kind="stable") % n]
+            end = 0
+            for i in range(a):
+                for j in range(k):
+                    start, end = end, end + counts[i, j]
+                    if start < end:
+                        cent[i, :, j] = grouped[:, start:end].sum(axis=1) / counts[i, j]
+    else:
+        out_assign[live] = assign
+        out_cent[live] = cent
+    # Each restart's residual as one (d, n) block, summed as a whole; its
+    # sign does not change the squares.
+    resid = np.take(out_cent, rows + out_assign[:, None, :])
+    resid -= points
+    return out_assign, out_cent, np.sum(np.square(resid, out=resid), axis=(1, 2))
 
 
 def kmeans(points, k: int, seed: int = 0, restarts: int = _RESTARTS) -> Clustering:
@@ -117,11 +170,19 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = _RESTARTS) -> Clusteri
     reseeded to the point farthest from its own centroid. Rounds are capped
     at 300 per restart.
 
-    The squared point norms are computed once per call and shared by every
-    round of every restart. A centroid is its members' row sums divided by
-    their count, taken from one stable sort of the assignment; that is the
-    same pairwise row reduction and the same division as
-    `points[:, members].mean(axis=1)`, so it equals the mean bit for bit.
+    The restarts run as one batch: each round computes the distances of
+    every restart still moving at once, and a restart leaves the batch in
+    the round that repeats its assignment. Results equal running the
+    restarts one after another bit for bit. A centroid is its members' sum
+    divided by their count. With two or more rows the members are added
+    one at a time in ascending point order, by one bincount per round over
+    (restart, row, cluster) keys; that is the order in which
+    `points[:, members].mean(axis=1)` adds them. One-row points are summed
+    per cluster by numpy's pairwise row reduction, as that mean sums them.
+    The batch costs memory: the distances are restarts x k x n float64s
+    and a tiled copy of the points restarts x d x n, so with d = k and the
+    default 10 restarts the peak is about 38 k x n float64s, against about
+    6 for restarts run one at a time.
     """
     return _kmeans(_check_matrix(points, "points"), k, seed, restarts)
 
@@ -135,18 +196,14 @@ def _kmeans(points, k, seed, restarts):
     _check_count("restarts", restarts, 1)
     _check_count("seed", seed, 0)
 
-    p2 = np.sum(points * points, axis=0)
     rng = np.random.default_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init_idx = rng.choice(n, size=k, replace=False)
-        assign, centroids, inertia = _lloyd(points, p2, init_idx)
-        if best is None or inertia < best[2]:
-            best = (assign, centroids, inertia)
+    init = np.array([rng.choice(n, size=k, replace=False) for _ in range(restarts)])
+    assign, centroids, inertia = _lloyd(points, init)
+    best = int(np.argmin(inertia))  # the earliest of the lowest
     return Clustering(
-        assignments=best[0].astype(np.int64),
-        centroids=best[1],
-        inertia=best[2],
+        assignments=assign[best].astype(np.int64),
+        centroids=centroids[best],
+        inertia=float(inertia[best]),
     )
 
 
@@ -230,15 +287,21 @@ def _assign(c):
     return np.array(col4row, dtype=np.int64)
 
 
-def _contingency(a, b, a_name, b_name):
-    # Two label vectors of one length: their distinct ids, ascending, and the
-    # int64 count table with a row per id of a and a column per id of b.
+def _check_pair(a, b, a_name, b_name):
+    # Two label vectors of one length, as int64.
     a = _check_labels(a, a_name)
     b = _check_labels(b, b_name)
     if a.shape[0] != b.shape[0]:
         raise DataError(
             f"label vectors disagree in length: {a.shape[0]} vs {b.shape[0]}"
         )
+    return a, b
+
+
+def _contingency(a, b):
+    # Two checked label vectors of one length: their distinct ids, ascending,
+    # and the int64 count table with a row per id of a and a column per id
+    # of b.
     aids, ainv = np.unique(a, return_inverse=True)
     bids, binv = np.unique(b, return_inverse=True)
     na, nb = len(aids), len(bids)
@@ -252,7 +315,7 @@ def accuracy(pred, true) -> MatchResult:
     `matching` maps each real cluster id to its matched real class id
     (padded ids never appear).
     """
-    return _accuracy(*_contingency(pred, true, "predicted labels", "true labels"))
+    return _accuracy(*_contingency(*_check_pair(pred, true, "predicted labels", "true labels")))
 
 
 def _accuracy(pids, tids, table) -> MatchResult:
@@ -276,7 +339,7 @@ def nmi(a, b) -> float:
     Conventions for degenerate partitions: 1.0 when both sides have a
     single block, 0.0 when exactly one does.
     """
-    return _nmi(_contingency(a, b, "first labeling", "second labeling")[2])
+    return _nmi(_contingency(*_check_pair(a, b, "first labeling", "second labeling"))[2])
 
 
 def _nmi(table) -> float:
@@ -303,7 +366,7 @@ def evaluate(w, true_labels, k: int, seed: int = 0) -> EvalReport:
     if w.shape[1] != true_labels.shape[0]:
         raise DataError(f"coefficient shape {w.shape} does not match {true_labels.shape[0]} labels")
     assignments = _kmeans(w, k, seed, _RESTARTS).assignments
-    pids, tids, table = _contingency(assignments, true_labels, "predicted labels", "true labels")
+    pids, tids, table = _contingency(assignments, true_labels)
     match = _accuracy(pids, tids, table)
     return EvalReport(
         accuracy=match.accuracy,

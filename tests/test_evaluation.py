@@ -1,13 +1,14 @@
 """Clustering, optimal matching, and agreement scores."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mccgr import DataError, accuracy, evaluate, hungarian_match, kmeans, nmi
+from mccgr import DataError, accuracy, evaluate, evaluation, hungarian_match, kmeans, nmi
 
 
 def brute_force_best_sum(confusion):
@@ -163,8 +164,10 @@ def test_kmeans_matches_reference_on_tie_heavy_points(problem):
 )
 def test_kmeans_matches_reference_on_real_points(seed, d, n, k, restarts):
     # Non-integer coordinates make the centroid sums depend on summation
-    # order; clusters of more than 8 and 128 members reach numpy's unrolled
-    # and recursive pairwise sums. Columns repeat through the draw.
+    # order: with two or more rows the members are added one at a time in
+    # ascending order, and only one-row points, drawn here about a quarter
+    # of the time, reach numpy's unrolled and recursive pairwise sums past 8
+    # and 128 members. Columns repeat through the draw.
     rng = np.random.default_rng(seed)
     base = rng.random((d, n)) + 3.0 * rng.integers(0, 3, size=n)[None, :]
     points = base[:, rng.integers(0, n, size=n)]
@@ -181,6 +184,73 @@ def test_kmeans_repair_that_empties_a_later_cluster():
     assert np.random.default_rng(22).choice(4, size=4, replace=False).tolist() == [1, 3, 2, 0]
     assert_kmeans_matches_reference(points, 4, 22, 1)
     assert kmeans(points, 4, seed=22, restarts=1).assignments.tolist() == [3, 0, 1, 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), restarts=st.integers(1, 4))
+def test_kmeans_matches_reference_on_one_row_points_with_large_clusters(seed, k, restarts):
+    # numpy sums a row of one-row points pairwise: in blocks of eight past 8
+    # members and recursively past 128. Groups of 9-300 members, 10 apart,
+    # give clusters of those sizes.
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(9, 301, size=k)
+    values = np.repeat(10.0 * np.arange(k), sizes) + rng.random(sizes.sum())
+    points = values[None, rng.permutation(sizes.sum())]
+    assert_kmeans_matches_reference(points, k, seed, restarts)
+
+
+def converges_within(points, init_idx, rounds):
+    # Whether Lloyd's rounds from init_idx repeat an assignment by the given
+    # round. A restart that does so in round t ends with round t - 1's
+    # centroids, so t - 1 capped rounds already give its result.
+    if rounds < 2:
+        return False
+    capped = reference_lloyd(points, init_idx, max_rounds=rounds - 1)
+    full = reference_lloyd(points, init_idx)
+    return capped[0].tobytes() == full[0].tobytes() and capped[1].tobytes() == full[1].tobytes()
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2, 3])
+def test_kmeans_matches_reference_when_the_round_cap_stops_restarts(monkeypatch, max_rounds):
+    # Three tight blobs: a restart seeded once in each blob converges in its
+    # second round, others take longer, so one call holds restarts stopped by
+    # the cap beside restarts that converged (at a cap of 1, none converge).
+    monkeypatch.setattr(evaluation, "_MAX_ROUNDS", max_rounds)
+    mixed = 0
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        points = np.ascontiguousarray(blobs(rng, per=20)[0])
+        n = points.shape[1]
+        draws = np.random.default_rng(seed)
+        inits = [draws.choice(n, size=3, replace=False) for _ in range(8)]
+        runs = [reference_lloyd(points, init_idx, max_rounds=max_rounds) for init_idx in inits]
+        best = min(runs, key=lambda run: run[2])  # the earliest of the lowest
+        result = kmeans(points, 3, seed=seed, restarts=8)
+        assert result.assignments.tobytes() == best[0].astype(np.int64).tobytes()
+        assert result.centroids.tobytes() == best[1].tobytes()
+        assert np.float64(result.inertia).tobytes() == np.float64(best[2]).tobytes()
+        converged = sum(converges_within(points, init_idx, max_rounds) for init_idx in inits)
+        mixed += 0 < converged < len(inits)
+    assert mixed > 0 or max_rounds == 1
+
+
+@pytest.mark.parametrize("d, n, bound", [(5, 150, 64.0), (4, 2000, 44.0)])
+def test_kmeans_peak_allocation_in_units_of_k_by_n_floats(d, n, bound):
+    # The experiment cell's shape and the CLI's, with k = d. The restarts
+    # run as one batch, so the distances, their argmin copy and the tiled
+    # points are each R = 10 times k x n: measured 56.5 and 37.9 k x n
+    # float64s, about 20 of the smaller shape's being the 120 KiB of buffers
+    # numpy's broadcasting add allocates (restarts run one at a time peaked
+    # at 6.3-6.8).
+    rng = np.random.default_rng(17)
+    points = rng.random((d, n)) + 3.0 * rng.integers(0, d, size=n)[None, :]
+    tracemalloc.start()
+    try:
+        kmeans(points, d, seed=17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * d * n * 8, peak / (d * n * 8)
 
 
 def test_kmeans_argument_validation():
