@@ -17,16 +17,21 @@ row with weight -rho_d = exp(-r2_d / (2 sigma^2)) close to zero is
 effectively dropped from the fit, which is what buys robustness to
 grossly corrupted features.
 
-The squared-error kernels never form a weighted copy of the data or of
-the squared residual: the row weights scale the D x K product diag(neg) h
-of the W step, and the fit is the weighted sum of the per-row squared
-residuals r2. The H step needs no weights: row d of H sees only row d of
-X, so its weight cancels. The graph terms come from the K x N product
-W A with the CSR affinity; no Laplacian is built.
+The squared-error kernels never form the residual X - H W: each iterate's
+D x K products X W^T and H W W^T give the per-row squared residuals r2 by
+the trace identity ||x_d - h_d W||^2 = ||x_d||^2 - 2 h_d.(X W^T)_d +
+h_d.(H W W^T)_d, and the next H step reads the same two products. A row
+whose r2 cancels down to rounding level is summed from its explicit
+residual instead. The row weights scale the D x K product diag(neg) H of
+the W step, and the fit is the weighted sum of r2. The H step needs no
+weights: row d of H sees only row d of X, so its weight cancels. The
+graph terms come from the K x N product W A with the CSR affinity; no
+Laplacian is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +68,11 @@ EPSILON = 1e-12
 # exp() underflows to 0.0 near 745; rho must stay strictly negative, so the
 # kernel value is floored at the smallest positive normal double.
 _KERNEL_TINY = np.finfo(np.float64).tiny
+
+# A row whose Gram-form squared residual falls below this multiple of
+# ||x_d||^2 has lost most of its digits to cancellation (the form's error
+# is a few eps ||x_d||^2), so it is summed from the explicit residual.
+_CANCEL = 1e3 * np.finfo(np.float64).eps
 
 
 @dataclass
@@ -138,27 +148,68 @@ class Factorization:
     iterates: list[tuple[np.ndarray, np.ndarray]] | None = field(default=None, repr=False)
 
 
-def _kl_divergence(xp, pos, sum_xp, v) -> float:
-    # pos holds the flat C-order indices of the positive data entries, xp =
-    # x.take(pos) and sum_xp = sum(xp); they depend on the data alone, so the
-    # solver forms them once per solve. v.take(pos) picks the same entries in
-    # the same order as the mask v[x > 0], at a fraction of its cost.
-    vp = v.take(pos)
-    if np.any(vp <= 0):
-        raise NumericalError("KL divergence is infinite: zero reconstruction under positive data")
-    # xp * log(xp / vp), formed in vp's buffer.
-    terms = np.divide(xp, vp, out=vp)
-    np.log(terms, out=terms)
-    terms *= xp
-    return float(np.sum(terms) - sum_xp + np.sum(v))
+def _kl_divergence(x, c, h, w, v, log_v, hs, ws) -> float:
+    # sum(x log(x / v) - x + v) at v = h @ w, as c - <x, log v> + sum(v):
+    # c = sum(x log x - x) over the positive entries of x depends on the
+    # data alone, so the solver forms it once, and sum(v) = h.sum(0) @
+    # w.sum(1) from the column and row sums hs and ws the steps read. v
+    # receives h @ w, which the next step reads; log_v is scratch. The
+    # D x N dot products go through einsum, not BLAS, whose dot splits a long
+    # sum across threads and so rounds by the thread count. Zero
+    # entries of x add 0 to <x, log v> as long as log v is finite, which
+    # fails only where h @ w underflows to 0. Factors floored at FLOOR cannot
+    # get there, a start can: then the sum over the positive entries
+    # decides.
+    np.matmul(h, w, out=v)
+    with np.errstate(divide="ignore"):
+        np.log(v, out=log_v)
+    value = c - float(np.einsum("ij,ij->", x, log_v)) + float(hs @ ws)
+    if not math.isfinite(value):
+        pos = x > 0
+        xp, vp = x[pos], v[pos]
+        if np.any(vp <= 0):
+            raise NumericalError("KL divergence is infinite: zero reconstruction under positive data")
+        value = float(np.sum(xp * np.log(xp / vp)) - np.sum(xp) + np.sum(v))
+    return value
+
+
+def _kl_start(x):
+    # The divergence's data term c = sum(x log x - x) over x > 0, and a D x N
+    # buffer for log v: log x is formed in it, so the mask is the only other
+    # array the start allocates.
+    log_x = np.zeros_like(x)
+    np.log(x, out=log_x, where=x > 0)
+    return float(np.einsum("ij,ij->", x, log_x)) - float(x.sum()), log_x
 
 
 def _row_sq(x, h, w):
-    # Per-row sums r2 of the squared residual r = x - h @ w. r is formed in
-    # the buffer of h @ w, so one D x N array is allocated.
+    # Per-row sums r2 of the squared residual r = x - h @ w, formed
+    # explicitly: the fallback for rows whose Gram form cancels. r is formed
+    # in the buffer of h @ w.
     r = h @ w
     np.subtract(x, r, out=r)
     return np.einsum("ij,ij->i", r, r)
+
+
+def _products(x, h, w):
+    # The iterate's D x K products x @ w.T and h @ (w @ w.T). w.T is copied
+    # to C order first: BLAS runs x @ w.T in a transposed-operand layout
+    # that is 2-2.5x slower at the experiment's cell shapes.
+    wt = np.ascontiguousarray(w.T)
+    return x @ wt, h @ (w @ wt)
+
+
+def _gram_r2(x, h, w, xw, hww, xsq, low):
+    # Per-row squared residuals from the iterate's products, with no D x N
+    # array: r2_d = ||x_d||^2 + h_d . (h w w^T - 2 x w^T)_d, xsq = ||x_d||^2.
+    # Rows below low = _CANCEL * xsq are recomputed explicitly.
+    r2 = np.einsum("ij,ij->i", h, hww - 2.0 * xw)
+    r2 += xsq
+    fall = r2 < low
+    if fall.any():
+        rows = np.flatnonzero(fall)
+        r2[rows] = _row_sq(x[rows], h[rows], w)
+    return r2
 
 
 def _sigma(r2, theta) -> float:
@@ -166,14 +217,17 @@ def _sigma(r2, theta) -> float:
     # The floor at EPSILON keeps a (near-)exact fit from giving a zero width,
     # and it caps every kernel exponent r2_d / (2 sigma^2) at D / theta, so rho
     # cannot underflow en masse when a fit becomes nearly exact.
-    return max(float(np.sqrt(theta * float(r2.sum()) / (2.0 * r2.size))), EPSILON)
+    return max(math.sqrt(theta * float(r2.sum()) / (2.0 * r2.size)), EPSILON)
 
 
 def _rho(r2, sigma) -> np.ndarray:
     # Auxiliary weights rho_d = -exp(-r2_d / (2 sigma^2)), one per feature row,
     # in [-1, 0). The kernel is floored at the smallest positive double so an
     # enormous residual cannot zero a weight out entirely.
-    return -np.maximum(np.exp(-r2 / (2.0 * sigma * sigma)), _KERNEL_TINY)
+    kernel = r2 / (-2.0 * sigma * sigma)
+    np.exp(kernel, out=kernel)
+    np.maximum(kernel, _KERNEL_TINY, out=kernel)
+    return np.negative(kernel, out=kernel)
 
 
 def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> float:
@@ -184,24 +238,31 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     the M-step for fixed rho.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    wa = _times_affinity(w, _affinity_plan(alpha, graph, w.shape[0]))
-    return _objective(neg, _row_sq(x, h, w), w, alpha, graph, wa)
+    xsq = np.einsum("ij,ij->i", x, x)
+    r2 = _gram_r2(x, h, w, *_products(x, h, w), xsq, _CANCEL * xsq)
+    plan, adeg = _graph_terms(alpha, graph, w.shape[0])
+    return _objective(neg, r2, w, _times_affinity(w, plan), adeg)
 
 
-def _affinity_plan(alpha, graph, k):
-    # The arrays of w @ A for a rank-k w when the graph term is on,
-    # else None, for which _times_affinity gives None: solve forms them once
-    # for all its products, and shares each w @ A between the penalty on w
-    # and the next W step's numerator.
-    return _product_plan(graph, k) if alpha > 0 else None
+def _graph_terms(alpha, graph, k):
+    # The graph term with alpha folded in, formed once per solve: the arrays
+    # of alpha (w @ A) for a rank-k w, and alpha * degree. None and None when
+    # the term is off, and _times_affinity gives None for a None plan. solve
+    # shares each alpha (w @ A) between the penalty on w and the next W
+    # step's numerator.
+    if not alpha > 0:
+        return None, None
+    cols, bins, data = _product_plan(graph, k)
+    return (cols, bins, alpha * data), alpha * graph.degree
 
 
-def _objective(neg, r2, w, alpha, graph, wa) -> float:
-    # sum_d neg_d r2_d, plus alpha times the penalty from wa = w @ A: the
-    # weights scale the D row sums, not a D x N copy.
+def _objective(neg, r2, w, wa, adeg) -> float:
+    # sum_d neg_d r2_d, plus the penalty with alpha folded into wa = alpha (w
+    # @ A) and adeg = alpha * degree: the weights scale the D row sums, not a
+    # D x N copy.
     value = float(neg @ r2)
-    if alpha > 0:
-        value += alpha * _penalty(w, wa, graph.degree)
+    if wa is not None:
+        value += _penalty(w, wa, adeg)
     return value
 
 
@@ -248,11 +309,19 @@ def update_h(x, h, w, rho) -> np.ndarray:
     Entries are floored at FLOOR.
     """
     x, h, w, _ = _check_step(x, h, w, rho)
-    return _update_h(x, h, w)
+    h = h.copy()
+    _update_h(h, *_products(x, h, w))
+    return h
 
 
-def _update_h(x, h, w) -> np.ndarray:
-    return np.maximum(h * (x @ w.T) / (h @ (w @ w.T) + EPSILON), FLOOR)
+def _update_h(h, xw, hww) -> None:
+    # h <- max(h * xw / (hww + EPSILON), FLOOR) in h's buffer, from the
+    # iterate's products xw = x @ w.T and hww = h @ w @ w.T; hww is
+    # overwritten.
+    h *= xw
+    hww += EPSILON
+    h /= hww
+    np.maximum(h, FLOOR, out=h)
 
 
 def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> np.ndarray:
@@ -264,21 +333,30 @@ def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = Non
     when alpha == 0. Entries are floored at FLOOR.
     """
     x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    return _update_w(x, h, w, neg, alpha, graph, _times_affinity(w, _affinity_plan(alpha, graph, w.shape[0])))
+    plan, adeg = _graph_terms(alpha, graph, w.shape[0])
+    wa = _times_affinity(w, plan)
+    w = w.copy()
+    _update_w(x, h, w, neg, wa, adeg)
+    return w
 
 
-def _update_w(x, h, w, neg, alpha, graph, wa) -> np.ndarray:
-    # h^T diag(neg) x as (diag(neg) h)^T x. hn is a new buffer even for unit
-    # weights: h.T @ h on one buffer would go to BLAS syrk, which rounds
-    # differently from gemm for larger D, and hn.T @ x is then the same gemm
-    # as h.T @ x. wa is w @ A, which the solver also reads for the penalty.
-    hn = neg[:, None] * h
-    numer = hn.T @ x
-    denom = (h.T @ hn) @ w
-    if alpha > 0:
-        numer = numer + alpha * wa
-        denom = denom + alpha * (w * graph.degree[None, :])
-    return np.maximum(w * numer / (denom + EPSILON), FLOOR)
+def _update_w(x, h, w, neg, wa, adeg) -> None:
+    # w <- max(w * numer / (denom + EPSILON), FLOOR) in w's buffer, with
+    # numer = (diag(neg) h)^T x + wa and denom = h^T diag(neg) h w + w
+    # diag(adeg), where wa = alpha (w @ A), which the solver also reads for
+    # the penalty, and adeg = alpha * degree; None for both when the graph
+    # term is off. (diag(neg) h)^T is formed in C order, which BLAS
+    # multiplies faster than the transposed view.
+    hnt = np.multiply(h.T, neg, order="C")
+    numer = hnt @ x
+    denom = (hnt @ h) @ w
+    if wa is not None:
+        numer += wa
+        denom += w * adeg
+    denom += EPSILON
+    w *= numer
+    w /= denom
+    np.maximum(w, FLOOR, out=w)
 
 
 def dual_gradient_h(x, h, w, rho) -> np.ndarray:
@@ -309,21 +387,30 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
 
 
 def _kl_ratio(x, v):
-    # x / max(v, EPSILON), written over v: no second D x N array is formed.
-    np.maximum(v, EPSILON, out=v)
-    return np.divide(x, v, out=v)
+    # x / max(v, EPSILON), written over v. The floor is a pass over v that
+    # changes no entry unless one is below EPSILON, so a cheaper minimum
+    # decides whether it runs.
+    if v.min() < EPSILON:
+        np.maximum(v, EPSILON, out=v)
+    np.divide(x, v, out=v)
 
 
-def _kl_step(x, h, w, v):
-    # v is h @ w on entry, from the solver's objective. It is overwritten with
-    # the ratio, so the caller's v costs no memory and must not be read again.
-    ratio = _kl_ratio(x, v)
-    h = h * (ratio @ w.T) / (np.sum(w, axis=1)[None, :] + EPSILON)
-    h = np.maximum(h, FLOOR)
-    ratio = _kl_ratio(x, h @ w)
-    w = w * (h.T @ ratio) / (np.sum(h, axis=0)[:, None] + EPSILON)
-    w = np.maximum(w, FLOOR)
-    return h, w
+def _kl_step(x, h, w, v, ws):
+    # One KL step on h, then on w, in their buffers. v holds h @ w on entry,
+    # from the solver's objective, and ws = w.sum(1); v is the step's one D x
+    # N work buffer. Returns the new h.sum(0) and w.sum(1), which the
+    # objective and the next step read.
+    _kl_ratio(x, v)
+    h *= v @ np.ascontiguousarray(w.T)
+    h /= ws + EPSILON
+    np.maximum(h, FLOOR, out=h)
+    hs = h.sum(axis=0)
+    np.matmul(h, w, out=v)
+    _kl_ratio(x, v)
+    w *= np.ascontiguousarray(h.T) @ v
+    w /= (hs + EPSILON)[:, None]
+    np.maximum(w, FLOOR, out=w)
+    return hs, w.sum(axis=1)
 
 
 def solve(
@@ -349,18 +436,22 @@ def solve(
     every later entry, so a start whose objective is not finite is a
     NumericalError. EPSILON guards every denominator and floors sigma.
 
-    Each iteration forms the residual x - h @ w once, after the M-step, and
-    reduces it in one pass to its per-row squared sums r2. The tracked fit
-    is the weighted sum of r2; mcc's and mccgr's next sigma and rho follow
-    from r2. The row weights scale the D x K product of the W
-    step, never x itself, so no step forms a weighted D x N copy; the H
-    step reads none. With a graph, w @ A is formed once after each W step:
-    it gives that iteration's penalty and the next W step's numerator, and
-    no Laplacian is built. kl reuses the reconstruction h @ w of its
-    objective in its next step. Inputs are validated here once. The results
-    equal bit for bit a loop that calls the public update_h, update_w and
-    dual_objective and recomputes mcc's and mccgr's sigma and rho and the
-    KL divergence from a fresh residual with plain numpy at every step.
+    h and w are updated in their own buffers, copies of h0 and w0. After
+    each W step, and at the start, the squared-error variants form the
+    iterate's D x K products x @ w.T and h @ w @ w.T once. They give the
+    per-row squared residuals r2 by the trace identity, with no D x N array
+    (rows whose r2 cancels to rounding level are summed from their explicit
+    residual), and the next H step reads them again. The tracked fit is the
+    weighted sum of r2; mcc's and mccgr's next sigma and rho follow from r2.
+    The row weights scale the D x K product of the W step, never x itself.
+    With a graph, w @ A is formed once after each W step: it gives that
+    iteration's penalty and the next W step's numerator, and no Laplacian
+    is built. kl works in two D x N buffers: its objective's h @ w is the
+    next step's reconstruction, and its divergence reads x only through one
+    dot product with log(h @ w). Inputs are validated here once. The
+    squared-error results equal bit for bit a loop that calls the public
+    update_h, update_w and dual_objective, which run the same kernels, and
+    recomputes mcc's and mccgr's sigma and rho in plain numpy.
 
     Parameters
     ----------
@@ -384,19 +475,23 @@ def solve(
         raise DataError(f"w0 shape {w.shape} does not match ({cfg.k}, {n})")
     if np.any(h <= 0) or np.any(w <= 0):
         raise DataError("initializers must be strictly positive")
+    h, w = h.copy(), w.copy()
 
     alpha = cfg.graph_weight
     _check_graph(alpha, graph, n)
-    plan = _affinity_plan(alpha, graph, cfg.k)
+    plan, adeg = _graph_terms(alpha, graph, cfg.k)
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
 
     if kl:
-        pos = np.flatnonzero(x > 0)
-        xp = x.take(pos)
-        sum_xp = np.sum(xp)
+        c, log_v = _kl_start(x)
+        v = np.empty_like(x)
+        hs, ws = h.sum(axis=0), w.sum(axis=1)
     else:
-        r2 = _row_sq(x, h, w)
+        xsq = np.einsum("ij,ij->i", x, x)
+        low = _CANCEL * xsq
+        xw, hww = _products(x, h, w)
+        r2 = _gram_r2(x, h, w, xw, hww, xsq, low)
     neg = np.ones(d)
     sigma = np.inf
     trace: list[float] = []
@@ -410,18 +505,18 @@ def solve(
             neg = -_rho(r2, sigma)
         if iterations:
             if kl:
-                h, w = _kl_step(x, h, w, v)
+                hs, ws = _kl_step(x, h, w, v, ws)
             else:
-                h = _update_h(x, h, w)
-                w = _update_w(x, h, w, neg, alpha, graph, wa)
-                r2 = _row_sq(x, h, w)
+                _update_h(h, xw, hww)
+                _update_w(x, h, w, neg, wa, adeg)
+                xw, hww = _products(x, h, w)
+                r2 = _gram_r2(x, h, w, xw, hww, xsq, low)
         if kl:
-            v = h @ w
-            value = _kl_divergence(xp, pos, sum_xp, v)
+            value = _kl_divergence(x, c, h, w, v, log_v, hs, ws)
         else:
             wa = _times_affinity(w, plan)
-            value = _objective(neg, r2, w, alpha, graph, wa)
-        if not np.isfinite(value):
+            value = _objective(neg, r2, w, wa, adeg)
+        if not math.isfinite(value):
             raise NumericalError(f"objective became non-finite at iteration {iterations}")
         trace.append(value)
         if not iterations:

@@ -217,7 +217,7 @@ def test_solve_runs_every_private_kernel_and_nests_no_function():
             pending += [call.func.id for call in calls if isinstance(call.func, ast.Name)]
     private = {name for name in defined if name.startswith("_") and not name.startswith("_check_")}
     assert sorted(private - reached) == []
-    traced = {"_row_sq", "_update_h", "_update_w", "_times_affinity", "_penalty", "_kl_step", "_kl_divergence"}
+    traced = {"_products", "_gram_r2", "_update_h", "_update_w", "_times_affinity", "_penalty", "_kl_step", "_kl_divergence"}
     assert traced <= reached
 
 
