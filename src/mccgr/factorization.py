@@ -237,21 +237,26 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     frozen at -1 and alpha = 0 this is sum((x - h w)^2). Minimized by
     the M-step for fixed rho.
     """
-    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
+    x, h, w, neg = _check_step(x, h, w, rho)
+    plan, adeg = _graph_terms(alpha, graph, *w.shape)
     xsq = np.einsum("ij,ij->i", x, x)
     r2 = _gram_r2(x, h, w, *_products(x, h, w), xsq, _CANCEL * xsq)
-    plan, adeg = _graph_terms(alpha, graph, w.shape[0])
     return _objective(neg, r2, w, _times_affinity(w, plan), adeg)
 
 
-def _graph_terms(alpha, graph, k):
+def _graph_terms(alpha, graph, k, n):
     # The graph term with alpha folded in, formed once per solve: the arrays
-    # of alpha (w @ A) for a rank-k w, and alpha * degree. None and None when
-    # the term is off, and _times_affinity gives None for a None plan. solve
-    # shares each alpha (w @ A) between the penalty on w and the next W
-    # step's numerator.
+    # of alpha (w @ A) for a (k, n) w, and alpha * degree; None and None when
+    # the term is off (_times_affinity gives None for a None plan). The one
+    # check of the graph arguments: alpha is a finite real >= 0 (a NaN would
+    # skip the graph), and the graph, read only if alpha > 0, spans n samples.
+    _check_real("alpha", alpha, 0)
     if not alpha > 0:
         return None, None
+    if graph is None:
+        raise DataError("alpha > 0 requires an affinity graph")
+    if graph.n != n:
+        raise DataError(f"graph size {graph.n} does not match sample count {n}")
     cols, bins, data = _product_plan(graph, k)
     return (cols, bins, alpha * data), alpha * graph.degree
 
@@ -266,35 +271,28 @@ def _objective(neg, r2, w, wa, adeg) -> float:
     return value
 
 
-def _check_graph(alpha, graph, n):
-    # The graph arguments of every function with a penalty term: alpha is a
-    # finite real >= 0 (NaN > 0 is False, so a NaN alpha would skip the graph),
-    # the graph is read only when alpha > 0, and then it must span the n
-    # samples.
-    _check_real("alpha", alpha, 0)
-    if alpha > 0:
-        if graph is None:
-            raise DataError("alpha > 0 requires an affinity graph")
-        if graph.n != n:
-            raise DataError(f"graph size {graph.n} does not match sample count {n}")
-
-
-def _check_step(x, h, w, rho, alpha=0.0, graph=None):
-    # The one preamble of the public step functions: x checked as solve
-    # checks it, finite factors whose shapes fit x, strictly negative row
-    # weights and the graph arguments. Returns x, h, w and the weights -rho.
+def _check_factors(x, h, w, k=None, names=("h", "w")):
+    # The one factor check of solve and the public steps: x is data, and the
+    # finite factors, named names, are (D, k) and (k, N), k h's own if None.
     x = _check_matrix(x, "x", nonneg=True)
-    h = _check_matrix(h, "h")
-    w = _check_matrix(w, "w")
-    if h.shape[0] != x.shape[0] or w.shape[1] != x.shape[1] or h.shape[1] != w.shape[0]:
-        raise DataError(f"incompatible shapes: x {x.shape}, h {h.shape}, w {w.shape}")
+    h = _check_matrix(h, names[0])
+    w = _check_matrix(w, names[1])
+    k = h.shape[1] if k is None else k
+    if h.shape != (x.shape[0], k) or w.shape != (k, x.shape[1]):
+        raise DataError(f"incompatible shapes: x {x.shape}, {names[0]} {h.shape}, {names[1]} {w.shape}, rank {k}")
+    return x, h, w
+
+
+def _check_step(x, h, w, rho):
+    # The one preamble of the public step functions: the factors, then
+    # strictly negative row weights, written so that a NaN weight fails too.
+    # Returns x, h, w and the weights -rho.
+    x, h, w = _check_factors(x, h, w)
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (x.shape[0],):
         raise DataError(f"rho must have shape ({x.shape[0]},), got {rho.shape}")
-    # Written so that a NaN weight fails too.
     if not np.all(rho < 0):
         raise DataError("rho entries must be strictly negative")
-    _check_graph(alpha, graph, x.shape[1])
     return x, h, w, -rho
 
 
@@ -332,27 +330,30 @@ def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = Non
     A is the affinity, U its diagonal degree matrix; both terms drop out
     when alpha == 0. Entries are floored at FLOOR.
     """
-    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    plan, adeg = _graph_terms(alpha, graph, w.shape[0])
-    wa = _times_affinity(w, plan)
-    w = w.copy()
-    _update_w(x, h, w, neg, wa, adeg)
-    return w
+    x, h, w, neg = _check_step(x, h, w, rho)
+    plan, adeg = _graph_terms(alpha, graph, *w.shape)
+    out = w.copy()
+    _update_w(x, h, out, neg, _times_affinity(w, plan), adeg)
+    return out
 
 
-def _update_w(x, h, w, neg, wa, adeg) -> None:
-    # w <- max(w * numer / (denom + EPSILON), FLOOR) in w's buffer, with
-    # numer = (diag(neg) h)^T x + wa and denom = h^T diag(neg) h w + w
-    # diag(adeg), where wa = alpha (w @ A), which the solver also reads for
-    # the penalty, and adeg = alpha * degree; None for both when the graph
-    # term is off. (diag(neg) h)^T is formed in C order, which BLAS
-    # multiplies faster than the transposed view.
+def _w_split(x, h, w, neg, wa, adeg):
+    # The W step's numerator (diag(neg) h)^T x + wa and denominator h^T
+    # diag(neg) h w + w diag(adeg), half the gradient's negative and positive
+    # parts; wa = alpha (w @ A) and adeg are None when the graph is off.
+    # (diag(neg) h)^T is formed in C order, which BLAS multiplies faster.
     hnt = np.multiply(h.T, neg, order="C")
     numer = hnt @ x
     denom = (hnt @ h) @ w
     if wa is not None:
         numer += wa
         denom += w * adeg
+    return numer, denom
+
+
+def _update_w(x, h, w, neg, wa, adeg) -> None:
+    # w <- max(w * numer / (denom + EPSILON), FLOOR) in w's buffer.
+    numer, denom = _w_split(x, h, w, neg, wa, adeg)
     denom += EPSILON
     w *= numer
     w /= denom
@@ -360,27 +361,35 @@ def _update_w(x, h, w, neg, wa, adeg) -> None:
 
 
 def dual_gradient_h(x, h, w, rho) -> np.ndarray:
-    """Gradient of dual_objective in h (the graph term does not touch h)."""
+    """Gradient of dual_objective in h (the graph term does not touch h):
+    2 diag(-rho) (hww - xw), from update_h's D x K products hww = h w w^T
+    and xw = x w^T. No D x N residual is formed.
+    """
     x, h, w, neg = _check_step(x, h, w, rho)
-    return 2.0 * ((neg[:, None] * (h @ w - x)) @ w.T)
+    xw, hww = _products(x, h, w)
+    return 2.0 * neg[:, None] * (hww - xw)
 
 
 def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None) -> np.ndarray:
-    """Gradient of dual_objective in w."""
-    x, h, w, neg = _check_step(x, h, w, rho, alpha, graph)
-    g = 2.0 * (h.T @ (neg[:, None] * (h @ w - x)))
-    if alpha > 0:
-        # w L = w diag(degree) - w A, without the N x N Laplacian.
-        g = g + 2.0 * alpha * (w * graph.degree[None, :] - _times_affinity(w, _product_plan(graph, w.shape[0])))
-    return g
+    """Gradient of dual_objective in w: 2 (denom - numer), update_w's
+    denominator h^T diag(-rho) h w + alpha w U (before EPSILON) and
+    numerator h^T diag(-rho) x + alpha w A, alpha folded in as solve folds
+    it. No D x N residual and no Laplacian is formed.
+    """
+    x, h, w, neg = _check_step(x, h, w, rho)
+    plan, adeg = _graph_terms(alpha, graph, *w.shape)
+    numer, denom = _w_split(x, h, w, neg, _times_affinity(w, plan), adeg)
+    return 2.0 * (denom - numer)
 
 
 def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = None):
     """Elementwise stationarity products (gradient/2 times the factor).
 
-    Both arrays vanish at a fixed point of the multiplicative updates:
-    each entry is either at an unconstrained stationary value or pinned
-    at the non-negativity boundary.
+    The H part is h * diag(-rho) (hww - xw) and the W part w * (denom -
+    numer), as the gradients form them: the fixed-point residual of each
+    multiplicative step. Both vanish at a fixed point of the updates: each
+    entry is either at an unconstrained stationary value or pinned at the
+    non-negativity boundary.
     """
     # The gradients check every argument; numpy promotes h and w as the checks do.
     return 0.5 * dual_gradient_h(x, h, w, rho) * h, 0.5 * dual_gradient_w(x, h, w, rho, alpha, graph) * w
@@ -465,21 +474,11 @@ def solve(
     -------
     Factorization
     """
-    x = _check_matrix(x, "x", nonneg=True)
-    d, n = x.shape
-    h = _check_matrix(h0, "h0")
-    w = _check_matrix(w0, "w0")
-    if h.shape != (d, cfg.k):
-        raise DataError(f"h0 shape {h.shape} does not match ({d}, {cfg.k})")
-    if w.shape != (cfg.k, n):
-        raise DataError(f"w0 shape {w.shape} does not match ({cfg.k}, {n})")
+    x, h, w = _check_factors(x, h0, w0, cfg.k, ("h0", "w0"))
     if np.any(h <= 0) or np.any(w <= 0):
         raise DataError("initializers must be strictly positive")
     h, w = h.copy(), w.copy()
-
-    alpha = cfg.graph_weight
-    _check_graph(alpha, graph, n)
-    plan, adeg = _graph_terms(alpha, graph, cfg.k)
+    plan, adeg = _graph_terms(cfg.graph_weight, graph, *w.shape)
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
 
@@ -492,7 +491,7 @@ def solve(
         low = _CANCEL * xsq
         xw, hww = _products(x, h, w)
         r2 = _gram_r2(x, h, w, xw, hww, xsq, low)
-    neg = np.ones(d)
+    neg = np.ones(x.shape[0])
     sigma = np.inf
     trace: list[float] = []
     iterates: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_iterates else None

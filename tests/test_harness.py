@@ -230,6 +230,17 @@ def bad_spec_payload(key, value):
     return payload
 
 
+@pytest.mark.parametrize("key", ["features_path", "labels_path"])
+def test_spec_refuses_a_dataset_path_that_is_not_a_string(tmp_path, key):
+    # from_json checks the dataset paths itself; a spec built in Python
+    # with a pathlib path or None is refused by the constructor.
+    paths = {"features_path": str(tmp_path / "x.csv"), "labels_path": str(tmp_path / "y.csv")}
+    for bad in (tmp_path / "x.csv", None):
+        with pytest.raises(DataError) as caught:
+            ExperimentSpec(**dict(paths, **{key: bad}), k_range=(2,), variants=({"variant": "l2"},))
+        assert str(caught.value) == f"spec key '{key}' must be a string, got {bad!r}"
+
+
 @pytest.mark.parametrize("key, value", BAD_SPEC_VALUES)
 def test_spec_checks_are_the_same_from_python_and_from_json(tmp_path, key, value):
     payload = bad_spec_payload(key, value)

@@ -125,6 +125,17 @@ def test_load_labels_rejects_values_outside_int64(tmp_path):
     assert load_labels(path).tolist() == [2**63 - 1, -(2**63)]
 
 
+def test_load_labels_skips_blank_lines_and_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text("\n3\n  \n1\n\n")
+    assert load_labels(path).tolist() == [3, 1]
+    for text in ("", "\n \n"):
+        path.write_text(text)
+        with pytest.raises(DataError) as caught:
+            load_labels(path)
+        assert str(caught.value) == f"{path}: empty label file"
+
+
 def reference_read_matrix(path, allow_negative=False):
     # The cell-by-cell reader read_matrix replaced, kept verbatim as the oracle.
     rows = []
