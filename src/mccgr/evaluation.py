@@ -118,7 +118,7 @@ def _lloyd(points, init):
     # flat form, which is also the key under which one bincount of the tiled
     # points sums it, the members one at a time in ascending point order.
     rows = (np.arange(r * d) * k).reshape(r, d, 1)
-    tiled = np.tile(points.ravel(), r) if d > 1 else None
+    tiled = np.tile(points.ravel(), r)
     live = np.arange(r)
     assign = None
     for _ in range(_MAX_ROUNDS):
@@ -135,22 +135,11 @@ def _lloyd(points, init):
                 live, new, counts, cent = live[go], new[go], counts[go], cent[go]
         assign = new
         a = len(live)
-        if d > 1:
-            sums = np.bincount(
-                (assign[:, None, :] + rows[:a]).ravel(), weights=tiled[: a * d * n], minlength=a * d * k
-            )
-            # A cluster the repair left empty keeps its centroid.
-            np.divide(sums.reshape(a, d, k), counts[:, None, :], out=cent, where=counts[:, None, :] > 0)
-        else:
-            # One-row points: numpy sums a row pairwise, so each centroid is
-            # its members' own sum, gathered by one stable sort.
-            grouped = points[:, np.argsort((assign + first[:a]).ravel(), kind="stable") % n]
-            end = 0
-            for i in range(a):
-                for j in range(k):
-                    start, end = end, end + counts[i, j]
-                    if start < end:
-                        cent[i, :, j] = grouped[:, start:end].sum(axis=1) / counts[i, j]
+        sums = np.bincount(
+            (assign[:, None, :] + rows[:a]).ravel(), weights=tiled[: a * d * n], minlength=a * d * k
+        )
+        # A cluster the repair left empty keeps its centroid.
+        np.divide(sums.reshape(a, d, k), counts[:, None, :], out=cent, where=counts[:, None, :] > 0)
     else:
         out_assign[live] = assign
         out_cent[live] = cent
@@ -174,11 +163,9 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = _RESTARTS) -> Clusteri
     every restart still moving at once, and a restart leaves the batch in
     the round that repeats its assignment. Results equal running the
     restarts one after another bit for bit. A centroid is its members' sum
-    divided by their count. With two or more rows the members are added
-    one at a time in ascending point order, by one bincount per round over
-    (restart, row, cluster) keys; that is the order in which
-    `points[:, members].mean(axis=1)` adds them. One-row points are summed
-    per cluster by numpy's pairwise row reduction, as that mean sums them.
+    divided by their count, the members added one at a time in ascending
+    point order, by one bincount per round over (restart, row, cluster)
+    keys.
     The batch costs memory: the distances are restarts x k x n float64s
     and a tiled copy of the points restarts x d x n, so with d = k and the
     default 10 restarts the peak is about 38 k x n float64s, against about

@@ -391,8 +391,18 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     entry is either at an unconstrained stationary value or pinned at the
     non-negativity boundary.
     """
-    # The gradients check every argument; numpy promotes h and w as the checks do.
-    return 0.5 * dual_gradient_h(x, h, w, rho) * h, 0.5 * dual_gradient_w(x, h, w, rho, alpha, graph) * w
+    # Half of each gradient as its function forms it, bit for bit: where a
+    # term is subnormal (a weight floored at the smallest double), halving
+    # twice it can round otherwise than forming it at once. The H part's
+    # products are let go before the graph's product plan is made, so the
+    # peak is no higher than either gradient's.
+    x, h, w, neg = _check_step(x, h, w, rho)
+    xw, hww = _products(x, h, w)
+    kkt_h = 0.5 * (2.0 * neg[:, None] * (hww - xw)) * h
+    del xw, hww
+    plan, adeg = _graph_terms(alpha, graph, *w.shape)
+    numer, denom = _w_split(x, h, w, neg, _times_affinity(w, plan), adeg)
+    return kkt_h, 0.5 * (2.0 * (denom - numer)) * w
 
 
 def _kl_ratio(x, v):

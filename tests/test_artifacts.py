@@ -25,12 +25,14 @@ as such, not as a code change.
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+import mccgr
 from mccgr import VARIANTS, make_synthetic, save_csv, save_labels
 from mccgr.cli import main as cli_main
 from mccgr.graph import MODES
@@ -141,6 +143,28 @@ def test_cli_artifacts_match_the_manifest(tmp_path, capsys):
     got = cli_digests(tmp_path)
     capsys.readouterr()
     check("cli", got)
+
+
+def test_both_manifests_match_with_blas_at_one_thread(tmp_path):
+    # The suite runs numpy at its default thread count, while the benchmark
+    # pins BLAS to one thread, under which a product can round otherwise and
+    # the experiment's cells run in worker processes. A fresh pinned process
+    # checks both manifests there.
+    here = Path(__file__).resolve().parent
+    src = Path(mccgr.__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), str(here), os.environ.get("PYTHONPATH")) if p)
+    script = (
+        "import os, sys, test_artifacts as t\n"
+        "for name, make in t.PINNED.items():\n"
+        "    work = os.path.join(sys.argv[1], name)\n"
+        "    os.mkdir(work)\n"
+        "    t.check(name, make(work))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 if __name__ == "__main__":

@@ -84,8 +84,9 @@ def reference_sq_dist(points, centroids):
 
 
 def reference_lloyd(points, init_idx, max_rounds=300):
-    # Lloyd rounds with a scan per cluster for empties and a boolean gather
-    # and mean per centroid.
+    # Lloyd rounds with a scan per cluster for empties, and each centroid
+    # its members' sum, added one at a time in ascending point order, over
+    # their count.
     n = points.shape[1]
     k = len(init_idx)
     centroids = points[:, init_idx].copy()
@@ -106,9 +107,12 @@ def reference_lloyd(points, init_idx, max_rounds=300):
             break
         assign = new_assign
         for j in range(k):
-            members = assign == j
-            if np.any(members):
-                centroids[:, j] = points[:, members].mean(axis=1)
+            members = np.flatnonzero(assign == j)
+            if len(members):
+                total = np.zeros(points.shape[0])
+                for i in members:
+                    total += points[:, i]
+                centroids[:, j] = total / len(members)
     inertia = float(np.sum((points - centroids[:, assign]) ** 2))
     return assign, centroids, inertia
 
@@ -164,10 +168,8 @@ def test_kmeans_matches_reference_on_tie_heavy_points(problem):
 )
 def test_kmeans_matches_reference_on_real_points(seed, d, n, k, restarts):
     # Non-integer coordinates make the centroid sums depend on summation
-    # order: with two or more rows the members are added one at a time in
-    # ascending order, and only one-row points, drawn here about a quarter
-    # of the time, reach numpy's unrolled and recursive pairwise sums past 8
-    # and 128 members. Columns repeat through the draw.
+    # order, one-row points (drawn here about a quarter of the time)
+    # included. Columns repeat through the draw.
     rng = np.random.default_rng(seed)
     base = rng.random((d, n)) + 3.0 * rng.integers(0, 3, size=n)[None, :]
     points = base[:, rng.integers(0, n, size=n)]
@@ -189,14 +191,32 @@ def test_kmeans_repair_that_empties_a_later_cluster():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 4), restarts=st.integers(1, 4))
 def test_kmeans_matches_reference_on_one_row_points_with_large_clusters(seed, k, restarts):
-    # numpy sums a row of one-row points pairwise: in blocks of eight past 8
-    # members and recursively past 128. Groups of 9-300 members, 10 apart,
-    # give clusters of those sizes.
+    # Groups of 9-300 members, 10 apart, give clusters of those sizes: past
+    # 8 and 128 members numpy's own row sum of one-row points would go
+    # pairwise, in blocks of eight and then recursively, and differ from the
+    # ascending sum.
     rng = np.random.default_rng(seed)
     sizes = rng.integers(9, 301, size=k)
     values = np.repeat(10.0 * np.arange(k), sizes) + rng.random(sizes.sum())
     points = values[None, rng.permutation(sizes.sum())]
     assert_kmeans_matches_reference(points, k, seed, restarts)
+
+
+def test_kmeans_one_row_centroid_is_the_ascending_sum_over_the_count():
+    # A cluster of 200 members, past the 128 at which numpy's own row sum of
+    # one-row points turns recursive pairwise, whose pairwise sum differs
+    # from the ascending one, beside a cluster of 20 far from it.
+    rng = np.random.default_rng(1)
+    points = np.concatenate([rng.random(200), 10.0 + rng.random(20)])[None, :]
+    result = kmeans(points, 2, seed=0)
+    big = int(result.assignments[0])
+    assert np.array_equal(result.assignments, np.repeat([big, 1 - big], [200, 20]))
+    for j in range(2):
+        total = 0.0
+        for i in np.flatnonzero(result.assignments == j):
+            total += points[0, i]
+        assert result.centroids[0, j] == total / np.count_nonzero(result.assignments == j)
+    assert np.sum(points[0, :200]) / 200 != result.centroids[0, big]
 
 
 def converges_within(points, init_idx, rounds):

@@ -394,20 +394,21 @@ def test_kkt_products_vanish_at_fixed_point():
     assert np.max(np.abs(pw)) < gate
 
 
-def test_kkt_products_checks_its_arguments_once_per_gradient(monkeypatch):
-    # The two public gradients check every argument; kkt_products adds no
-    # third check of its own.
+def test_kkt_products_checks_its_arguments_once(monkeypatch):
+    # One check of the step arguments and one of the graph arguments serve
+    # both parts.
     calls = []
-    check = mccgr.factorization._check_step
+    for name in ("_check_step", "_graph_terms"):
+        original = getattr(mccgr.factorization, name)
 
-    def counted(*args):
-        calls.append(args)
-        return check(*args)
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(mccgr.factorization, "_check_step", counted)
+        monkeypatch.setattr(mccgr.factorization, name, counted)
     x, h, w = random_instance(np.random.default_rng(18))
     kkt_products(x, h, w, -np.ones(8))
-    assert len(calls) == 2
+    assert sorted(calls) == ["_check_step", "_graph_terms"]
 
 
 def test_solver_config_validation():
