@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError, _check_count, _check_matrix, _check_real, _check_shape
-from .graph import AffinityGraph, _penalty, _product_plan, _times_affinity
+from .graph import AffinityGraph, _graph_terms, _penalty, _times_affinity
 
 __all__ = [
     "EPSILON",
@@ -242,23 +242,6 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     xsq = np.einsum("ij,ij->i", x, x)
     r2 = _gram_r2(x, h, w, *_products(x, h, w), xsq, _CANCEL * xsq)
     return _objective(neg, r2, w, _times_affinity(w, plan), adeg)
-
-
-def _graph_terms(alpha, graph, k, n):
-    # The graph term with alpha folded in, formed once per solve: the arrays
-    # of alpha (w @ A) for a (k, n) w, and alpha * degree; None and None when
-    # the term is off (_times_affinity gives None for a None plan). The one
-    # check of the graph arguments: alpha is a finite real >= 0 (a NaN would
-    # skip the graph), and the graph, read only if alpha > 0, spans n samples.
-    _check_real("alpha", alpha, 0)
-    if not alpha > 0:
-        return None, None
-    if graph is None:
-        raise DataError("alpha > 0 requires an affinity graph")
-    if graph.n != n:
-        raise DataError(f"graph size {graph.n} does not match sample count {n}")
-    cols, bins, data = _product_plan(graph, k)
-    return (cols, bins, alpha * data), alpha * graph.degree
 
 
 def _objective(neg, r2, w, wa, adeg) -> float:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, _check_count, _check_matrix, _float_array
+from .errors import DataError, _check_count, _check_matrix, _check_real, _float_array
 
 __all__ = ["AffinityGraph", "build_knn_affinity", "graph_penalty", "laplacian"]
 
@@ -219,29 +219,43 @@ def graph_penalty(w, graph: AffinityGraph) -> float:
     Equals half the affinity-weighted sum of squared distances between
     coefficient columns. Computed as sum_n deg_n ||w_n||^2 - <W, W A>, with
     w_n the n-th column of W, so only the K x N product W A is formed and no
-    Laplacian; clipped at zero against roundoff.
+    Laplacian; clipped at zero against roundoff. The graph is checked as the
+    solver checks it, with the same messages: it must be given and span W's
+    N columns.
     """
     w = _check_matrix(w, "w")
-    if w.shape[1] != graph.n:
-        raise DataError(
-            f"coefficient matrix shape {w.shape} does not match graph size {graph.n}"
-        )
-    return _penalty(w, _times_affinity(w, _product_plan(graph, w.shape[0])), graph.degree)
+    plan, degree = _graph_terms(1.0, graph, *w.shape)
+    return _penalty(w, _times_affinity(w, plan), degree)
 
 
-def _product_plan(graph: AffinityGraph, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The arrays of W A for a K x N matrix W, formed once per solve. Entry e
-    # of the affinity, at row i and column j, adds data[e] W[r, j] to
-    # (W A)[r, i], since A is symmetric: cols holds each entry's j, data its
-    # weight, bins the flat target r N + i for each r in turn. The entries
-    # go by their place within their row: every row's first entry, then
-    # every second one, and so on. Each target still adds its terms in
-    # storage order, and consecutive terms go to different targets, which
-    # bincount adds faster than a run of terms on one target.
+def _graph_terms(alpha, graph, k, n):
+    # The graph term with alpha folded in, formed once per solve: the plan of
+    # alpha (w @ A) for a (k, n) w, and alpha * degree; None and None when the
+    # term is off (_times_affinity gives None for a None plan). The one check
+    # of the graph arguments, with one message per rule, for graph_penalty,
+    # solve and the public steps alike: alpha is a finite real >= 0 (a NaN
+    # would skip the graph), and the graph, read only if alpha > 0, is given
+    # and spans n samples.
+    #
+    # Only this module reads the plan; callers hand it to _times_affinity.
+    # Its arrays: entry e of the affinity, at row i and column j, adds
+    # data[e] w[r, j] to (w @ A)[r, i], since A is symmetric: cols holds each
+    # entry's j, data its weight times alpha, bins the flat target r n + i for
+    # each r in turn. The entries go by their place within their row: every
+    # row's first entry, then every second one, and so on. Each target still
+    # adds its terms in storage order, and consecutive terms go to different
+    # targets, which bincount adds faster than a run of terms on one target.
+    _check_real("alpha", alpha, 0)
+    if not alpha > 0:
+        return None, None
+    if graph is None:
+        raise DataError("alpha > 0 requires an affinity graph")
+    if graph.n != n:
+        raise DataError(f"graph size {graph.n} does not match sample count {n}")
     a = graph.affinity
     order = np.argsort(np.arange(a.nnz) - a.indptr[a.rows], kind="stable")
-    bins = (np.arange(k)[:, None] * graph.n + a.rows[order]).ravel()
-    return a.indices[order], bins, a.data[order]
+    bins = (np.arange(k)[:, None] * n + a.rows[order]).ravel()
+    return (a.indices[order], bins, alpha * a.data[order]), alpha * graph.degree
 
 
 def _times_affinity(w, plan) -> np.ndarray | None:

@@ -167,9 +167,10 @@ def test_no_module_imports_a_private_name_from_factorization():
 
 
 def test_only_factorization_imports_private_names_from_graph():
-    # The affinity's flat codes stay inside graph: the solver imports the
-    # product kernel and the penalty, and no other module reaches in.
-    allowed = {"factorization": {"_penalty", "_product_plan", "_times_affinity"}}
+    # The affinity's flat codes and the W A plan's layout stay inside graph:
+    # the solver imports the graph terms, the product kernel and the penalty,
+    # and no other module reaches in.
+    allowed = {"factorization": {"_graph_terms", "_penalty", "_times_affinity"}}
     for name, tree in library_trees().items():
         private = {
             alias.name

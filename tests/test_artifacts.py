@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mccgr
 from mccgr import VARIANTS, make_synthetic, save_csv, save_labels
@@ -145,14 +146,22 @@ def test_cli_artifacts_match_the_manifest(tmp_path, capsys):
     check("cli", got)
 
 
-def test_both_manifests_match_with_blas_at_one_thread(tmp_path):
-    # The suite runs numpy at its default thread count, while the benchmark
-    # pins BLAS to one thread, under which a product can round otherwise and
-    # the experiment's cells run in worker processes. A fresh pinned process
-    # checks both manifests there.
+@pytest.mark.parametrize(
+    "threads",
+    [1, pytest.param(2, marks=pytest.mark.skipif(
+        len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two allowed CPUs"
+    ))],
+)
+def test_both_manifests_match_at_each_blas_thread_count(tmp_path, threads):
+    # The suite runs numpy at its default thread count, which is one on a
+    # one-CPU host, while the benchmark pins BLAS to one thread, under which
+    # a product can round otherwise and the experiment's cells run in worker
+    # processes. A fresh process pinned to each count checks both manifests
+    # there. OpenBLAS runs no more threads than the process has CPUs, so the
+    # two-thread case needs two.
     here = Path(__file__).resolve().parent
     src = Path(mccgr.__file__).resolve().parents[1]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), str(here), os.environ.get("PYTHONPATH")) if p)
     script = (
         "import os, sys, test_artifacts as t\n"

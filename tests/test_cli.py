@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, file outputs, exit codes."""
 
+import csv
 import inspect
 import json
 from dataclasses import fields
@@ -121,6 +122,50 @@ def test_experiment_command(tmp_path, capsys):
     for name in ("accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json"):
         assert (out_dir / name).is_file()
     assert "report written" in capsys.readouterr().out
+
+
+def test_the_cli_runs_the_experiments_protocol(tmp_path):
+    # With k the class count a cell holds every column in order, so run r of
+    # a spec entry is `factorize` with the entry's settings at seed
+    # base_seed + r, then `eval` of its W at that seed: the same trace
+    # bytes, and the same scores as runs.csv writes them. The classes
+    # overlap, so each run scores its own nmi.
+    x, y = make_synthetic(3, 12, 20, noise="heavy", seed=0, separation=1.0, spread=0.5)
+    save_csv(x, tmp_path / "x.csv")
+    save_labels(y, tmp_path / "y.csv")
+    entries = {
+        "mccgr": {"variant": "mccgr", "alpha": 10.0, "theta": 2.0, "max_iter": 30},
+        "kl": {"variant": "kl", "max_iter": 30},
+        "mcc": {"variant": "mcc", "theta": 0.5, "max_iter": 30, "tol": 0.0},
+    }
+    spec = {
+        "dataset": {"features": "x.csv", "labels": "y.csv"},
+        "k_range": [3],
+        "variants": list(entries.values()),
+        "repeats": 2,
+        "base_seed": 5,
+        "knn": 4,
+        "knn_mode": "symmetrized",
+    }
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    report = tmp_path / "report"
+    assert main(["experiment", "--spec", str(tmp_path / "spec.json"), "--out-dir", str(report)]) == 0
+    with open(report / "runs.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len({row["nmi"] for row in rows}) == 6
+    for row in rows:
+        entry, seed = entries[row["variant"]], str(5 + int(row["repeat"]))
+        settings = [arg for key, value in entry.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
+        w, trace, scores = tmp_path / "w.csv", tmp_path / "t.csv", tmp_path / "eval.json"
+        assert main([
+            "factorize", "--input", str(tmp_path / "x.csv"), "--k", "3", "--knn", "4", "--knn-mode", "symmetrized",
+            *settings, "--seed", seed, "--out-h", str(tmp_path / "h.csv"), "--out-w", str(w), "--trace", str(trace),
+        ]) == 0
+        assert trace.read_bytes() == (report / "traces" / f"{row['variant']}_k3_r{row['repeat']}.csv").read_bytes()
+        assert main(["eval", "--w", str(w), "--labels", str(tmp_path / "y.csv"), "--k", "3", "--seed", seed,
+                     "--out", str(scores)]) == 0
+        payload = json.loads(scores.read_text())
+        assert (repr(payload["accuracy"]), repr(payload["nmi"])) == (row["accuracy"], row["nmi"])
 
 
 def test_factorize_defaults_and_choices_are_solver_configs():

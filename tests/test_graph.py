@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from mccgr import AffinityGraph, DataError, build_knn_affinity, graph_penalty, laplacian
-from mccgr.graph import _BLOCK, MODES, CSRMatrix, _neighbor_lists, _product_plan, _times_affinity
+from mccgr import AffinityGraph, DataError, build_knn_affinity, graph_penalty, laplacian, save_csv
+from mccgr.cli import main as cli_main
+from mccgr.graph import _BLOCK, MODES, CSRMatrix, _graph_terms, _neighbor_lists, _times_affinity
 
 
 def brute_force_neighbors(x, k):
@@ -164,6 +165,36 @@ def test_penalty_rejects_mismatched_width():
     g = build_knn_affinity(x, 2, "mutual")
     with pytest.raises(DataError):
         graph_penalty(np.ones((2, 5)), g)
+
+
+def test_penalty_checks_the_graph_as_the_solver_does():
+    # One rule and one message for the graph arguments, the solver's.
+    g = build_knn_affinity(np.random.default_rng(7).random((3, 8)), 2, "mutual")
+    with pytest.raises(DataError, match=r"^graph size 8 does not match sample count 5$"):
+        graph_penalty(np.ones((2, 5)), g)
+    with pytest.raises(DataError, match=r"^alpha > 0 requires an affinity graph$"):
+        graph_penalty(np.ones((2, 8)), None)
+
+
+def test_csr_sum_is_the_sum_of_the_stored_weights(tmp_path, capsys):
+    # A binary graph's weight sum is twice its edge count, as `mccgr graph`
+    # prints it; a weighted one's is its data's sum, which adds the entries
+    # in another order than the dense form's sum, so the two agree to rounding.
+    x = np.random.default_rng(8).random((4, 30))
+    save_csv(x, tmp_path / "x.csv")
+    for mode in MODES:
+        a = build_knn_affinity(x, 4, mode).affinity
+        assert a.sum() == a.data.sum() == a.toarray().sum()
+        argv = ["graph", "--input", str(tmp_path / "x.csv"), "--knn", "4", "--knn-mode", mode]
+        assert cli_main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        printed = capsys.readouterr().out.split()
+        assert printed[:2] == ["30", "samples,"] and printed[3:] == ["edges", f"({mode})"]
+        assert a.nnz > 0 and a.sum() == 2 * int(printed[2])
+    rng = np.random.default_rng(9)
+    dense = np.triu(rng.random((12, 12)) * (rng.random((12, 12)) < 0.5), 1)
+    a = AffinityGraph(affinity=dense + dense.T).affinity
+    assert a.nnz > 0 and a.sum() == a.data.sum()
+    assert a.sum() == pytest.approx(a.toarray().sum(), rel=1e-14)
 
 
 def argsort_affinity(x, k, mode):
@@ -398,7 +429,7 @@ def same_as_scipy(graph, ref):
 
 
 def product_matches_scipy(graph, ref, w):
-    got = _times_affinity(w, _product_plan(graph, w.shape[0]))
+    got = _times_affinity(w, _graph_terms(1.0, graph, *w.shape)[0])
     assert got.flags.c_contiguous
     assert got.tobytes() == np.ascontiguousarray((ref @ w.T).T).tobytes()
 

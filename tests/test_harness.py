@@ -1149,6 +1149,36 @@ def test_a_process_with_threads_is_not_single_threaded():
         thread.join()
 
 
+def test_a_process_whose_threads_cannot_be_listed_runs_its_cells_in_process(tmp_path, monkeypatch):
+    # Where the kernel's thread list cannot be read, the process is taken
+    # to have threads, so it does not fork.
+    spec = small_spec(tmp_path)
+    want = run_experiment(spec)
+    real = mccgr.harness._single_threaded
+    pools = two_workers(monkeypatch)
+    monkeypatch.setattr(mccgr.harness, "_single_threaded", real)
+    listdir, refused = os.listdir, []
+
+    def unlistable(path="."):
+        if path == "/proc/self/task":
+            refused.append(path)
+            raise PermissionError(path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", unlistable)
+    assert real() is False
+    got = run_experiment(spec)
+    assert len(refused) == 2
+    assert pools == []
+    assert got[0] == want[0]
+    assert [astuple(replace(rec, trace=None)) for rec in got[1]] == [astuple(replace(rec, trace=None)) for rec in want[1]]
+
+
+def test_a_warning_names_the_loaded_module_whose_file_raised_it(tmp_path):
+    assert mccgr.harness._module_of(mccgr.harness.__file__) == ("mccgr.harness", vars(mccgr.harness))
+    assert mccgr.harness._module_of(str(tmp_path / "no_module.py")) == (None, None)
+
+
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two allowed CPUs")
 def test_a_process_whose_blas_threads_a_fork_joined_is_not_single_threaded():
     # OpenBLAS, not set to one thread, joins its threads at a fork and starts
