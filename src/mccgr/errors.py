@@ -20,8 +20,9 @@ class DataError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A computation left the representable regime: a non-finite objective
-    or an undefined divergence."""
+    """A computation left the representable regime: a non-finite objective,
+    an undefined divergence, or a numpy divide by zero, overflow or invalid
+    operation in solve or k-means, raised where it happens."""
 
 
 def _check_number(name, value, kind):

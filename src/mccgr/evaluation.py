@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _check_count, _check_labels, _check_matrix
+from .errors import DataError, NumericalError, _check_count, _check_labels, _check_matrix
 
 __all__ = [
     "Clustering",
@@ -109,7 +109,6 @@ def _lloyd(points, init):
     # in the round that assigns as the last one did, keeping its repairs.
     d, n = points.shape
     r, k = init.shape
-    p2 = np.sum(points * points, axis=0)
     cent = points[:, init].transpose(1, 0, 2).copy()
     out_assign = np.empty((r, n), dtype=np.intp)
     out_cent = np.empty_like(cent)
@@ -121,33 +120,39 @@ def _lloyd(points, init):
     tiled = np.tile(points.ravel(), r)
     live = np.arange(r)
     assign = None
-    for _ in range(_MAX_ROUNDS):
-        new, counts = _nearest(points, p2, cent, first)
-        if assign is not None:
-            stop = (new == assign).all(axis=1)
-            if stop.any():
-                done = live[stop]
-                out_assign[done] = new[stop]
-                out_cent[done] = cent[stop]
-                if len(done) == len(live):
-                    break
-                go = ~stop
-                live, new, counts, cent = live[go], new[go], counts[go], cent[go]
-        assign = new
-        a = len(live)
-        sums = np.bincount(
-            (assign[:, None, :] + rows[:a]).ravel(), weights=tiled[: a * d * n], minlength=a * d * k
-        )
-        # A cluster the repair left empty keeps its centroid.
-        np.divide(sums.reshape(a, d, k), counts[:, None, :], out=cent, where=counts[:, None, :] > 0)
-    else:
-        out_assign[live] = assign
-        out_cent[live] = cent
-    # Each restart's residual as one (d, n) block, summed as a whole; its
-    # sign does not change the squares.
-    resid = np.take(out_cent, rows + out_assign[:, None, :])
-    resid -= points
-    return out_assign, out_cent, np.sum(np.square(resid, out=resid), axis=(1, 2))
+    rounds = 0
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            p2 = np.sum(points * points, axis=0)
+            for rounds in range(_MAX_ROUNDS):
+                new, counts = _nearest(points, p2, cent, first)
+                if assign is not None:
+                    stop = (new == assign).all(axis=1)
+                    if stop.any():
+                        done = live[stop]
+                        out_assign[done] = new[stop]
+                        out_cent[done] = cent[stop]
+                        if len(done) == len(live):
+                            break
+                        go = ~stop
+                        live, new, counts, cent = live[go], new[go], counts[go], cent[go]
+                assign = new
+                a = len(live)
+                sums = np.bincount(
+                    (assign[:, None, :] + rows[:a]).ravel(), weights=tiled[: a * d * n], minlength=a * d * k
+                )
+                # A cluster the repair left empty keeps its centroid.
+                np.divide(sums.reshape(a, d, k), counts[:, None, :], out=cent, where=counts[:, None, :] > 0)
+            else:
+                out_assign[live] = assign
+                out_cent[live] = cent
+            # Each restart's residual as one (d, n) block, summed as a whole; its
+            # sign does not change the squares.
+            resid = np.take(out_cent, rows + out_assign[:, None, :])
+            resid -= points
+            return out_assign, out_cent, np.sum(np.square(resid, out=resid), axis=(1, 2))
+    except FloatingPointError as exc:
+        raise NumericalError(f"k-means: {exc} at iteration {rounds}") from exc
 
 
 def kmeans(points, k: int, seed: int = 0, restarts: int = _RESTARTS) -> Clustering:
@@ -170,6 +175,10 @@ def kmeans(points, k: int, seed: int = 0, restarts: int = _RESTARTS) -> Clusteri
     and a tiled copy of the points restarts x d x n, so with d = k and the
     default 10 restarts the peak is about 38 k x n float64s, against about
     6 for restarts run one at a time.
+
+    A numpy divide by zero, overflow or invalid operation raises
+    NumericalError where it happens, naming k-means and the round, 0 for
+    the start; underflow is not a fault.
     """
     return _kmeans(_check_matrix(points, "points"), k, seed, restarts)
 
@@ -347,7 +356,8 @@ def _nmi(table) -> float:
 
 def evaluate(w, true_labels, k: int, seed: int = 0) -> EvalReport:
     """Cluster the columns of w with kmeans, at its default restart count,
-    and score the clustering against the true labels."""
+    and score the clustering against the true labels. A floating-point
+    fault in kmeans is its NumericalError, not a score."""
     true_labels = _check_labels(true_labels, "true labels")
     w = _check_matrix(w, "w")
     if w.shape[1] != true_labels.shape[0]:

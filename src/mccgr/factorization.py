@@ -159,7 +159,9 @@ def _kl_divergence(x, c, h, w, v, log_v, hs, ws) -> float:
     # entries of x add 0 to <x, log v> as long as log v is finite, which
     # fails only where h @ w underflows to 0. Factors floored at FLOOR cannot
     # get there, a start can: then the sum over the positive entries
-    # decides.
+    # decides. The value is a difference of large terms, so on an exact fit
+    # it can read slightly below 0 (-9.1e-12 at sum(x) = 4.9e3, 2e-15 of
+    # it). It is not clamped: the stop rule divides each change by trace[0].
     np.matmul(h, w, out=v)
     with np.errstate(divide="ignore"):
         np.log(v, out=log_v)
@@ -436,7 +438,11 @@ def solve(
     initializers, falls below cfg.tol, or when cfg.max_iter is reached.
     Entry 0 of the trace, the objective at the initializers, is checked like
     every later entry, so a start whose objective is not finite is a
-    NumericalError. EPSILON guards every denominator and floors sigma.
+    NumericalError. So is a numpy divide by zero, overflow or invalid
+    operation, raised where it happens, not passed on as a RuntimeWarning;
+    underflow is not a fault. Each such error names the variant and the
+    iteration, 0 for the start. EPSILON guards every denominator and floors
+    sigma.
 
     h and w are updated in their own buffers, copies of h0 and w0. After
     each W step, and at the start, the squared-error variants form the
@@ -474,61 +480,67 @@ def solve(
     plan, adeg = _graph_terms(cfg.graph_weight, graph, *w.shape)
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
-
-    if kl:
-        c, log_v = _kl_start(x)
-        v = np.empty_like(x)
-        hs, ws = h.sum(axis=0), w.sum(axis=1)
-    else:
-        xsq = np.einsum("ij,ij->i", x, x)
-        low = _CANCEL * xsq
-        xw, hww = _products(x, h, w)
-        r2 = _gram_r2(x, h, w, xw, hww, xsq, low)
     neg = np.ones(x.shape[0])
     sigma = np.inf
     trace: list[float] = []
     iterates: list[tuple[np.ndarray, np.ndarray]] | None = [] if record_iterates else None
     converged = False
-    # Iteration 0 evaluates the initializers: its E-step is the one the first
-    # M-step uses, and its objective is the scale of every later change.
-    for iterations in range(cfg.max_iter + 1):
-        if live_rho:
-            sigma = _sigma(r2, cfg.theta)
-            neg = -_rho(r2, sigma)
-        if iterations:
+    iterations = 0
+    # Underflow is no fault: rho's exp underflows by design. An overflow
+    # inside BLAS sets no flag, so the objective is checked as well.
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
             if kl:
-                hs, ws = _kl_step(x, h, w, v, ws)
+                c, log_v = _kl_start(x)
+                v = np.empty_like(x)
+                hs, ws = h.sum(axis=0), w.sum(axis=1)
             else:
-                _update_h(h, xw, hww)
-                _update_w(x, h, w, neg, wa, adeg)
+                xsq = np.einsum("ij,ij->i", x, x)
+                low = _CANCEL * xsq
                 xw, hww = _products(x, h, w)
                 r2 = _gram_r2(x, h, w, xw, hww, xsq, low)
-        if kl:
-            value = _kl_divergence(x, c, h, w, v, log_v, hs, ws)
-        else:
-            wa = _times_affinity(w, plan)
-            value = _objective(neg, r2, w, wa, adeg)
-        if not math.isfinite(value):
-            raise NumericalError(f"objective became non-finite at iteration {iterations}")
-        trace.append(value)
-        if not iterations:
-            continue
-        if iterates is not None:
-            iterates.append((h.copy(), w.copy()))
-        # Per-iteration change is judged against the starting objective, not
-        # the current one: objectives with a zero infimum shrink geometrically
-        # forever, so a change relative to the previous value would never
-        # settle even at machine-precision reconstructions.
-        diff = abs(value - trace[-2])
-        if diff == 0.0:
-            rel = 0.0
-        elif trace[0] == 0.0:
-            rel = np.inf
-        else:
-            rel = diff / abs(trace[0])
-        if rel < cfg.tol:
-            converged = True
-            break
+            # Iteration 0 evaluates the initializers: its E-step is the one the first
+            # M-step uses, and its objective is the scale of every later change.
+            for iterations in range(cfg.max_iter + 1):
+                if live_rho:
+                    sigma = _sigma(r2, cfg.theta)
+                    neg = -_rho(r2, sigma)
+                if iterations:
+                    if kl:
+                        hs, ws = _kl_step(x, h, w, v, ws)
+                    else:
+                        _update_h(h, xw, hww)
+                        _update_w(x, h, w, neg, wa, adeg)
+                        xw, hww = _products(x, h, w)
+                        r2 = _gram_r2(x, h, w, xw, hww, xsq, low)
+                if kl:
+                    value = _kl_divergence(x, c, h, w, v, log_v, hs, ws)
+                else:
+                    wa = _times_affinity(w, plan)
+                    value = _objective(neg, r2, w, wa, adeg)
+                if not math.isfinite(value):
+                    raise NumericalError(f"{cfg.variant}: objective became non-finite at iteration {iterations}")
+                trace.append(value)
+                if not iterations:
+                    continue
+                if iterates is not None:
+                    iterates.append((h.copy(), w.copy()))
+                # Per-iteration change is judged against the starting objective, not
+                # the current one: objectives with a zero infimum shrink geometrically
+                # forever, so a change relative to the previous value would never
+                # settle even at machine-precision reconstructions.
+                diff = abs(value - trace[-2])
+                if diff == 0.0:
+                    rel = 0.0
+                elif trace[0] == 0.0:
+                    rel = np.inf
+                else:
+                    rel = diff / abs(trace[0])
+                if rel < cfg.tol:
+                    converged = True
+                    break
+    except FloatingPointError as exc:
+        raise NumericalError(f"{cfg.variant}: {exc} at iteration {iterations}") from exc
     return Factorization(
         h=h,
         w=w,

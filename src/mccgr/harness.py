@@ -9,9 +9,11 @@ every variant from those identical starting conditions. An alpha sweep adds
 the first mccgr entry at each sweep alpha as more runs of the k=2 cells.
 run_experiment is the one way to run a spec: it sets each cell up once and
 solves each distinct run in it once, a run the grid and the sweep share
-included. The cells may run in worker processes; their records and their
-warnings come back in cell order, so every output is the same as in one
-process, and no worker outlives the call.
+included. The cells may run in worker processes; their records come back
+in cell order, so every output is the same as in one process, and no worker
+outlives the call. A floating-point fault in a run is a NumericalError, so
+it comes back as that run's failed record; any other warning a worker
+raises stays that worker's own.
 Each run's outcome, a failed run's included, lands in a RunRecord; the
 spec's variant order, per-(variant, k) means and deviations and the
 sweep's mean accuracy per alpha over the runs that succeeded, and the
@@ -32,8 +34,6 @@ import multiprocessing
 import numbers
 import os
 import re
-import sys
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 
@@ -250,24 +250,26 @@ def run_experiment(spec: ExperimentSpec):
     a run the grid and the sweep share included.
 
     The cells are independent, so they may run in worker processes, one
-    per CPU this process may use and at most one per cell. Their records,
-    and the warnings they raise, come back in cell order, so the returned
-    values and the warnings are the same whatever the worker count: under
-    the default filter a warning every cell raises shows once, as in one
-    process. No worker outlives the call.
+    per CPU this process may use and at most one per cell. Their records
+    come back in cell order, so the returned values are the same whatever
+    the worker count. A warning raised in a worker goes to that worker's
+    stderr, not to the caller's filters; solve and evaluate raise each
+    floating-point fault as a NumericalError, which comes back as a failed
+    record. No worker outlives the call.
 
     Returns (AggregateReport, list[RunRecord]), a record per grid run in
     cell order. AggregateReport.sweep holds (alpha, mean k=2 accuracy) in
     ascending alpha order, and is empty when the spec lists no sweep
-    values. A run that fails with NumericalError is a record with that
-    status, and the other runs go on: the means read only the records
-    whose status is "ok", a sweep alpha with none has mean None, and
-    AggregateReport.failed counts the rest. Every input of a cell is
-    checked before the first run, so any other exception, a DataError
-    included, is a programming error and propagates, from a worker too,
-    and the cells not yet started are dropped. A k above the labels'
-    category count, or a knn not below the sample count of a cell that
-    builds a graph, is a DataError raised before the first run.
+    values. A run that fails with NumericalError, a floating-point fault
+    included, is a record with that status, and the other runs go on: the
+    means read only the records whose status is "ok", a sweep alpha with
+    none has mean None, and AggregateReport.failed counts the rest. Every
+    input of a cell is checked before the first run, so any other
+    exception, a DataError included, is a programming error and
+    propagates, from a worker too, and the cells not yet started are
+    dropped. A k above the labels' category count, or a knn not below the
+    sample count of a cell that builds a graph, is a DataError raised
+    before the first run.
     """
     data = read_matrix(spec.features_path)
     labels = load_labels(spec.labels_path)
@@ -352,25 +354,6 @@ def _solve_cell(cell):
     return [RunRecord(variant=name, k=k, repeat=repeat, init_hash=init_hash, **solved[astuple(cfg)]) for name, cfg in runs]
 
 
-def _recording(cell):
-    # _solve_cell(cell) in a worker, and each warning it raised, as
-    # warn_explicit's (message, category, filename, lineno), for the parent
-    # to re-emit: a worker's own warnings go nowhere the caller sees.
-    with warnings.catch_warnings(record=True) as caught:
-        records = _solve_cell(cell)
-    return records, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _module_of(filename):
-    # The loaded module whose file a re-emitted warning names, as (name,
-    # globals), so that filters match it by its name as where it was
-    # raised; (None, None) when no loaded module has that file.
-    for module in list(sys.modules.values()):
-        if getattr(module, "__file__", None) == filename:
-            return module.__name__, vars(module)
-    return None, None
-
-
 def _workers(cells: int) -> int:
     # One worker per CPU this process may run on, and no more than there
     # are cells; one where the platform cannot tell which CPUs those are.
@@ -398,39 +381,31 @@ def _single_threaded() -> bool:
 
 def _solve_cells(cells, count: int):
     # Yields each of the count cells' records, in cell order. The cells run
-    # in this process, their warnings raised as they happen, for one worker
-    # or when the process has more than one thread (numpy's default
-    # OpenBLAS starts its own at import, and after a fork at
-    # _single_threaded's product; with OPENBLAS_NUM_THREADS=1 it does not),
-    # since forking a threaded process risks a deadlock. Else they run in a
-    # pool that forks, so workers start with numpy and the library already
-    # imported; spawned workers import them afresh, which made a grid pass
-    # slower than in one process. Cells are submitted two per worker ahead
-    # of the one consumed, so the parent holds that many cells' data, not
-    # the whole grid's. Before a cell's records are yielded, the warnings
-    # it raised in its worker are re-emitted under their module's name
-    # (_module_of) and with one registry per call, so under the default
-    # filter a warning every cell raises shows once, as in this process.
-    # The pool is shut down and its workers joined when the cells run out,
-    # a worker raises or the generator is closed; the cells submitted but
-    # not started are then dropped, not waited for.
+    # in this process for one worker or when the process has more than one
+    # thread (numpy's default OpenBLAS starts its own at import, and after
+    # a fork at _single_threaded's product; with OPENBLAS_NUM_THREADS=1 it
+    # does not), since forking a threaded process risks a deadlock. Else
+    # they run in a pool that forks, so workers start with numpy and the
+    # library already imported; spawned workers import them afresh, which
+    # made a grid pass slower than in one process. Cells are submitted two
+    # per worker ahead of the one consumed, so the parent holds that many
+    # cells' data, not the whole grid's. The pool is shut down and its
+    # workers joined when the cells run out, a worker raises or the
+    # generator is closed; the cells submitted but not started are then
+    # dropped, not waited for.
     workers = _workers(count)
     if workers == 1 or not _single_threaded():
         yield from map(_solve_cell, cells)
         return
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    cells, pending, registry = iter(cells), collections.deque(), {}
+    cells, pending = iter(cells), collections.deque()
     try:
         while True:
             while len(pending) <= 2 * workers and (cell := next(cells, None)) is not None:
-                pending.append(pool.submit(_recording, cell))
+                pending.append(pool.submit(_solve_cell, cell))
             if not pending:
                 return
-            records, caught = pending.popleft().result()
-            for message, category, filename, lineno in caught:
-                module, module_globals = _module_of(filename)
-                warnings.warn_explicit(message, category, filename, lineno, module, registry, module_globals)
-            yield records
+            yield pending.popleft().result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

@@ -234,14 +234,14 @@ def test_solve_calls_each_e_step_and_objective_formula_once():
 
 def test_one_cell_runner_owns_the_pool_and_its_workers_warnings():
     # run_experiment only routes each cell's records; the runner alone
-    # starts the pool and re-emits what the workers warned.
+    # starts the pool. A worker's warnings stay its own: a floating-point
+    # fault comes back as a failed record, so nothing re-emits them.
     tree = library_trees()["harness"]
-    defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
-    def reemits(node):
-        return [call for call in ast.walk(node) if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "warn_explicit"]
+    def calls(node, name):
+        found = [call for call in ast.walk(node) if isinstance(call, ast.Call)]
+        return [call for call in found if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
 
-    assert len(reemits(tree)) == 1
-    assert len(reemits(defined["_solve_cells"])) == 1
-    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(defined["run_experiment"])}
-    assert named & {"ProcessPoolExecutor", "_module_of", "_recording", "warn_explicit"} == set()
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert [node.name for node in functions if calls(node, "ProcessPoolExecutor")] == ["_solve_cells"]
+    assert calls(tree, "warn_explicit") == []

@@ -3,6 +3,7 @@
 import csv
 import inspect
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -300,20 +301,37 @@ def test_data_errors_exit_2(tmp_path, capsys):
 def test_a_numerical_failure_exits_3_and_writes_no_factors(tmp_path, capsys):
     # The start objective of this data overflows; before, l2 took its
     # infinite value as the scale of every change and exited 0, "converged
-    # after 2 iterations".
+    # after 2 iterations". The overflow is one error, not a warning as well.
     xp = tmp_path / "x.csv"
     save_csv(np.random.default_rng(0).random((20, 30)) * 1e153, xp)
     out_h, out_w = tmp_path / "h.csv", tmp_path / "w.csv"
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main([
             "factorize", "--input", str(xp), "--variant", "l2", "--k", "3",
             "--seed", "0", "--out-h", str(out_h), "--out-w", str(out_w),
         ])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("mccgr: numerical failure:")
-    assert "at iteration 0" in err
+    assert err.startswith("mccgr: numerical failure: l2: ")
+    assert err.endswith(" at iteration 0\n") and err.count("\n") == 1
     assert not out_h.exists() and not out_w.exists()
+
+
+def test_eval_of_coefficients_whose_squares_overflow_exits_3(tmp_path, capsys):
+    # Before, k-means warned 8 times and the command wrote a report with
+    # accuracy 0.525.
+    wp, yp = tmp_path / "w.csv", tmp_path / "y.csv"
+    save_csv(np.random.default_rng(0).random((3, 40)) * 1e200, wp)
+    save_labels(np.repeat([0, 1], 20), yp)
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["eval", "--w", str(wp), "--labels", str(yp), "--k", "2", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "mccgr: numerical failure: k-means: overflow encountered in multiply at iteration 0\n"
+    assert not out.exists()
 
 
 def test_mismatched_labels_exit_2(tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mccgr import DataError, accuracy, evaluate, evaluation, hungarian_match, kmeans, nmi
+from mccgr import DataError, NumericalError, accuracy, evaluate, evaluation, hungarian_match, kmeans, nmi
 
 
 def brute_force_best_sum(confusion):
@@ -295,6 +296,18 @@ def test_kmeans_and_evaluate_reject_non_finite_points(bad):
         kmeans(pts, 3)
     with pytest.raises(DataError, match="w contains NaN or Inf"):
         evaluate(pts, np.repeat([0, 1, 2], 4), 3)
+
+
+def test_kmeans_raises_a_floating_point_fault_where_it_happens():
+    # Squares of these points overflow. Before, evaluate warned 8 times and
+    # scored the clustering as accuracy 0.525.
+    w = np.random.default_rng(0).random((3, 40)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^k-means: overflow encountered in multiply at iteration 0$"):
+            evaluate(w, np.repeat([0, 1], 20), 2)
+        with pytest.raises(NumericalError, match="^k-means: .* at iteration 0$"):
+            kmeans(w, 2)
 
 
 def test_hungarian_matches_brute_force_loop():

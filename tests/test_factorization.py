@@ -1,6 +1,7 @@
 """Objectives, auxiliary weights, multiplicative updates, and the solver."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -663,9 +664,11 @@ def test_a_start_whose_objective_overflows_is_a_numerical_error(variant):
     # it became the scale of every change, so the second iteration's change
     # read as 0 and the run "converged" after 2 iterations; the same data
     # scaled by 1e152 runs hundreds.
+    # The overflow is one NumericalError naming the variant, with no warning.
     x = np.random.default_rng(0).random((20, 30)) * 1e153
     h0, w0 = init_factors(x, 3, 0)
-    with pytest.warns(RuntimeWarning), pytest.raises(NumericalError, match="at iteration 0$"):
+    with warnings.catch_warnings(), pytest.raises(NumericalError, match=f"^{variant}: .* at iteration 0$"):
+        warnings.simplefilter("error")
         solve(x, None, SolverConfig(variant=variant, k=3), h0, w0)
 
 

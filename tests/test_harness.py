@@ -973,39 +973,47 @@ def test_a_numerical_failure_in_a_cell_is_the_same_row_pooled_and_in_process(tmp
     assert json.loads(reports["pooled"]["summary.json"])["failed"] == 4
 
 
-def test_pooled_warnings_match_the_in_process_ones(tmp_path, monkeypatch):
-    spec = small_spec(tmp_path, repeats=3, alpha_sweep=(10.0, 1.0))
-    real_solve = mccgr.harness.solve
-
-    def flaky(x, graph, cfg, h0, w0, **kwargs):
-        # Warns at every solve; fails every mccgr run but those of repeat 0.
-        warnings.warn(f"cell warning k={cfg.k} {cfg.variant}", RuntimeWarning)
-        if cfg.variant == "mccgr" and not np.array_equal(h0, mccgr.init_factors(x, cfg.k, spec.base_seed)[0]):
-            raise mccgr.NumericalError("synthetic failure")
-        return real_solve(x, graph, cfg, h0, w0, **kwargs)
-
-    monkeypatch.setattr(mccgr.harness, "solve", flaky)
-    seen, results = {}, {}
+def test_an_e_step_fault_is_one_failed_record_pooled_and_in_process(tmp_path):
+    # On data x 1e155 mcc's start E-step divides inf by inf, and kl runs.
+    # Before, the fault was a RuntimeWarning beside the NumericalError, and
+    # the pool re-emitted its workers' warnings in this process.
+    spec = small_spec(tmp_path, variants=({"variant": "mcc", "max_iter": 40}, {"variant": "kl", "max_iter": 40}))
+    save_csv(mccgr.read_matrix(spec.features_path) * 1e155, spec.features_path)
+    reports = {}
     for name, pin in (("in_process", in_process), ("pooled", two_workers)):
         with pytest.MonkeyPatch.context() as patch:
             pools = pin(patch)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 aggregate, records = run_experiment(spec)
-        seen[name] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert caught == []
+        assert [(rec.variant, rec.status) for rec in records] == [("mcc", "NumericalError"), ("kl", "ok")] * 4
+        emit_report(aggregate, records, tmp_path / name)
+        reports[name] = report_bytes(tmp_path / name)
+    assert len(pools) == 1
+    assert reports["pooled"] == reports["in_process"]
+
+
+def test_pooled_records_with_failures_match_the_in_process_ones(tmp_path, monkeypatch):
+    spec = small_spec(tmp_path, repeats=3, alpha_sweep=(10.0, 1.0))
+    real_solve = mccgr.harness.solve
+
+    def flaky(x, graph, cfg, h0, w0, **kwargs):
+        # Fails every mccgr run but those of repeat 0.
+        if cfg.variant == "mccgr" and not np.array_equal(h0, mccgr.init_factors(x, cfg.k, spec.base_seed)[0]):
+            raise mccgr.NumericalError("synthetic failure")
+        return real_solve(x, graph, cfg, h0, w0, **kwargs)
+
+    monkeypatch.setattr(mccgr.harness, "solve", flaky)
+    results = {}
+    for name, pin in (("in_process", in_process), ("pooled", two_workers)):
+        with pytest.MonkeyPatch.context() as patch:
+            pools = pin(patch)
+            aggregate, records = run_experiment(spec)
         results[name] = (aggregate, [astuple(replace(rec, trace=None)) for rec in records])
     assert len(pools) == 1
-    assert seen["pooled"] == seen["in_process"]
     # nan != nan, so the records compare by their text.
     assert repr(results["pooled"]) == repr(results["in_process"])
-    # The first cell, k=2 repeat 0: a warning per distinct solve, none failed.
-    assert [message for _, message, _, _ in seen["pooled"][:3]] == [
-        "cell warning k=2 l2",
-        "cell warning k=2 mccgr",
-        "cell warning k=2 mccgr",
-    ]
-    # The cells' own warnings are all there is: a failed run is a record.
-    assert {(category, filename) for category, _, filename, _ in seen["pooled"]} == {(RuntimeWarning, __file__)}
     aggregate, records = results["pooled"]
     # mccgr at repeats 1 and 2 of both ks, and both sweep alphas at k=2
     # (alpha 1.0 reusing the grid's failed run).
@@ -1015,8 +1023,7 @@ def test_pooled_warnings_match_the_in_process_ones(tmp_path, monkeypatch):
     assert aggregate.failed == 4 + 4
 
 
-@pytest.mark.parametrize("pin", [in_process, two_workers], ids=["in_process", "pooled"])
-def test_a_warning_every_cell_raises_shows_once_per_run(tmp_path, monkeypatch, pin):
+def test_a_warning_every_cell_raises_shows_once_per_run(tmp_path, monkeypatch):
     real_solve = mccgr.harness.solve
 
     def noisy(*args, **kwargs):
@@ -1024,13 +1031,10 @@ def test_a_warning_every_cell_raises_shows_once_per_run(tmp_path, monkeypatch, p
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(mccgr.harness, "solve", noisy)
-    pin(monkeypatch)
+    in_process(monkeypatch)
     spec = small_spec(tmp_path)
     for _ in range(2):
         with warnings.catch_warnings(record=True) as caught:
-            # Re-emitted under this module's name, not one made of its path,
-            # so the second filter matches it where it is raised and where
-            # it is re-emitted.
             warnings.simplefilter("error")
             warnings.filterwarnings("default", category=RuntimeWarning, module=__name__)
             run_experiment(spec)
@@ -1149,6 +1153,23 @@ def test_a_process_with_threads_is_not_single_threaded():
         thread.join()
 
 
+def test_a_pinned_experiment_runs_clean_in_dev_mode_with_warnings_as_errors(tmp_path):
+    # The real forked pool, nothing patched: with BLAS at one thread the
+    # process forks its workers (given two allowed CPUs), and under -X dev
+    # -W error any warning, an unclosed file's or a fork's included, fails.
+    pinned = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    pinned["PYTHONPATH"] = os.pathsep.join([os.path.dirname(mccgr.__path__[0]), pinned.get("PYTHONPATH", "")])
+    spec_path = write_spec_file(tmp_path, small_spec(tmp_path))
+    script = "import sys; from mccgr.cli import main; sys.exit(main(sys.argv[1:]))"
+    command = ["experiment", "--spec", spec_path, "--out-dir", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", script, *command],
+        env=pinned, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "out" / "runs.csv").exists()
+
+
 def test_a_process_whose_threads_cannot_be_listed_runs_its_cells_in_process(tmp_path, monkeypatch):
     # Where the kernel's thread list cannot be read, the process is taken
     # to have threads, so it does not fork.
@@ -1172,11 +1193,6 @@ def test_a_process_whose_threads_cannot_be_listed_runs_its_cells_in_process(tmp_
     assert pools == []
     assert got[0] == want[0]
     assert [astuple(replace(rec, trace=None)) for rec in got[1]] == [astuple(replace(rec, trace=None)) for rec in want[1]]
-
-
-def test_a_warning_names_the_loaded_module_whose_file_raised_it(tmp_path):
-    assert mccgr.harness._module_of(mccgr.harness.__file__) == ("mccgr.harness", vars(mccgr.harness))
-    assert mccgr.harness._module_of(str(tmp_path / "no_module.py")) == (None, None)
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs two allowed CPUs")
