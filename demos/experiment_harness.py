@@ -56,8 +56,8 @@ with tempfile.TemporaryDirectory(prefix="mccgr_demo_") as work:
     # The sweep runs the first mccgr entry at each alpha in the k=2 cells;
     # clustering quality should barely move across two orders of magnitude.
     print("alpha sweep (k=2):")
-    for alpha, acc in aggregate.sweep:
-        print(f"  alpha {alpha:8.1f}  mean accuracy {acc:.3f}")
+    for alpha, acc, runs in aggregate.sweep:
+        print(f"  alpha {alpha:8.1f}  mean accuracy {acc:.3f} over {runs} runs")
     print()
 
     out_dir = os.path.join(work, "report")

@@ -24,9 +24,10 @@ h_d.(H W W^T)_d, and the next H step reads the same two products. A row
 whose r2 cancels down to rounding level is summed from its explicit
 residual instead. The row weights scale the D x K product diag(neg) H of
 the W step, and the fit is the weighted sum of r2. The H step needs no
-weights: row d of H sees only row d of X, so its weight cancels. The
-graph terms come from the K x N product W A with the CSR affinity; no
-Laplacian is built.
+weights: row d of H sees only row d of X, so its weight cancels. The W
+step's graph terms come from the K x N product W A with the CSR affinity,
+and the penalty is summed pair by pair over the affinity's upper-triangle
+entries; no Laplacian is built.
 """
 
 from __future__ import annotations
@@ -75,14 +76,22 @@ _KERNEL_TINY = np.finfo(np.float64).tiny
 _CANCEL = 1e3 * np.finfo(np.float64).eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Solver settings; `variant` is one of VARIANTS (case-insensitive).
 
     `theta` scales the E-step's kernel width, so only mcc and mccgr read it.
 
+    `alpha` weighs the graph penalty against the fit, and the two do not
+    scale alike: scaling X by c scales the fit by c^2 and the penalty by c.
+    So the same alpha weighs the graph less on larger data: with X scaled
+    by 1e4, mccgr scores as mcc to 3 digits at alpha 10 and at alpha 100.
+
     These fields and their defaults are the one list of solver settings:
     the CLI flags and the experiment spec's variant keys are read from it.
+    A config is checked once, when it is made, and is then a value that
+    cannot change: equal configs hash equal, so a config can key a run, and
+    dataclasses.replace makes a changed copy, which is checked again.
     """
 
     variant: str
@@ -95,7 +104,7 @@ class SolverConfig:
     def __post_init__(self):
         if not isinstance(self.variant, str) or self.variant.lower() not in VARIANTS:
             raise DataError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        self.variant = self.variant.lower()
+        object.__setattr__(self, "variant", self.variant.lower())
         for name in ("k", "max_iter"):
             _check_count(name, getattr(self, name), 1)
         for name, low in (("alpha", 0), ("theta", None), ("tol", 0)):
@@ -240,19 +249,19 @@ def dual_objective(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None
     the M-step for fixed rho.
     """
     x, h, w, neg = _check_step(x, h, w, rho)
-    plan, adeg = _graph_terms(alpha, graph, *w.shape)
+    _, _, pairs = _graph_terms(alpha, graph, *w.shape)
     xsq = np.einsum("ij,ij->i", x, x)
     r2 = _gram_r2(x, h, w, *_products(x, h, w), xsq, _CANCEL * xsq)
-    return _objective(neg, r2, w, _times_affinity(w, plan), adeg)
+    return _objective(neg, r2, w, pairs)
 
 
-def _objective(neg, r2, w, wa, adeg) -> float:
-    # sum_d neg_d r2_d, plus the penalty with alpha folded into wa = alpha (w
-    # @ A) and adeg = alpha * degree: the weights scale the D row sums, not a
-    # D x N copy.
+def _objective(neg, r2, w, pairs) -> float:
+    # sum_d neg_d r2_d, plus the penalty over the graph's pairs with alpha
+    # folded into their weights, None when the graph is off: the weights
+    # scale the D row sums, not a D x N copy.
     value = float(neg @ r2)
-    if wa is not None:
-        value += _penalty(w, wa, adeg)
+    if pairs is not None:
+        value += _penalty(w, pairs)
     return value
 
 
@@ -316,7 +325,7 @@ def update_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None = Non
     when alpha == 0. Entries are floored at FLOOR.
     """
     x, h, w, neg = _check_step(x, h, w, rho)
-    plan, adeg = _graph_terms(alpha, graph, *w.shape)
+    plan, adeg, _ = _graph_terms(alpha, graph, *w.shape)
     out = w.copy()
     _update_w(x, h, out, neg, _times_affinity(w, plan), adeg)
     return out
@@ -362,7 +371,7 @@ def dual_gradient_w(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | Non
     it. No D x N residual and no Laplacian is formed.
     """
     x, h, w, neg = _check_step(x, h, w, rho)
-    plan, adeg = _graph_terms(alpha, graph, *w.shape)
+    plan, adeg, _ = _graph_terms(alpha, graph, *w.shape)
     numer, denom = _w_split(x, h, w, neg, _times_affinity(w, plan), adeg)
     return 2.0 * (denom - numer)
 
@@ -385,7 +394,7 @@ def kkt_products(x, h, w, rho, alpha: float = 0.0, graph: AffinityGraph | None =
     xw, hww = _products(x, h, w)
     kkt_h = 0.5 * (2.0 * neg[:, None] * (hww - xw)) * h
     del xw, hww
-    plan, adeg = _graph_terms(alpha, graph, *w.shape)
+    plan, adeg, _ = _graph_terms(alpha, graph, *w.shape)
     numer, denom = _w_split(x, h, w, neg, _times_affinity(w, plan), adeg)
     return kkt_h, 0.5 * (2.0 * (denom - numer)) * w
 
@@ -452,9 +461,10 @@ def solve(
     residual), and the next H step reads them again. The tracked fit is the
     weighted sum of r2; mcc's and mccgr's next sigma and rho follow from r2.
     The row weights scale the D x K product of the W step, never x itself.
-    With a graph, w @ A is formed once after each W step: it gives that
-    iteration's penalty and the next W step's numerator, and no Laplacian
-    is built. kl works in two D x N buffers: its objective's h @ w is the
+    With a graph, w @ A is formed once per W step, for its numerator, and
+    the penalty is summed over the affinity's upper-triangle pairs as
+    a_ij ||w_i - w_j||^2, so it cannot cancel below zero; no Laplacian is
+    built. kl works in two D x N buffers: its objective's h @ w is the
     next step's reconstruction, and its divergence reads x only through one
     dot product with log(h @ w). Inputs are validated here once. The
     squared-error results equal bit for bit a loop that calls the public
@@ -477,7 +487,7 @@ def solve(
     if np.any(h <= 0) or np.any(w <= 0):
         raise DataError("initializers must be strictly positive")
     h, w = h.copy(), w.copy()
-    plan, adeg = _graph_terms(cfg.graph_weight, graph, *w.shape)
+    plan, adeg, pairs = _graph_terms(cfg.graph_weight, graph, *w.shape)
     live_rho = cfg.variant in ("mcc", "mccgr")
     kl = cfg.variant == "kl"
     neg = np.ones(x.shape[0])
@@ -510,14 +520,13 @@ def solve(
                         hs, ws = _kl_step(x, h, w, v, ws)
                     else:
                         _update_h(h, xw, hww)
-                        _update_w(x, h, w, neg, wa, adeg)
+                        _update_w(x, h, w, neg, _times_affinity(w, plan), adeg)
                         xw, hww = _products(x, h, w)
                         r2 = _gram_r2(x, h, w, xw, hww, xsq, low)
                 if kl:
                     value = _kl_divergence(x, c, h, w, v, log_v, hs, ws)
                 else:
-                    wa = _times_affinity(w, plan)
-                    value = _objective(neg, r2, w, wa, adeg)
+                    value = _objective(neg, r2, w, pairs)
                 if not math.isfinite(value):
                     raise NumericalError(f"{cfg.variant}: objective became non-finite at iteration {iterations}")
                 trace.append(value)

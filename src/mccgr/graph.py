@@ -216,22 +216,26 @@ def laplacian(graph: AffinityGraph) -> np.ndarray:
 def graph_penalty(w, graph: AffinityGraph) -> float:
     """Smoothness penalty Tr(W L W^T).
 
-    Equals half the affinity-weighted sum of squared distances between
-    coefficient columns. Computed as sum_n deg_n ||w_n||^2 - <W, W A>, with
-    w_n the n-th column of W, so only the K x N product W A is formed and no
-    Laplacian; clipped at zero against roundoff. The graph is checked as the
-    solver checks it, with the same messages: it must be given and span W's
-    N columns.
+    Computed as it is defined, sum over i < j of a_ij ||w_i - w_j||^2 with
+    w_i the i-th column of W: half the affinity-weighted sum of squared
+    distances between coefficient columns, each pair counted once, from the
+    affinity's stored upper-triangle entries. Every term is non-negative, so
+    the penalty is too, and it stays accurate to a few ulps of its own value
+    when the columns along the edges are nearly equal; no Laplacian is
+    formed. The graph is checked as the solver checks it, with the same
+    messages: it must be given and span W's N columns.
     """
     w = _check_matrix(w, "w")
-    plan, degree = _graph_terms(1.0, graph, *w.shape)
-    return _penalty(w, _times_affinity(w, plan), degree)
+    _, _, pairs = _graph_terms(1.0, graph, *w.shape)
+    return _penalty(w, pairs)
 
 
 def _graph_terms(alpha, graph, k, n):
     # The graph term with alpha folded in, formed once per solve: the plan of
-    # alpha (w @ A) for a (k, n) w, and alpha * degree; None and None when the
-    # term is off (_times_affinity gives None for a None plan). The one check
+    # alpha (w @ A) for a (k, n) w, alpha * degree, and the penalty's pairs,
+    # the affinity's upper-triangle entries (i < j) as their rows, their
+    # columns and their weights times alpha; None three times when the term
+    # is off (_times_affinity gives None for a None plan). The one check
     # of the graph arguments, with one message per rule, for graph_penalty,
     # solve and the public steps alike: alpha is a finite real >= 0 (a NaN
     # would skip the graph), and the graph, read only if alpha > 0, is given
@@ -247,7 +251,7 @@ def _graph_terms(alpha, graph, k, n):
     # targets, which bincount adds faster than a run of terms on one target.
     _check_real("alpha", alpha, 0)
     if not alpha > 0:
-        return None, None
+        return None, None, None
     if graph is None:
         raise DataError("alpha > 0 requires an affinity graph")
     if graph.n != n:
@@ -255,7 +259,9 @@ def _graph_terms(alpha, graph, k, n):
     a = graph.affinity
     order = np.argsort(np.arange(a.nnz) - a.indptr[a.rows], kind="stable")
     bins = (np.arange(k)[:, None] * n + a.rows[order]).ravel()
-    return (a.indices[order], bins, alpha * a.data[order]), alpha * graph.degree
+    upper = a.rows < a.indices
+    pairs = a.rows[upper], a.indices[upper], alpha * a.data[upper]
+    return (a.indices[order], bins, alpha * a.data[order]), alpha * graph.degree, pairs
 
 
 def _times_affinity(w, plan) -> np.ndarray | None:
@@ -263,8 +269,7 @@ def _times_affinity(w, plan) -> np.ndarray | None:
     # plan is None, the solver's sign that the graph term is off. bincount
     # adds each target's terms in storage order, from 0, as a row-by-row
     # CSR product loop does, whatever calls it, so the solver and the public
-    # steps agree. Returned in C order like w, so the penalty's <W A, W>
-    # copies neither.
+    # steps agree. Returned in C order like w.
     if plan is None:
         return None
     cols, bins, data = plan
@@ -273,8 +278,16 @@ def _times_affinity(w, plan) -> np.ndarray | None:
     return np.bincount(bins, weights=terms.ravel(), minlength=w.size).reshape(w.shape)
 
 
-def _penalty(w, wa, degree) -> float:
-    # wa is w @ A, formed by the caller: the solver shares it with the next
-    # W step's numerator.
-    colsq = np.einsum("ij,ij->j", w, w)
-    return max(float(degree @ colsq - np.vdot(wa, w)), 0.0)
+def _penalty(w, pairs) -> float:
+    # The sum of a_ij ||w_i - w_j||^2 over the pairs (i, j, a_ij) that
+    # _graph_terms lists, alpha folded into a_ij: non-negative terms, so it
+    # cannot cancel below zero, unlike the equal sum_n deg_n ||w_n||^2 -
+    # <W, W A>, a difference of two sums that agree to many digits once W's
+    # columns along the edges are nearly equal. numpy's pairwise sum adds
+    # the terms, not a BLAS dot, whose threads would set the rounding.
+    rows, cols, weights = pairs
+    diff = np.take(w, rows, axis=1)
+    diff -= np.take(w, cols, axis=1)
+    terms = np.einsum("ij,ij->j", diff, diff)
+    terms *= weights
+    return float(terms.sum())

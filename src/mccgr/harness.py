@@ -16,8 +16,8 @@ it comes back as that run's failed record; any other warning a worker
 raises stays that worker's own.
 Each run's outcome, a failed run's included, lands in a RunRecord; the
 spec's variant order, per-(variant, k) means and deviations and the
-sweep's mean accuracy per alpha over the runs that succeeded, and the
-failed-run count in an AggregateReport, which with the records' ks sets
+sweep's mean accuracy and count of the runs that succeeded per alpha, and
+the failed-run count in an AggregateReport, which with the records' ks sets
 the layout emit_report writes.
 
 All emitted artifacts are deterministic functions of the spec file and the
@@ -35,7 +35,7 @@ import numbers
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -207,9 +207,9 @@ class AggregateReport:
     # The spec's variant names in spec order, failed ones included.
     variants: tuple[str, ...]
     rows: tuple[AggregateRow, ...]
-    # (alpha, mean k=2 accuracy or None if no run succeeded) per sweep alpha,
-    # ascending; () for no sweep.
-    sweep: tuple[tuple[float, float | None], ...]
+    # (alpha, mean k=2 accuracy or None if no run succeeded, the count of
+    # runs that succeeded) per sweep alpha, ascending; () for no sweep.
+    sweep: tuple[tuple[float, float | None, int], ...]
     # Failed runs, grid and sweep; a sweep run that is a grid run counts in each.
     failed: int
 
@@ -258,9 +258,9 @@ def run_experiment(spec: ExperimentSpec):
     record. No worker outlives the call.
 
     Returns (AggregateReport, list[RunRecord]), a record per grid run in
-    cell order. AggregateReport.sweep holds (alpha, mean k=2 accuracy) in
-    ascending alpha order, and is empty when the spec lists no sweep
-    values. A run that fails with NumericalError, a floating-point fault
+    cell order. AggregateReport.sweep holds (alpha, mean k=2 accuracy,
+    count of its runs that succeeded) in ascending alpha order, and is
+    empty when the spec lists no sweep values. A run that fails with NumericalError, a floating-point fault
     included, is a record with that status, and the other runs go on: the
     means read only the records whose status is "ok", a sweep alpha with
     none has mean None, and AggregateReport.failed counts the rest. Every
@@ -317,7 +317,7 @@ def run_experiment(spec: ExperimentSpec):
             for (_, _, alpha), record in zip(runs, outcomes):
                 (records if alpha is None else sweep[alpha]).append(record)
     accuracies = {alpha: [rec.accuracy for rec in runs if rec.status == "ok"] for alpha, runs in sweep.items()}
-    table = tuple((alpha, float(np.mean(accs)) if accs else None) for alpha, accs in accuracies.items())
+    table = tuple((alpha, float(np.mean(accs)) if accs else None, len(accs)) for alpha, accs in accuracies.items())
     failed = sum(rec.status != "ok" for runs in (records, *sweep.values()) for rec in runs)
     rows = _aggregate(records, names, spec.k_range)
     return AggregateReport(variants=names, rows=rows, sweep=table, failed=failed), records
@@ -328,8 +328,8 @@ def _solve_cell(cell):
     # on its own columns x and their labels, with runs as (name, config)
     # pairs: the graph (None when knn is, as no config has a graph weight),
     # (H0, W0) from seed, then a solve and an evaluation per config. Returns
-    # a RunRecord per run, in order; a config listed twice is solved once,
-    # and its records share the outcome. A run that fails with
+    # a RunRecord per run, in order; a config listed twice, an equal value,
+    # is solved once, and its records share the outcome. A run that fails with
     # NumericalError is a record with that status. run_experiment checked
     # the cell's inputs before the first run, so any other error is a bug
     # and propagates. Only the records go back from a worker, not the factors.
@@ -339,19 +339,18 @@ def _solve_cell(cell):
     init_hash = hashlib.sha256(h0.tobytes() + w0.tobytes()).hexdigest()[:16]
     solved = {}
     for _, cfg in runs:
-        key = astuple(cfg)
-        if key not in solved:
+        if cfg not in solved:
             try:
                 result = solve(x, graph, cfg, h0, w0)
                 report = evaluate(result.w, labels, k, seed=seed)
             except NumericalError as exc:
-                solved[key] = dict(accuracy=np.nan, nmi=np.nan, iterations=0, final_objective=np.nan, converged=False,
+                solved[cfg] = dict(accuracy=np.nan, nmi=np.nan, iterations=0, final_objective=np.nan, converged=False,
                                    status=type(exc).__name__, trace=np.empty(0))
             else:
-                solved[key] = dict(accuracy=report.accuracy, nmi=report.nmi, iterations=result.iterations_run,
+                solved[cfg] = dict(accuracy=report.accuracy, nmi=report.nmi, iterations=result.iterations_run,
                                    final_objective=float(result.trace[-1]), converged=result.converged, status="ok",
                                    trace=result.trace)
-    return [RunRecord(variant=name, k=k, repeat=repeat, init_hash=init_hash, **solved[astuple(cfg)]) for name, cfg in runs]
+    return [RunRecord(variant=name, k=k, repeat=repeat, init_hash=init_hash, **solved[cfg]) for name, cfg in runs]
 
 
 def _workers(cells: int) -> int:
@@ -480,7 +479,8 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
       runs.csv             one row per run, failed ones included, in records'
                            order; a column per RunRecord field but trace
       summary.json         aggregate.rows, in order, and aggregate.failed
-      alpha_sweep.csv      alpha,mean_accuracy, empty where no run succeeded;
+      alpha_sweep.csv      alpha,mean_accuracy,runs: the mean, empty where no
+                           run succeeded, and the count of runs that did;
                            only when aggregate.sweep is non-empty
       traces/<variant>_k<k>_r<repeat>.csv   iteration,objective, per record
     """
@@ -504,8 +504,8 @@ def emit_report(aggregate: AggregateReport, records, out_dir) -> None:
         json.dump({"aggregates": [asdict(row) for row in aggregate.rows], "failed": aggregate.failed}, fh, indent=2)
         fh.write("\n")
     if aggregate.sweep:
-        lines = (f"{alpha!r},{'' if acc is None else repr(acc)}" for alpha, acc in aggregate.sweep)
-        _write_csv(os.path.join(out_dir, "alpha_sweep.csv"), "alpha,mean_accuracy", lines)
+        lines = (f"{alpha!r},{'' if acc is None else repr(acc)},{runs}" for alpha, acc, runs in aggregate.sweep)
+        _write_csv(os.path.join(out_dir, "alpha_sweep.csv"), "alpha,mean_accuracy,runs", lines)
 
 
 def make_synthetic(

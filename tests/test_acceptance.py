@@ -331,8 +331,8 @@ def test_criterion_08_alpha_robustness(tmp_path):
             alpha_sweep=(1.0, 10.0, 100.0, 1000.0, 10000.0),
         )
         table = run_experiment(spec)[0].sweep
-        assert [alpha for alpha, _ in table] == [1.0, 10.0, 100.0, 1000.0, 10000.0]
-        accs = [acc for _, acc in table]
+        assert [alpha for alpha, _, _ in table] == [1.0, 10.0, 100.0, 1000.0, 10000.0]
+        accs = [acc for _, acc, _ in table]
         assert max(accs) - min(accs) < 0.15
 
 

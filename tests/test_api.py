@@ -7,7 +7,7 @@ import os
 import pkgutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -115,6 +115,18 @@ def test_restarts_and_assignments_are_not_passed_along():
     assert "kmeans_restarts" not in {f.name for f in fields(mccgr.ExperimentSpec)}
     assert "restarts" not in inspect.signature(mccgr.evaluate).parameters
     assert "assignments" not in {f.name for f in fields(mccgr.EvalReport)}
+
+
+@pytest.mark.parametrize("settings", [mccgr.SolverConfig, mccgr.ExperimentSpec])
+def test_every_checked_settings_object_is_a_frozen_value(settings):
+    # Checked once when made, then never changed: a config is its run's key.
+    assert is_dataclass(settings) and settings.__dataclass_params__.frozen
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_rederives_a_config_with_astuple(name):
+    # A frozen config hashes by its fields, so nothing re-derives its identity.
+    assert "astuple" not in inspect.getsource(importlib.import_module(f"mccgr.{name}"))
 
 
 @pytest.mark.parametrize("step", [mccgr.update_h, mccgr.update_w])

@@ -85,7 +85,7 @@ def with_alpha(alpha):
     # An mccgr config whose alpha is set past __post_init__, so that solve's
     # own check is the one reached.
     cfg = SolverConfig(variant="mccgr", k=2, max_iter=2)
-    cfg.alpha = alpha
+    object.__setattr__(cfg, "alpha", alpha)
     return cfg
 
 

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -451,6 +452,21 @@ def test_solver_config_rejects_settings_of_the_wrong_type(setting):
         SolverConfig(**dict({"variant": "l2", "k": 3}, **setting))
 
 
+def test_a_checked_config_is_a_value_that_cannot_change():
+    # A config that passed its checks cannot become one that did not; a
+    # changed copy is checked again; equal settings are one key.
+    cfg = SolverConfig(variant="MCCGR", k=2, alpha=10.0)
+    with pytest.raises(FrozenInstanceError):
+        cfg.alpha = -1.0
+    assert cfg.alpha == 10.0
+    with pytest.raises(DataError, match="alpha must be >= 0"):
+        replace(cfg, alpha=-1.0)
+    same = SolverConfig(variant="mccgr", k=2, alpha=10)
+    assert same == cfg and hash(same) == hash(cfg)
+    assert replace(cfg, alpha=1.0) != cfg
+    assert len({cfg, same, replace(cfg, k=3)}) == 2
+
+
 def test_solver_config_accepts_numpy_scalars():
     cfg = SolverConfig(variant="l2", k=np.int64(3), max_iter=np.int32(5), alpha=np.float64(2.0), tol=np.float32(0))
     assert cfg.k == 3 and cfg.max_iter == 5
@@ -516,7 +532,7 @@ def graph_argument_calls():
 
     def run_solve(alpha, graph):
         cfg = SolverConfig(variant="mccgr", k=2, max_iter=2)
-        cfg.alpha = alpha  # past __post_init__, so solve's own check is reached
+        object.__setattr__(cfg, "alpha", alpha)  # past __post_init__, so solve's own check is reached
         return solve(x, graph, cfg, h, w)
 
     return x, {
@@ -1111,6 +1127,17 @@ def test_gram_residual_matches_the_explicit_row_sums(problem, data):
         assert np.all(got <= 1e-24 * xsq)
 
 
+def planted_exact_rank(rng):
+    # Data of exact rank 5, 50 x 40, a warm start within 5% of its factors,
+    # and fixed row weights: criterion 1's problem where the fit can be exact.
+    h = (rng.random((50, 5)) + 0.2) * 0.01
+    w = rng.random((5, 40)) + 0.2
+    x = h @ w
+    h = h * rng.uniform(0.95, 1.05, size=h.shape)
+    w = w * rng.uniform(0.95, 1.05, size=w.shape)
+    return x, h, w, -rng.uniform(0.05, 1.0, size=50)
+
+
 def test_fixed_weight_descent_holds_on_exact_rank_data():
     # Criterion 1 on data of exact rank K from a warm start: the fit runs
     # into the rows the Gram form cannot resolve, where the objective must
@@ -1118,12 +1145,7 @@ def test_fixed_weight_descent_holds_on_exact_rank_data():
     # instances; with it from 1e1 eps ||x_d||^2, 76; from 3e1 up, none.
     rng = np.random.default_rng(10)
     for _ in range(6):
-        h = (rng.random((50, 5)) + 0.2) * 0.01
-        w = rng.random((5, 40)) + 0.2
-        x = h @ w
-        h = h * rng.uniform(0.95, 1.05, size=h.shape)
-        w = w * rng.uniform(0.95, 1.05, size=w.shape)
-        rho = -rng.uniform(0.05, 1.0, size=50)
+        x, h, w, rho = planted_exact_rank(rng)
         f = dual_objective(x, h, w, rho)
         for _ in range(1000):
             h = update_h(x, h, w, rho)
@@ -1133,6 +1155,26 @@ def test_fixed_weight_descent_holds_on_exact_rank_data():
             f = f_next
         xsq = np.einsum("ij,ij->i", x, x)
         assert np.any(_row_sq(x, h, w) < _CANCEL * xsq)
+
+
+def test_fixed_weight_descent_holds_with_a_strong_graph_on_a_long_run():
+    # Criterion 1's loop on the sixth planted exact-rank instance, alpha 100,
+    # run for 2000 iterations. As the columns of W along the edges grow
+    # nearly equal, the penalty sum_n deg_n ||w_n||^2 - <W, W A> cancelled to
+    # 3.5e-11 of its terms, and the objective rose on 51 steps from iteration
+    # 1337, by up to 1.7e-9 of itself: rounding in the evaluation, since
+    # the pairwise form never rose on the same iterates.
+    rng = np.random.default_rng(10)
+    for _ in range(6):
+        x, h, w, rho = planted_exact_rank(rng)
+    graph = build_knn_affinity(x, 4)
+    f = dual_objective(x, h, w, rho, 100.0, graph)
+    for _ in range(2000):
+        h = update_h(x, h, w, rho)
+        w = update_w(x, h, w, rho, 100.0, graph)
+        f_next = dual_objective(x, h, w, rho, 100.0, graph)
+        assert f_next <= f + 1e-10 * abs(f)
+        f = f_next
 
 
 @pytest.mark.parametrize("variant", ["l2", "grnmf"])

@@ -1,5 +1,6 @@
 """Affinity graphs: construction invariants, Laplacian, smoothness penalty."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -133,6 +134,25 @@ def test_graph_penalty_zero_for_constant_columns():
     g = build_knn_affinity(x, 2, "mutual")
     w = np.tile(np.array([[1.0], [2.0]]), (1, 8))
     assert graph_penalty(w, g) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 14), st.integers(1, 5), st.integers(-12, 0), st.integers(0, 2**32 - 1))
+def test_graph_penalty_is_non_negative_and_accurate_to_its_own_size(n, k, spread, seed):
+    # W's columns lie within 10**spread of one common column, so at -12 each
+    # edge joins columns equal to about 12 digits: the penalty is then about
+    # 1e-24 of sum_n deg_n ||w_n||^2, which a difference of the two sums
+    # cannot resolve. The pairwise sum must stay within a few ulps of the
+    # exactly rounded sum of the same terms.
+    rng = np.random.default_rng(seed)
+    a = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.5), 1)
+    graph = AffinityGraph(affinity=a + a.T)
+    w = rng.random((k, 1)) + 10.0**spread * rng.random((k, n))
+    penalty = graph_penalty(w, graph)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    exact = math.fsum(float(a[i, j]) * (float(w[r, i]) - float(w[r, j])) ** 2 for i, j in pairs for r in range(k))
+    assert penalty >= 0.0
+    assert abs(penalty - exact) <= 4 * np.finfo(np.float64).eps * exact
 
 
 def test_build_rejects_bad_arguments():

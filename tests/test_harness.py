@@ -334,7 +334,7 @@ def test_a_sweep_alpha_without_a_successful_run_gets_an_empty_cell(tmp_path, cap
     assert code == 3
     # 2 variants x 2 repeats at k=2, and the sweep's alpha 10 at both repeats.
     assert capsys.readouterr().err == "mccgr: numerical failure: 6 of the runs failed; see the status column of runs.csv\n"
-    assert (out / "alpha_sweep.csv").read_text() == "alpha,mean_accuracy\n10.0,\n"
+    assert (out / "alpha_sweep.csv").read_text() == "alpha,mean_accuracy,runs\n10.0,,0\n"
     statuses = [line.split(",")[-1] for line in (out / "runs.csv").read_text().splitlines()[1:]]
     assert statuses == ["NumericalError"] * 4 + ["ok"] * 4
     assert json.loads((out / "summary.json").read_text())["failed"] == 6
@@ -446,7 +446,9 @@ def test_a_failed_run_is_a_record_not_a_warning(tmp_path, monkeypatch):
     assert aggregate.failed == 4
     assert all(row.repeats == 1 for row in aggregate.rows)
     (repeat_1,) = [rec for rec in records if rec.variant == "mccgr" and rec.status == "ok"]
-    assert dict(aggregate.sweep)[1.0] == repeat_1.accuracy
+    assert aggregate.sweep[0][:2] == (1.0, repeat_1.accuracy)
+    # Each alpha's mean is over its one run that succeeded, and says so.
+    assert [(alpha, runs) for alpha, _, runs in aggregate.sweep] == [(1.0, 1), (10.0, 1)]
 
 
 def test_dataset_loaded_once_per_grid_and_per_sweep(tmp_path, monkeypatch):
@@ -471,8 +473,8 @@ def test_alpha_sweep_table(tmp_path):
         repeats=2,
     )
     table = run_experiment(spec)[0].sweep
-    assert [alpha for alpha, _ in table] == [0.1, 1.0, 10.0]
-    assert all(0.0 <= acc <= 1.0 for _, acc in table)
+    assert [alpha for alpha, _, _ in table] == [0.1, 1.0, 10.0]
+    assert all(0.0 <= acc <= 1.0 and runs == 2 for _, acc, runs in table)
     assert table == run_experiment(spec)[0].sweep
     assert table == sweep_oracle(spec)
     assert run_experiment(small_spec(tmp_path))[0].sweep == ()
@@ -481,11 +483,11 @@ def test_alpha_sweep_table(tmp_path):
 def test_write_alpha_sweep_format(tmp_path):
     aggregate, records = run_experiment(small_spec(tmp_path, k_range=(2,)))
     out = tmp_path / "report"
-    emit_report(replace(aggregate, sweep=((0.1, 0.5), (1.0, 0.875))), records, out)
+    emit_report(replace(aggregate, sweep=((0.1, 0.5, 2), (1.0, 0.875, 1))), records, out)
     lines = (out / "alpha_sweep.csv").read_text().splitlines()
-    assert lines[0] == "alpha,mean_accuracy"
-    assert lines[1] == "0.1,0.5"
-    assert lines[2] == "1.0,0.875"
+    assert lines[0] == "alpha,mean_accuracy,runs"
+    assert lines[1] == "0.1,0.5,2"
+    assert lines[2] == "1.0,0.875,1"
     assert len(lines) == 3
 
 
@@ -760,7 +762,7 @@ def test_experiment_sweep_shares_the_grid_cells_and_runs(tmp_path, monkeypatch):
     for name in ("accuracy_table.csv", "nmi_table.csv", "runs.csv", "summary.json", "alpha_sweep.csv"):
         assert (out / name).read_bytes() == (reference / name).read_bytes()
     (grid_run,) = [row for row in aggregate.rows if (row.variant, row.k) == ("mccgr", 2)]
-    assert dict(aggregate.sweep)[1.0] == grid_run.mean_accuracy
+    assert aggregate.sweep[0][:2] == (1.0, grid_run.mean_accuracy)
     assert aggregate.sweep == sweep_oracle(spec)
 
 
@@ -803,7 +805,7 @@ def test_a_reused_failed_run_fails_its_sweep_run_too(tmp_path, capsys, monkeypat
         ("l2", "0", "ok"), ("mccgr", "0", "NumericalError"), ("l2", "1", "ok"), ("mccgr", "1", "ok")
     ]
     # The sweep's alpha 1 mean reads repeat 1 alone.
-    assert (out / "alpha_sweep.csv").read_text() == f"alpha,mean_accuracy\n1.0,{rows[3][3]}\n"
+    assert (out / "alpha_sweep.csv").read_text() == f"alpha,mean_accuracy,runs\n1.0,{rows[3][3]},1\n"
 
 
 def test_a_spec_without_a_graph_run_builds_no_graph(tmp_path, monkeypatch):
@@ -863,7 +865,7 @@ def sweep_oracle(spec):
     for alpha in sorted(spec.alpha_sweep):
         grid = replace(spec, k_range=(2,), variants=(dict(entry, alpha=alpha),), alpha_sweep=())
         (row,) = run_experiment(grid)[0].rows
-        table.append((float(alpha), row.mean_accuracy))
+        table.append((float(alpha), row.mean_accuracy, row.repeats))
     return tuple(table)
 
 
@@ -874,9 +876,9 @@ def distinct_runs(spec):
     runs = set()
     for r in range(spec.repeats):
         for k in spec.k_range:
-            runs |= {(k, r, astuple(mccgr.SolverConfig(k=k, **entry))) for entry in entries}
+            runs |= {(k, r, mccgr.SolverConfig(k=k, **entry)) for entry in entries}
         for alpha in spec.alpha_sweep:
-            runs.add((2, r, astuple(mccgr.SolverConfig(k=2, **dict(mccgr_entry, alpha=alpha)))))
+            runs.add((2, r, mccgr.SolverConfig(k=2, **dict(mccgr_entry, alpha=alpha))))
     return len(runs)
 
 
